@@ -77,10 +77,19 @@ def diag_power(x, nvec) -> list:
     return m
 
 
+def _copy(m) -> list:
+    return [list(row) for row in m]
+
+
 class KernelEvaluator:
     """Level-l kernel machinery over one family, moment matrix and factors.
 
-    Read-only after construction; per-point solve results are memoized.
+    Read-only after construction.  Every value that depends on one point
+    coordinate or one grid point is computed once and memoized for the
+    evaluator's lifetime: the weights rho_j(x), the dual-form values at x,
+    the polynomial values at y, the leading-minor solves and Schur factors
+    at x and at y, and the kernel sum and associated bilinear form at
+    (x, y).  Matrices handed to callers are fresh copies.
     """
 
     def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors, level: int):
@@ -97,13 +106,48 @@ class KernelEvaluator:
         self.level = level
         self.polys = primary_family(factors)
         self.forms = dual_family(factors)
-        self._parts = partition(g, level)
+        total = g.nrows
+        parts = partition(g, level)
+        head, tail = range(level), range(level, total)
+        self._tl = parts.tl.to_dense()
+        self._tl_t = mat_transpose(self._tl)
+        self._tr = parts.tr.to_dense()
+        self._bl = parts.bl.to_dense()
+        self._lam_m_t = mat_transpose(shift_power(fam.mvec, total).slice(head, tail).to_dense())
+        self._lam_n = shift_power(fam.nvec, total).slice(head, tail).to_dense()
+        self._weights = {}  # (j, x) -> rho_j(x)
+        self._forms_at = {}  # x -> dual forms k < level at x
+        self._polys_at = {}  # y -> polynomials k < level at y
         self._solve_right = {}  # y -> (g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n
         self._solve_left = {}  # x -> chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n
+        self._schur_x = {}  # x -> x-side factors of the partition form
+        self._schur_y = {}  # y -> y-side factor of the partition form
+        self._kernels = {}  # (x, y) -> kernel sum
+        self._assoc_x = {}  # x -> associated form values
+        self._assoc_y = {}  # y -> associated polynomial values
+        self._assoc_xy = {}  # (x, y) -> associated bilinear form
         self._assoc = None
         self._pairs = None
 
-    # -- chi vectors, dense ------------------------------------------------
+    # -- per-point tables ----------------------------------------------------
+
+    def _weight(self, j: int, x) -> list:
+        if (j, x) not in self._weights:
+            self._weights[j, x] = self.fam.eval_weight(j, x)
+        return self._weights[j, x]
+
+    def _form_values(self, x) -> list:
+        if x not in self._forms_at:
+            weight = lambda j: self._weight(j, x)
+            self._forms_at[x] = [
+                eval_form(f, self.fam, x, weight) for f in self.forms[: self.level]
+            ]
+        return self._forms_at[x]
+
+    def _poly_values(self, y) -> list:
+        if y not in self._polys_at:
+            self._polys_at[y] = [eval_poly(p, y) for p in self.polys[: self.level]]
+        return self._polys_at[y]
 
     def _chi1_col(self, count: int, y, offset: int = 0) -> list:
         n = self.fam.size
@@ -117,42 +161,62 @@ class KernelEvaluator:
         n = self.fam.size
         rows = [[] for _ in range(n)]
         for k in range(offset, offset + count):
-            w = self.fam.eval_weight(k, x)
+            w = self._weight(k, x)
             for r in range(n):
                 rows[r].extend(w[r])
         return rows
 
     def _right_piece(self, y) -> list:
         if y not in self._solve_right:
-            dense = self._parts.tl.to_dense()
             try:
-                self._solve_right[y] = solve_dense(dense, self._chi1_col(self.level, y))
+                self._solve_right[y] = solve_dense(self._tl, self._chi1_col(self.level, y))
             except SingularMatrixError as exc:
                 raise SingularLeadingMinorError(self.level) from exc
         return self._solve_right[y]
 
     def _left_piece(self, x) -> list:
         if x not in self._solve_left:
-            dense = mat_transpose(self._parts.tl.to_dense())
             try:
-                sol = solve_dense(dense, mat_transpose(self._chi2_row(self.level, x)))
+                sol = solve_dense(self._tl_t, mat_transpose(self._chi2_row(self.level, x)))
             except SingularMatrixError as exc:
                 raise SingularLeadingMinorError(self.level) from exc
             self._solve_left[x] = mat_transpose(sol)
         return self._solve_left[x]
 
+    def _schur_row(self, x) -> tuple:
+        """x-side factors of the partition form: (A(x) Lambda_m^T, W(x) Lambda_n)."""
+        if x not in self._schur_x:
+            w = self._left_piece(x)
+            tail = self.g.nrows - self.level
+            a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), mat_mul(w, self._tr))
+            self._schur_x[x] = (mat_mul(a_row, self._lam_m_t), mat_mul(w, self._lam_n))
+        return self._schur_x[x]
+
+    def _schur_col(self, y) -> list:
+        """y-side factor C(y) of the partition form."""
+        if y not in self._schur_y:
+            tail = self.g.nrows - self.level
+            self._schur_y[y] = mat_sub(
+                self._chi1_col(tail, y, offset=self.level),
+                mat_mul(self._bl, self._right_piece(y)),
+            )
+        return self._schur_y[y]
+
+    def _kernel(self, x, y) -> list:
+        if (x, y) not in self._kernels:
+            forms_x, polys_y = self._form_values(x), self._poly_values(y)
+            n = self.fam.size
+            acc = mat_zeros(n, n, self.fam.backend)
+            for k in range(self.level):
+                acc = mat_add(acc, mat_mul(forms_x[k], polys_y[k]))
+            self._kernels[x, y] = acc
+        return self._kernels[x, y]
+
     # -- kernel values -----------------------------------------------------
 
     def kernel_sum(self, x, y) -> list:
         """Sum over k < level of (dual form at x, transposed) times (polynomial at y)."""
-        n = self.fam.size
-        acc = mat_zeros(n, n, self.fam.backend)
-        for k in range(self.level):
-            acc = mat_add(
-                acc,
-                mat_mul(eval_form(self.forms[k], self.fam, x), eval_poly(self.polys[k], y)),
-            )
-        return acc
+        return _copy(self._kernel(x, y))
 
     def kernel_abc(self, x, y) -> list:
         """Inverse-leading-minor route: chi2 row times solved chi1 column."""
@@ -164,33 +228,18 @@ class KernelEvaluator:
     # -- difference identities ----------------------------------------------
 
     def cd_lhs(self, x, y) -> list:
-        k = self.kernel_sum(x, y)
+        k = self._kernel(x, y)
         nvec = self.fam.nvec
         return mat_sub(mat_mul(diag_power(x, nvec), k), mat_mul(k, diag_power(y, nvec)))
 
     def cd_rhs_schur(self, x, y) -> list:
         """Partition form of the difference identity, valid at every level."""
         n = self.fam.size
-        level, total = self.level, self.g.nrows
-        if level == 0:
+        if self.level == 0:
             return mat_zeros(n, n, self.fam.backend)
-        tail = total - level
-        lam_m_tr = shift_power(self.fam.mvec, total).slice(
-            range(level), range(level, total)
-        ).to_dense()
-        lam_n_tr = shift_power(self.fam.nvec, total).slice(
-            range(level), range(level, total)
-        ).to_dense()
-        w = self._left_piece(x)
-        b = self._right_piece(y)
-        a_row = mat_sub(
-            self._chi2_row(tail, x, offset=level), mat_mul(w, self._parts.tr.to_dense())
-        )
-        term1 = mat_mul(mat_mul(a_row, mat_transpose(lam_m_tr)), b)
-        c_col = mat_sub(
-            self._chi1_col(tail, y, offset=level), mat_mul(self._parts.bl.to_dense(), b)
-        )
-        term2 = mat_mul(mat_mul(w, lam_n_tr), c_col)
+        a_lam, w_lam = self._schur_row(x)
+        term1 = mat_mul(a_lam, self._right_piece(y))
+        term2 = mat_mul(w_lam, self._schur_col(y))
         return mat_sub(term1, term2)
 
     def _associated(self):
@@ -212,16 +261,33 @@ class KernelEvaluator:
             }
         return self._assoc
 
-    def cd_rhs_associated(self, x, y) -> list:
-        """Bilinear associated-family form of the difference identity."""
-        assoc = self._associated()
+    def _assoc_forms(self, x) -> tuple:
+        if x not in self._assoc_x:
+            assoc = self._associated()
+            weight = lambda j: self._weight(j, x)
+            self._assoc_x[x] = (
+                [eval_form(f, self.fam, x, weight) for f in assoc["plus_forms"]],
+                [eval_form(f, self.fam, x, weight) for f in assoc["minus_forms"]],
+            )
+        return self._assoc_x[x]
+
+    def _assoc_polys(self, y) -> tuple:
+        if y not in self._assoc_y:
+            assoc = self._associated()
+            self._assoc_y[y] = (
+                [eval_poly(p, y) for p in assoc["minus_polys"]],
+                [eval_poly(p, y) for p in assoc["plus_polys"]],
+            )
+        return self._assoc_y[y]
+
+    def _assoc_form(self, x, y) -> list:
+        if (x, y) in self._assoc_xy:
+            return self._assoc_xy[x, y]
+        plus_forms_x, minus_forms_x = self._assoc_forms(x)
+        minus_polys_y, plus_polys_y = self._assoc_polys(y)
         fam = self.fam
         n = fam.size
         acc = mat_zeros(n, n, fam.backend)
-        plus_forms_x = [eval_form(f, fam, x) for f in assoc["plus_forms"]]
-        minus_polys_y = [eval_poly(p, y) for p in assoc["minus_polys"]]
-        minus_forms_x = [eval_form(f, fam, x) for f in assoc["minus_forms"]]
-        plus_polys_y = [eval_poly(p, y) for p in assoc["plus_polys"]]
         for a in range(n):
             ma, na = fam.mvec[a], fam.nvec[a]
             for j in range(ma):
@@ -234,7 +300,12 @@ class KernelEvaluator:
                 for r in range(n):
                     for c in range(n):
                         acc[r][c] -= left[r][a] * right[a][c]
+        self._assoc_xy[x, y] = acc
         return acc
+
+    def cd_rhs_associated(self, x, y) -> list:
+        """Bilinear associated-family form of the difference identity."""
+        return _copy(self._assoc_form(x, y))
 
     def cd_entry_quotient(self, a: int, b: int, x, y) -> Scalar:
         """Scalar quotient form for entry (a, b); 0-based components.
@@ -247,7 +318,7 @@ class KernelEvaluator:
             raise SingularLocusError(
                 "x^%d == y^%d at (x, y) = (%s, %s)" % (nvec[a], nvec[b], x, y)
             )
-        return self.cd_rhs_associated(x, y)[a][b] / denom
+        return self._assoc_form(x, y)[a][b] / denom
 
     # -- projections and the reproducing property ---------------------------
 
@@ -287,13 +358,12 @@ class KernelEvaluator:
         """
         n = self.fam.size
         table = self._pair_table()
-        forms_x = [eval_form(self.forms[k], self.fam, x) for k in range(self.level)]
-        polys_y = [eval_poly(self.polys[k], y) for k in range(self.level)]
+        forms_x, polys_y = self._form_values(x), self._poly_values(y)
         acc = mat_zeros(n, n, self.fam.backend)
         for j in range(self.level):
             for k in range(self.level):
                 acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(table[j][k], polys_y[k])))
-        return matrix_residual_norm(mat_sub(acc, self.kernel_sum(x, y)))
+        return matrix_residual_norm(mat_sub(acc, self._kernel(x, y)))
 
 
 def check_reproducing(ev: KernelEvaluator, points, tol=DEFAULT_TOLERANCE) -> CheckOutcome:
@@ -311,20 +381,28 @@ def check_reproducing(ev: KernelEvaluator, points, tol=DEFAULT_TOLERANCE) -> Che
     return CheckOutcome(passed, residual, worst)
 
 
-def classical_cd(seed: SeedWeight, degree: int, x, y, backend: str = EXACT) -> IdentityResidual:
+def classical_cd(
+    seed: SeedWeight, degree: int, x, y, backend: str = EXACT, factors: GaussFactors | None = None
+) -> IdentityResidual:
     """Two-term scalar Christoffel-Darboux identity for one classical weight.
 
     Builds the scalar Hankel family for the seed, reads the monic orthogonal
     polynomials and their norms off the factorization, and returns both
     sides at (x, y).  Requires degree >= 1 and x != y.
+
+    `factors`, when given, must factorize the seed's Hankel moment matrix at
+    a truncation above `degree`.  Without block pivoting the factors of a
+    leading truncation are the leading blocks of the full factors, computed
+    by the same operations, so a caller sweeping degrees factorizes once.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if x == y:
         raise SingularLocusError("classical identity undefined on the diagonal")
-    fam = hankel_family(seed, backend)
-    g = build_moment_matrix(fam, degree + 1)
-    factors = lu_factorize(g)
+    if factors is None:
+        factors = lu_factorize(build_moment_matrix(hankel_family(seed, backend), degree + 1))
+    elif factors.nlevels <= degree:
+        raise ValueError("factors cover %d levels, degree %d needs more" % (factors.nlevels, degree))
     polys = primary_family(factors)
     norms = [factors.normalization(k)[0][0] for k in range(degree + 1)]
     px = [eval_poly(polys[k], x)[0][0] for k in range(degree + 1)]

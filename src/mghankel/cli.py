@@ -26,6 +26,7 @@ from .harness import (
     builtin_config,
     load_config,
     run,
+    validate_levels,
     write_report,
 )
 from .numerics import BACKENDS, SingularLeadingMinorError
@@ -58,14 +59,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
             levels = tuple(int(v) for v in args.levels.split(","))
         except ValueError as exc:
             raise ConfigError("levels: %s" % exc) from exc
-        shift = config.max_shift()
-        for l in levels:
-            if l < 0 or l + shift >= config.truncation:
-                raise ConfigError(
-                    "levels: l=%d violates the truncation budget (need l + %d < L=%d)"
-                    % (l, shift, config.truncation)
-                )
-        updates["levels"] = levels
+        updates["levels"] = validate_levels(levels, config.max_shift(), config.truncation)
     return dataclasses.replace(config, **updates) if updates else config
 
 

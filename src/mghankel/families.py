@@ -98,12 +98,19 @@ def eval_poly(p: MatrixPolynomial, x) -> list:
     return acc
 
 
-def eval_form(f: LinearForm, fam: WeightFamily, x) -> list:
-    """Transposed value of the form: sum_j rho_j(x) coeffs[j]."""
+def eval_form(f: LinearForm, fam: WeightFamily, x, weight=None) -> list:
+    """Transposed value of the form: sum_j rho_j(x) coeffs[j].
+
+    `weight(j)`, when given, must return rho_j(x); a caller holding a table
+    of weight values at x passes its lookup here.  Weights are requested
+    only for nonzero coefficient blocks.
+    """
+    if weight is None:
+        weight = lambda j: fam.eval_weight(j, x)
     acc = mat_zeros(f.n, f.n, fam.backend)
     for j, d in enumerate(f.coeffs):
         if matrix_residual_norm(d) != 0:
-            acc = mat_add(acc, mat_mul(fam.eval_weight(j, x), d))
+            acc = mat_add(acc, mat_mul(weight(j), d))
     return acc
 
 

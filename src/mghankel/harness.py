@@ -15,6 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import __version__
@@ -55,6 +56,7 @@ from .weights import (
     LAGUERRE,
     SeedWeight,
     WeightFamily,
+    hankel_family,
     validate_family,
 )
 
@@ -158,6 +160,17 @@ class RunConfig:
         }
 
 
+def validate_levels(levels, max_shift: int, truncation: int) -> tuple:
+    """The level budget: every level l must satisfy 0 <= l and l + max_shift < L."""
+    for l in levels:
+        if l < 0 or l + max_shift >= truncation:
+            raise ConfigError(
+                "levels: l=%d violates the truncation budget (need l + %d < L=%d)"
+                % (l, max_shift, truncation)
+            )
+    return tuple(levels)
+
+
 def _parse_seed(entry, path: str) -> SeedWeight:
     if not isinstance(entry, dict) or "coeffs" not in entry or "measure" not in entry:
         raise ConfigError("%s: seed needs 'coeffs' and 'measure'" % path)
@@ -219,12 +232,7 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
         levels = tuple(int(v) for v in data["levels"])
     else:
         levels = tuple(range(1, truncation - max_shift))
-    for l in levels:
-        if l < 0 or l + max_shift >= truncation:
-            raise ConfigError(
-                "levels: l=%d violates the truncation budget (need l + %d < L=%d)"
-                % (l, max_shift, truncation)
-            )
+    levels = validate_levels(levels, max_shift, truncation)
 
     tol = DEFAULT_TOLERANCE
     if "tolerance" in data and data["tolerance"] is not None:
@@ -475,18 +483,14 @@ class _Accumulator:
 
 
 class _Runner:
+    """One run's family, factors and evaluators; every cache lives here."""
+
     def __init__(self, config: RunConfig):
         self.config = config
         self.fam = config.family()
         report = validate_family(self.fam, config.truncation)
         if not report.ok:
             raise ConfigError("family: %s" % report.first_problem())
-        self.tol = config.tolerance
-        self.g = build_moment_matrix(self.fam, config.truncation)
-        self.factors = lu_factorize(self.g)
-        self.polys = primary_family(self.factors)
-        self.forms = dual_family(self.factors)
-        self._evaluators = {}
         self.pointwise_ok = not (
             config.backend == EXACT
             and any(
@@ -496,19 +500,52 @@ class _Runner:
                 for s in entry
             )
         )
+        if (
+            config.backend == EXACT
+            and self.pointwise_ok
+            and any(c in POINTWISE_CHECKS for c in config.checks)
+        ):
+            self._check_grid_support()
+        self.tol = config.tolerance
+        self.g = build_moment_matrix(self.fam, config.truncation)
+        self.factors = lu_factorize(self.g)
+        self.polys = primary_family(self.factors)
+        self.forms = dual_family(self.factors)
+        self._evaluators = {}
+
+    def _check_grid_support(self):
+        """Exact weights have no value outside their support, and the
+        pointwise checks take every seed weight at every grid x."""
+        where = "grid[%d]" if self.config.grid is not None else "grid (default lattice, pair %d)"
+        for idx, (x, _) in enumerate(self.config.grid_pairs()):
+            for a, row in enumerate(self.fam.seeds):
+                for b, entry in enumerate(row):
+                    for r, seed in enumerate(entry):
+                        if not seed.measure.in_support(x):
+                            raise ConfigError(
+                                "%s: x=%s lies outside the support of seed %d of entry (%d,%d)"
+                                % (where % idx, x, r, a, b)
+                            )
 
     def evaluator(self, level: int) -> KernelEvaluator:
         if level not in self._evaluators:
             self._evaluators[level] = KernelEvaluator(self.fam, self.g, self.factors, level)
         return self._evaluators[level]
 
-    def points(self):
+    @cached_property
+    def scale(self):
+        """Max-norm of g: the magnitude reference of coefficient-space residuals."""
+        return self.g.maxnorm()
+
+    @cached_property
+    def points(self) -> list:
         return [
             (as_backend(x, self.config.backend), as_backend(y, self.config.backend))
             for x, y in self.config.grid_pairs()
         ]
 
-    def off_locus_points(self):
+    @cached_property
+    def off_locus_points(self) -> list:
         return [
             (as_backend(x, self.config.backend), as_backend(y, self.config.backend))
             for x, y in self.config.off_locus_pairs()
@@ -522,10 +559,9 @@ class _Runner:
         )
 
     def check_factorization(self, acc: _Accumulator):
-        scale = self.g.maxnorm()
-        acc.record(factorization_residual(self.g, self.factors), scale, "full product")
+        acc.record(factorization_residual(self.g, self.factors), self.scale, "full product")
         nested, level = nested_truncation_residual(self.g, self.factors)
-        acc.record(nested, scale, "truncation l=%s" % level)
+        acc.record(nested, self.scale, "truncation l=%s" % level)
 
     def check_biorthogonality(self, acc: _Accumulator):
         acc.outcome(check_biorthogonality(self.g, self.factors, self.tol), "")
@@ -539,7 +575,7 @@ class _Runner:
     def check_abc(self, acc: _Accumulator):
         for level in self.config.levels:
             ev = self.evaluator(level)
-            for x, y in self.points():
+            for x, y in self.points:
                 lhs = ev.kernel_sum(x, y)
                 rhs = ev.kernel_abc(x, y)
                 scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
@@ -552,10 +588,10 @@ class _Runner:
     def check_reproducing(self, acc: _Accumulator):
         for level in self.config.levels:
             ev = self.evaluator(level)
-            for x, y in self.points():
+            for x, y in self.points:
                 acc.record(
                     ev.reproducing_residual(x, y),
-                    self.g.maxnorm(),
+                    self.scale,
                     "l=%d (x,y)=(%s,%s)" % (level, x, y),
                 )
 
@@ -571,7 +607,7 @@ class _Runner:
                     if expect is not None
                     else max(matrix_residual_norm(c) for c in projected.coeffs)
                 )
-                acc.record(r, self.g.maxnorm(), "l=%d polynomial k=%d" % (level, k))
+                acc.record(r, self.scale, "l=%d polynomial k=%d" % (level, k))
                 dual_projected = ev.project_form(self.forms[k])
                 expect_f = self.forms[k] if k < level else None
                 r = (
@@ -579,7 +615,7 @@ class _Runner:
                     if expect_f is not None
                     else max(matrix_residual_norm(c) for c in dual_projected.coeffs)
                 )
-                acc.record(r, self.g.maxnorm(), "l=%d dual k=%d" % (level, k))
+                acc.record(r, self.scale, "l=%d dual k=%d" % (level, k))
             for deg in range(total):
                 mono = MatrixPolynomial.of(
                     self.fam.size,
@@ -598,14 +634,14 @@ class _Runner:
                 twice = ev.project_poly(once)
                 acc.record(
                     poly_residual(once, twice),
-                    self.g.maxnorm(),
+                    self.scale,
                     "l=%d idempotence deg=%d" % (level, deg),
                 )
 
     def check_proposition(self, acc: _Accumulator):
         for level in self.config.levels:
             ev = self.evaluator(level)
-            for x, y in self.points():
+            for x, y in self.points:
                 lhs = ev.cd_lhs(x, y)
                 rhs = ev.cd_rhs_schur(x, y)
                 scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
@@ -621,14 +657,14 @@ class _Runner:
             ev = self.evaluator(level)
             if level < threshold:
                 try:
-                    ev.cd_rhs_associated(*self.points()[0])
+                    ev.cd_rhs_associated(*self.points[0])
                     acc.notes.append(
                         "l=%d below the shift bound but the associated form evaluated" % level
                     )
                 except ValueError as exc:
                     acc.notes.append("l=%d not asserted: %s" % (level, exc))
                 continue
-            for x, y in self.points():
+            for x, y in self.points:
                 lhs = ev.cd_lhs(x, y)
                 rhs = ev.cd_rhs_associated(x, y)
                 scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
@@ -640,7 +676,7 @@ class _Runner:
 
     def check_corollary(self, acc: _Accumulator):
         threshold = self.config.max_shift()
-        on_locus = len(self.points()) - len(self.off_locus_points())
+        on_locus = len(self.points) - len(self.off_locus_points)
         if on_locus:
             acc.notes.append("skipped %d on-locus grid points" % on_locus)
         for level in self.config.levels:
@@ -648,7 +684,7 @@ class _Runner:
                 acc.notes.append("l=%d below the shift bound, not asserted" % level)
                 continue
             ev = self.evaluator(level)
-            for x, y in self.off_locus_points():
+            for x, y in self.off_locus_points:
                 kernel = ev.kernel_sum(x, y)
                 for a in range(self.fam.size):
                     for b in range(self.fam.size):
@@ -704,9 +740,11 @@ class _Runner:
             if x != y:
                 points.append((x, y))
         top = min(6, self.config.truncation - 2)
+        backend = self.config.backend
+        factors = lu_factorize(build_moment_matrix(hankel_family(seed, backend), top + 1))
         for degree in range(1, top + 1):
             for x, y in points:
-                res = classical_cd(seed, degree, x, y, backend=self.config.backend)
+                res = classical_cd(seed, degree, x, y, backend=backend, factors=factors)
                 scale = max(
                     matrix_residual_norm(res.lhs), matrix_residual_norm(res.rhs)
                 )

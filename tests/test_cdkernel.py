@@ -1,19 +1,36 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from mghankel.blockops import build_moment_matrix
 from mghankel.cdkernel import KernelEvaluator, classical_cd, diag_power
 from mghankel.factorize import lu_factorize
 from mghankel.families import (
     MatrixPolynomial,
+    associated_minus,
+    associated_plus,
+    dual_associated_minus,
+    dual_associated_plus,
+    eval_form,
     eval_poly,
     form_residual,
+    pair_poly_form,
     poly_residual,
     primary_family,
     dual_family,
 )
-from mghankel.numerics import SingularLocusError, mat_add, matrix_residual_norm
-from mghankel.weights import BaseMeasure, SeedWeight
+from mghankel.harness import DEFAULT_GRID_COORDS, builtin_config
+from mghankel.numerics import (
+    SingularLocusError,
+    as_backend,
+    mat_add,
+    mat_mul,
+    mat_sub,
+    mat_zeros,
+    matrix_residual_norm,
+)
+from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
 from conftest import interval_seed
 
@@ -232,3 +249,145 @@ def test_kernel_routes_are_independent(hilbert_bundle):
     skewed = lu_factorize(BlockMatrix.identity(1, 4))
     ev = KernelEvaluator(fam, g, skewed, 2)
     assert ev.kernel_sum(F(1, 7), F(2, 7)) != ev.kernel_abc(F(1, 7), F(2, 7))
+
+
+# -- per-point tables ------------------------------------------------------
+
+TABLE_LEVEL = 3
+POINT_METHODS = (
+    "kernel_sum",
+    "kernel_abc",
+    "cd_lhs",
+    "cd_rhs_schur",
+    "cd_rhs_associated",
+    "reproducing_residual",
+)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("legendre", "exact"),
+        ("legendre", "float"),
+        ("multigraded-n2", "exact"),
+        ("multigraded-n2", "float"),
+    ],
+    ids=lambda p: "-".join(p),
+)
+def table_case(request):
+    """(family, g, factors, lattice points) of a built-in case in one backend."""
+    case, backend = request.param
+    config = dataclasses.replace(builtin_config(case), backend=backend)
+    fam = config.family()
+    g = build_moment_matrix(fam, config.truncation)
+    points = [
+        (as_backend(x, backend), as_backend(y, backend))
+        for x in DEFAULT_GRID_COORDS
+        for y in DEFAULT_GRID_COORDS
+    ]
+    return fam, g, lu_factorize(g), points
+
+
+def direct_kernel(fam, polys, forms, level, x, y):
+    acc = mat_zeros(fam.size, fam.size, fam.backend)
+    for k in range(level):
+        acc = mat_add(acc, mat_mul(eval_form(forms[k], fam, x), eval_poly(polys[k], y)))
+    return acc
+
+
+def direct_associated(fam, g, level, x, y):
+    n = fam.size
+    plus_forms = [eval_form(dual_associated_plus(g, level, j), fam, x) for j in range(max(fam.mvec))]
+    minus_polys = [eval_poly(associated_minus(g, level - 1, k), y) for k in range(max(fam.mvec))]
+    minus_forms = [eval_form(dual_associated_minus(g, level - 1, k), fam, x) for k in range(max(fam.nvec))]
+    plus_polys = [eval_poly(associated_plus(g, level, j), y) for j in range(max(fam.nvec))]
+    acc = mat_zeros(n, n, fam.backend)
+    for a in range(n):
+        ma, na = fam.mvec[a], fam.nvec[a]
+        for j in range(ma):
+            for r in range(n):
+                for c in range(n):
+                    acc[r][c] += plus_forms[j][r][a] * minus_polys[ma - j - 1][a][c]
+        for j in range(na):
+            for r in range(n):
+                for c in range(n):
+                    acc[r][c] -= minus_forms[na - j - 1][r][a] * plus_polys[j][a][c]
+    return acc
+
+
+def direct_reproducing(fam, g, polys, forms, level, x, y):
+    forms_x = [eval_form(forms[k], fam, x) for k in range(level)]
+    polys_y = [eval_poly(polys[k], y) for k in range(level)]
+    acc = mat_zeros(fam.size, fam.size, fam.backend)
+    for j in range(level):
+        for k in range(level):
+            pair = pair_poly_form(g, polys[j], forms[k])
+            acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(pair, polys_y[k])))
+    kernel = direct_kernel(fam, polys, forms, level, x, y)
+    return matrix_residual_norm(mat_sub(acc, kernel))
+
+
+def test_tables_match_direct_composition(table_case):
+    fam, g, factors, points = table_case
+    polys, forms = primary_family(factors), dual_family(factors)
+    ev = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+    nvec = fam.nvec
+    for _ in range(2):  # the second sweep reads every value from the tables
+        for x, y in points:
+            kernel = direct_kernel(fam, polys, forms, TABLE_LEVEL, x, y)
+            assoc = direct_associated(fam, g, TABLE_LEVEL, x, y)
+            lhs = mat_sub(mat_mul(diag_power(x, nvec), kernel), mat_mul(kernel, diag_power(y, nvec)))
+            assert ev.kernel_sum(x, y) == kernel
+            assert ev.cd_lhs(x, y) == lhs
+            assert ev.cd_rhs_associated(x, y) == assoc
+            assert ev.reproducing_residual(x, y) == direct_reproducing(
+                fam, g, polys, forms, TABLE_LEVEL, x, y
+            )
+            for a in range(fam.size):
+                for b in range(fam.size):
+                    if x ** nvec[a] != y ** nvec[b]:
+                        assert ev.cd_entry_quotient(a, b, x, y) == assoc[a][b] / (
+                            x ** nvec[a] - y ** nvec[b]
+                        )
+
+
+def test_tables_match_fresh_evaluator(table_case):
+    fam, g, factors, points = table_case
+    warm = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+    for name in POINT_METHODS:
+        for x, y in points:
+            getattr(warm, name)(x, y)
+    for name in POINT_METHODS:
+        for x, y in points:
+            fresh = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+            assert getattr(warm, name)(x, y) == getattr(fresh, name)(x, y), (name, x, y)
+
+
+def test_returned_matrices_are_fresh(mgn2_bundle, rational_grid):
+    fam, g, factors = mgn2_bundle
+    ev = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+    x, y = rational_grid[0], rational_grid[3]
+    for name in ("kernel_sum", "cd_rhs_associated"):
+        first = getattr(ev, name)(x, y)
+        expected = [list(row) for row in first]
+        first[0][0] += 1
+        first[1].append(0)
+        assert getattr(ev, name)(x, y) == expected
+    quotient = ev.cd_entry_quotient(0, 1, x, y)
+    assert quotient == expected[0][1] / (x - y**2)
+
+
+def test_classical_reuses_top_factorization():
+    cases = [
+        (interval_seed(1), "exact", [(F(1, 7), F(5, 7)), (F(0), F(1))]),
+        (SeedWeight.of([1], BaseMeasure.gaussian()), "float", [(0.7, -0.2), (1.5, 0.3)]),
+    ]
+    for seed, backend, points in cases:
+        top = lu_factorize(build_moment_matrix(hankel_family(seed, backend), 7))
+        for degree in range(1, 7):
+            for x, y in points:
+                assert classical_cd(seed, degree, x, y, backend, factors=top) == classical_cd(
+                    seed, degree, x, y, backend
+                )
+        with pytest.raises(ValueError):
+            classical_cd(seed, 7, *points[0], backend, factors=top)

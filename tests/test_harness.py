@@ -228,3 +228,41 @@ def test_cli_singular_error_report_file(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["status"] == "error"
     assert data["error"] == "singular-leading-minor"
+
+
+def test_cli_levels_override_budget_message(capsys):
+    assert cli_main(["demo", "--case", "legendre", "--levels", "2,7", "--checks", "abc"]) == 2
+    assert capsys.readouterr().err == (
+        "error: levels: l=7 violates the truncation budget (need l + 1 < L=8)\n"
+    )
+
+
+OUT_OF_SUPPORT = dict(
+    MINIMAL, levels=[2], checks=["abc"], grid=[["1/3", "1/3"], ["3/2", "1/3"]]
+)
+
+
+def test_cli_out_of_support_grid_exits_two(tmp_path, capsys):
+    cfg = write_json(tmp_path, OUT_OF_SUPPORT)
+    assert cli_main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid[1]: x=3/2 lies outside the support of seed 0 of entry (0,0)\n"
+    )
+
+
+def test_cli_backend_override_rejects_out_of_support_grid(tmp_path, capsys):
+    cfg = write_json(tmp_path, dict(OUT_OF_SUPPORT, backend="float"))
+    assert cli_main(["verify", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert cli_main(["verify", "--config", cfg, "--backend", "exact"]) == 2
+    assert "grid[1]: x=3/2 lies outside the support" in capsys.readouterr().err
+
+
+def test_run_rejects_default_lattice_outside_support():
+    shifted = {"coeffs": ["1"], "measure": {"kind": "finite_interval", "a": "1", "b": "2"}}
+    config = config_from_dict(dict(MINIMAL, seeds=[[[shifted]]], checks=["theorem"]))
+    with pytest.raises(ConfigError, match=r"grid \(default lattice, pair 0\): x=1/7"):
+        run(config)
+    # coefficient-space checks never evaluate a weight, so the grid is irrelevant
+    config = config_from_dict(dict(MINIMAL, seeds=[[[shifted]]], checks=["biorthogonality"]))
+    assert run(config).exit_code == 0
