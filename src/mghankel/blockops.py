@@ -13,8 +13,8 @@ from .numerics import (
     CheckOutcome,
     DEFAULT_TOLERANCE,
     EXACT,
+    ResidualTracker,
     Tolerance,
-    approx_zero,
     mat_add,
     mat_mul,
     mat_sub,
@@ -225,22 +225,18 @@ def check_multigraded_symmetry(
     if len(nvec) != size or len(mvec) != size:
         raise ValueError("multi-index length must match block size")
     scale = g.maxnorm()
-    worst = None
+    tracker = ResidualTracker(tol)
     first = None
-    residual = 0
-    passed = True
     for a in range(size):
         for b in range(size):
             na, mb = nvec[a], mvec[b]
             for i in range(g.nrows - na):
                 for j in range(g.ncols - mb):
+                    where = "(i=%d, j=%d, a=%d, b=%d)" % (i, j, a, b)
                     diff = abs(g.entry(i + na, j, a, b) - g.entry(i, j + mb, a, b))
-                    if diff > residual:
-                        residual = diff
-                        worst = "(i=%d, j=%d, a=%d, b=%d)" % (i, j, a, b)
-                    if not approx_zero(diff, scale, tol):
-                        passed = False
-                        if first is None:
-                            first = "(i=%d, j=%d, a=%d, b=%d)" % (i, j, a, b)
-    notes = ("first violation at %s" % first,) if first else ()
-    return CheckOutcome(passed, residual, worst, notes)
+                    tracker.record(diff, scale, where)
+                    if first is None and not tracker.passed:
+                        first = where
+    if first:
+        tracker.notes.append("first violation at %s" % first)
+    return tracker.result()

@@ -32,14 +32,11 @@ from .families import (
     primary_family,
 )
 from .numerics import (
-    CheckOutcome,
-    DEFAULT_TOLERANCE,
     EXACT,
     Scalar,
     SingularLeadingMinorError,
     SingularLocusError,
     SingularMatrixError,
-    approx_zero,
     mat_add,
     mat_mul,
     mat_sub,
@@ -364,21 +361,6 @@ class KernelEvaluator:
             for k in range(self.level):
                 acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(table[j][k], polys_y[k])))
         return matrix_residual_norm(mat_sub(acc, self._kernel(x, y)))
-
-
-def check_reproducing(ev: KernelEvaluator, points, tol=DEFAULT_TOLERANCE) -> CheckOutcome:
-    """Reproducing property over a point grid, aggregated into one outcome."""
-    scale = ev.g.maxnorm()
-    residual = 0
-    worst = None
-    passed = True
-    for x, y in points:
-        r = ev.reproducing_residual(x, y)
-        if r > residual:
-            residual, worst = r, "(x,y)=(%s,%s)" % (x, y)
-        if not approx_zero(r, scale, tol):
-            passed = False
-    return CheckOutcome(passed, residual, worst)
 
 
 def classical_cd(

@@ -26,6 +26,7 @@ from .harness import (
     builtin_config,
     load_config,
     run,
+    validate_checks,
     validate_levels,
     write_report,
 )
@@ -49,11 +50,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.backend:
         updates["backend"] = args.backend
     if args.checks:
-        names = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        for c in names:
-            if c not in CHECK_NAMES:
-                raise ConfigError("checks: unknown check %r" % c)
-        updates["checks"] = names
+        names = (c.strip() for c in args.checks.split(",") if c.strip())
+        updates["checks"] = validate_checks(names)
     if args.levels:
         try:
             levels = tuple(int(v) for v in args.levels.split(","))

@@ -148,16 +148,25 @@ def factorization_residual(g: BlockMatrix, factors: GaussFactors):
 
 
 def nested_truncation_residual(g: BlockMatrix, factors: GaussFactors):
-    """Worst residual of (lower_inv^{[l]}) @ (upper^{[l]}) - g^{[l]} with the
-    leading truncations re-inverted from scratch, over l = 1..L."""
+    """Worst residual of (lower_inv^{[l]}) @ (upper^{[l]}) - g^{[l]} over
+    l = 1..L, with lower_inv^{[l]} re-derived from the leading truncation of
+    lower; returns (residual, first level where it is reached).
+
+    Block substitution builds row i of an inverse from blocks 0..i only, so
+    the inverse of every leading truncation is the leading part of one
+    inverse of the whole factor, and every truncation's residual is the
+    leading part of one residual matrix.  Level l adds its L-shaped border:
+    block row l-1 and block column l-1.
+    """
+    res = invert_block_triangular(factors.lower, LOWER).matmul(factors.upper).sub(g)
     worst = 0
     worst_level = None
     for level in range(1, g.nrows + 1):
-        rows = range(level)
-        li = factors.lower.slice(rows, rows)
-        ui = factors.upper.slice(rows, rows)
-        gi = g.slice(rows, rows)
-        res = invert_block_triangular(li, LOWER).matmul(ui).sub(gi).maxnorm()
-        if res > worst:
-            worst, worst_level = res, level
+        last = level - 1
+        border = [res.block(last, k) for k in range(level)]
+        border += [res.block(k, last) for k in range(last)]
+        for blk in border:
+            r = matrix_residual_norm(blk)
+            if r > worst:
+                worst, worst_level = r, level
     return worst, worst_level

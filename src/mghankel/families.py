@@ -2,10 +2,15 @@
 
 The polynomial family takes its coefficients from the rows of the lower
 factor; the dual family (linear forms, i.e. combinations of weights) takes
-its coefficients from the columns of the inverse upper factor.  Associated
-families are built independently of the factorization, by direct linear
-solves against leading truncations of the moment matrix, so the connection
-formulas below genuinely compare two routes.
+its coefficients from the columns of the inverse upper factor.  Both live
+in one coefficient container: a form is stored transposed, so its stored
+coefficients are those of a polynomial for the transposed moment problem
+g^T.  Every dual construction below is the primal one on g^T, blockwise
+transposed, rather than a second copy of it.
+
+Associated families are built independently of the factorization, by
+direct linear solves against leading truncations of the moment matrix, so
+the connection formulas below genuinely compare two routes.
 
 All integrals of polynomial-times-weight products reduce to moment-matrix
 entries; no quadrature appears anywhere.
@@ -20,10 +25,10 @@ from .factorize import GaussFactors
 from .numerics import (
     CheckOutcome,
     DEFAULT_TOLERANCE,
+    ResidualTracker,
     SingularLeadingMinorError,
     SingularMatrixError,
     Tolerance,
-    approx_zero,
     mat_add,
     mat_eye,
     mat_mul,
@@ -43,7 +48,12 @@ def _freeze(rows):
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
-    """Matrix polynomial sum_k coeffs[k] x^k with N x N coefficient blocks."""
+    """Sequence of N x N coefficient blocks: a matrix polynomial or a form.
+
+    As a polynomial it is sum_k coeffs[k] x^k.  As a linear form (alias
+    `LinearForm`) it is the combination of weights sum_j rho_j(x) coeffs[j],
+    stored transposed: eval_form returns f(x)^T = sum_j rho_j(x) coeffs[j].
+    """
 
     n: int
     coeffs: tuple
@@ -51,10 +61,6 @@ class MatrixPolynomial:
     @classmethod
     def of(cls, n: int, coeffs) -> "MatrixPolynomial":
         return cls(n, tuple(_freeze(c) for c in coeffs))
-
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs) - 1
 
     def degree(self) -> int:
         """Exact degree: highest index with a nonzero coefficient block."""
@@ -70,24 +76,12 @@ class MatrixPolynomial:
         )
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Combination of weights sum_j rho_j(x) coeffs[j], stored transposed.
+LinearForm = MatrixPolynomial
 
-    The natural value of the form is delivered transposed: eval_form
-    returns f(x)^T = sum_j rho_j(x) coeffs[j].
-    """
 
-    n: int
-    coeffs: tuple
-
-    @classmethod
-    def of(cls, n: int, coeffs) -> "LinearForm":
-        return cls(n, tuple(_freeze(c) for c in coeffs))
-
-    @property
-    def level_bound(self) -> int:
-        return len(self.coeffs) - 1
+def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
+    """Blockwise transpose: swaps a stored form and the polynomial of g^T."""
+    return MatrixPolynomial.of(p.n, [mat_transpose(c) for c in p.coeffs])
 
 
 def eval_poly(p: MatrixPolynomial, x) -> list:
@@ -126,15 +120,8 @@ def poly_residual(p: MatrixPolynomial, q: MatrixPolynomial):
     return worst
 
 
-def form_residual(f: LinearForm, g: LinearForm):
-    worst = 0
-    top = max(len(f.coeffs), len(g.coeffs))
-    zero = mat_zeros(f.n, f.n)
-    for k in range(top):
-        a = f.coeffs[k] if k < len(f.coeffs) else zero
-        b = g.coeffs[k] if k < len(g.coeffs) else zero
-        worst = max(worst, matrix_residual_norm(mat_sub(a, b)))
-    return worst
+# A form shares the container, so it shares the residual.
+form_residual = poly_residual
 
 
 def primary_family(factors: GaussFactors) -> list:
@@ -196,26 +183,29 @@ def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _leading_dense(g: BlockMatrix, level: int) -> list:
-    return g.slice(range(level), range(level)).to_dense()
-
-
-def _solve_leading(g: BlockMatrix, level: int, rhs, transposed: bool) -> list:
-    dense = _leading_dense(g, level)
-    if transposed:
-        dense = mat_transpose(dense)
+def _solve_leading(g: BlockMatrix, level: int, rhs) -> list:
+    """Solve (g^{[level]})^T X = rhs against the leading block minor."""
+    head = range(level)
+    tiles = [[tuple(zip(*g.block(k, i))) for k in head] for i in head]  # g[k, i]^T
+    dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
     try:
         return solve_dense(dense, rhs)
     except SingularMatrixError as exc:
-        raise SingularLeadingMinorError(level, "leading minor of order %d is singular" % level) from exc
+        message = "leading minor of order %d is singular" % level
+        raise SingularLeadingMinorError(level, message) from exc
 
 
-def associated_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
-    """Monic degree level+j polynomial annihilating rho_0..rho_{level-1}.
+def _transposed_lead(g: BlockMatrix, order: int) -> BlockMatrix:
+    """Leading order x order blocks of g^T, clipped to the size of g.
 
-    Built as the monomial block level+j minus the solved combination of the
-    first `level` monomial blocks.
+    This is all of the transposed problem that a builder at that order
+    reads; clipping leaves its range checks to report a bad index.
     """
+    head = range(max(0, min(order, g.nrows)))
+    return BlockMatrix(g.n, [[mat_transpose(g.block(k, i)) for k in head] for i in head])
+
+
+def _plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     if j < 0 or level < 0 or level + j >= g.nrows:
         raise ValueError("need 0 <= l and l + j < truncation")
     n = g.n
@@ -227,7 +217,7 @@ def associated_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
         [g.block(level + j, k)[r][c] for k in range(level) for c in range(n)]
         for r in range(n)
     ]
-    sol = _solve_leading(g, level, mat_transpose(flat), transposed=True)
+    sol = _solve_leading(g, level, mat_transpose(flat))
     row = mat_transpose(sol)  # n x (level*n)
     coeffs = []
     for k in range(level):
@@ -238,12 +228,7 @@ def associated_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     return MatrixPolynomial.of(n, coeffs)
 
 
-def associated_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
-    """Degree <= level polynomial with unit pairing against rho_{level-j}.
-
-    Coefficients are block row level-j of the inverse leading minor of
-    order level+1.
-    """
+def _minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     if j < 0 or j > level:
         raise ValueError("minus-family index j must satisfy 0 <= j <= l")
     if level + 1 > g.nrows:
@@ -252,54 +237,47 @@ def associated_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     rhs = [[0] * n for _ in range((level + 1) * n)]
     for c in range(n):
         rhs[(level - j) * n + c][c] = 1
-    sol = _solve_leading(g, level + 1, rhs, transposed=True)
-    row = mat_transpose(sol)
+    row = mat_transpose(_solve_leading(g, level + 1, rhs))
     coeffs = [
         [[row[r][k * n + c] for c in range(n)] for r in range(n)] for k in range(level + 1)
     ]
     return MatrixPolynomial.of(n, coeffs)
 
 
+def associated_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+    """Monic degree level+j polynomial annihilating rho_0..rho_{level-1}.
+
+    Built as the monomial block level+j minus the solved combination of the
+    first `level` monomial blocks.
+    """
+    return _plus(g, level, j)
+
+
+def associated_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+    """Degree <= level polynomial with unit pairing against rho_{level-j}.
+
+    Coefficients are block row level-j of the inverse leading minor of
+    order level+1.
+    """
+    return _minus(g, level, j)
+
+
 def dual_associated_plus(g: BlockMatrix, level: int, j: int) -> LinearForm:
     """Dual plus-family member: weight block level+j minus the solved
-    combination of the first `level` weight blocks."""
-    if j < 0 or level < 0 or level + j >= g.ncols:
-        raise ValueError("need 0 <= l and l + j < truncation")
-    n = g.n
-    if level == 0:
-        coeffs = [mat_zeros(n, n) for _ in range(j)] + [mat_eye(n)]
-        return LinearForm.of(n, coeffs)
-    rhs = [
-        [g.block(k, level + j)[r][c] for c in range(n)]
-        for k in range(level)
-        for r in range(n)
-    ]
-    sol = _solve_leading(g, level, rhs, transposed=False)  # (level*n) x n
-    coeffs = []
-    for k in range(level):
-        blk = [[-sol[k * n + r][c] for c in range(n)] for r in range(n)]
-        coeffs.append(blk)
-    coeffs.extend(mat_zeros(n, n) for _ in range(level, level + j))
-    coeffs.append(mat_eye(n))
-    return LinearForm.of(n, coeffs)
+    combination of the first `level` weight blocks.
+
+    It is the plus family of the transposed problem g^T, blockwise transposed.
+    """
+    return _transpose(_plus(_transposed_lead(g, level + j + 1), level, j))
 
 
 def dual_associated_minus(g: BlockMatrix, level: int, j: int) -> LinearForm:
     """Dual minus-family member: coefficients are block column level-j of
-    the inverse leading minor of order level+1."""
-    if j < 0 or j > level:
-        raise ValueError("minus-family index j must satisfy 0 <= j <= l")
-    if level + 1 > g.ncols:
-        raise ValueError("need l + 1 <= truncation")
-    n = g.n
-    rhs = [[0] * n for _ in range((level + 1) * n)]
-    for c in range(n):
-        rhs[(level - j) * n + c][c] = 1
-    sol = _solve_leading(g, level + 1, rhs, transposed=False)
-    coeffs = [
-        [[sol[k * n + r][c] for c in range(n)] for r in range(n)] for k in range(level + 1)
-    ]
-    return LinearForm.of(n, coeffs)
+    the inverse leading minor of order level+1.
+
+    It is the minus family of the transposed problem g^T, blockwise transposed.
+    """
+    return _transpose(_minus(_transposed_lead(g, level + 1), level, j))
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +291,21 @@ def check_biorthogonality(
     """Pairings of the two families against the identity, blockwise."""
     product = factors.lower.matmul(g).matmul(factors.upper_inv)
     ident = BlockMatrix.identity(g.n, g.nrows)
-    worst = None
-    residual = 0
+    scale = g.maxnorm()
+    tracker = ResidualTracker(tol)
     for i in range(g.nrows):
         for j in range(g.ncols):
             r = matrix_residual_norm(mat_sub(product.block(i, j), ident.block(i, j)))
-            if r > residual:
-                residual, worst = r, "(i=%d, j=%d)" % (i, j)
-    return CheckOutcome(approx_zero(residual, g.maxnorm(), tol), residual, worst)
+            tracker.record(r, scale, "(i=%d, j=%d)" % (i, j))
+    return tracker.result()
 
 
-def _scale_poly_left(m, p: MatrixPolynomial) -> MatrixPolynomial:
-    return MatrixPolynomial.of(p.n, [mat_mul(m, c) for c in p.coeffs])
+def _combine(terms) -> MatrixPolynomial:
+    """Sum of left-coefficient-times-polynomial terms.
 
-
-def _scale_form_right(f: LinearForm, m) -> LinearForm:
-    return LinearForm.of(f.n, [mat_mul(d, m) for d in f.coeffs])
-
-
-def _combine_polys(terms) -> MatrixPolynomial:
-    """Sum of left-coefficient-times-polynomial terms."""
+    For forms, combine their transposes: left-multiplying a form by A maps
+    every stored coefficient d to d A^T = (A d^T)^T.
+    """
     terms = list(terms)
     n = terms[0][1].n
     top = max(len(p.coeffs) for _, p in terms)
@@ -341,22 +314,6 @@ def _combine_polys(terms) -> MatrixPolynomial:
         for k, c in enumerate(p.coeffs):
             coeffs[k] = mat_add(coeffs[k], mat_mul(m, c))
     return MatrixPolynomial.of(n, coeffs)
-
-
-def _combine_forms(terms) -> LinearForm:
-    """Sum of left-coefficient-times-form terms, in transposed storage.
-
-    Left-multiplying a form by A maps every stored coefficient d to d A^T.
-    """
-    terms = list(terms)
-    n = terms[0][1].n
-    top = max(len(f.coeffs) for _, f in terms)
-    coeffs = [mat_zeros(n, n) for _ in range(top)]
-    for m, f in terms:
-        mt = mat_transpose(m)
-        for k, d in enumerate(f.coeffs):
-            coeffs[k] = mat_add(coeffs[k], mat_mul(d, mt))
-    return LinearForm.of(n, coeffs)
 
 
 def check_connection_formulas(
@@ -375,41 +332,33 @@ def check_connection_formulas(
     """
     polys = primary_family(factors)
     forms = dual_family(factors)
+    plus_terms = range(level, level + j + 1)
+    minus_terms = range(level - j, level + 1)
+    via_plus = _combine((factors.lower_inv.block(level + j, k), polys[k]) for k in plus_terms)
+    via_minus = _combine((factors.upper_inv.block(level - j, k), polys[k]) for k in minus_terms)
+    via_dual_plus = _transpose(
+        _combine(
+            (mat_transpose(factors.upper.block(k, level + j)), _transpose(forms[k]))
+            for k in plus_terms
+        )
+    )
+    via_dual_minus = _transpose(
+        _combine(
+            (mat_transpose(factors.lower.block(k, level - j)), _transpose(forms[k]))
+            for k in minus_terms
+        )
+    )
+    routes = (
+        ("plus family", associated_plus(g, level, j), via_plus),
+        ("minus family", associated_minus(g, level, j), via_minus),
+        ("dual plus family", dual_associated_plus(g, level, j), via_dual_plus),
+        ("dual minus family", dual_associated_minus(g, level, j), via_dual_minus),
+    )
     scale = g.maxnorm()
-    residual = 0
-    worst = None
-
-    via_plus = _combine_polys(
-        (factors.lower_inv.block(level + j, k), polys[k]) for k in range(level, level + j + 1)
-    )
-    r = poly_residual(associated_plus(g, level, j), via_plus)
-    if r > residual:
-        residual, worst = r, "plus family"
-
-    via_minus = _combine_polys(
-        (factors.upper_inv.block(level - j, k), polys[k]) for k in range(level - j, level + 1)
-    )
-    r = poly_residual(associated_minus(g, level, j), via_minus)
-    if r > residual:
-        residual, worst = r, "minus family"
-
-    via_dual_plus = _combine_forms(
-        (mat_transpose(factors.upper.block(k, level + j)), forms[k])
-        for k in range(level, level + j + 1)
-    )
-    r = form_residual(dual_associated_plus(g, level, j), via_dual_plus)
-    if r > residual:
-        residual, worst = r, "dual plus family"
-
-    via_dual_minus = _combine_forms(
-        (mat_transpose(factors.lower.block(k, level - j)), forms[k])
-        for k in range(level - j, level + 1)
-    )
-    r = form_residual(dual_associated_minus(g, level, j), via_dual_minus)
-    if r > residual:
-        residual, worst = r, "dual minus family"
-
-    return CheckOutcome(approx_zero(residual, scale, tol), residual, worst)
+    tracker = ResidualTracker(tol)
+    for where, direct, combined in routes:
+        tracker.record(poly_residual(direct, combined), scale, where)
+    return tracker.result()
 
 
 def check_modified_orthogonality(
@@ -423,33 +372,28 @@ def check_modified_orthogonality(
     """
     n = g.n
     scale = g.maxnorm()
-    residual = 0
-    worst = None
+    tracker = ResidualTracker(tol)
 
     plus = associated_plus(g, level, j)
     for k in range(level):
         r = matrix_residual_norm(poly_against_weight(g, plus, k))
-        if r > residual:
-            residual, worst = r, "plus vs weight %d" % k
+        tracker.record(r, scale, "plus vs weight %d" % k)
 
     dual_plus = dual_associated_plus(g, level, j)
     for k in range(level):
         r = matrix_residual_norm(form_against_monomial(g, k, dual_plus))
-        if r > residual:
-            residual, worst = r, "dual plus vs monomial %d" % k
+        tracker.record(r, scale, "dual plus vs monomial %d" % k)
 
     minus = associated_minus(g, level, j)
     dual_minus = dual_associated_minus(g, level, j)
     for k in range(level + 1):
         target = mat_eye(n) if k == level - j else mat_zeros(n, n)
         r = matrix_residual_norm(mat_sub(poly_against_weight(g, minus, k), target))
-        if r > residual:
-            residual, worst = r, "minus vs weight %d" % k
+        tracker.record(r, scale, "minus vs weight %d" % k)
         r = matrix_residual_norm(mat_sub(form_against_monomial(g, k, dual_minus), target))
-        if r > residual:
-            residual, worst = r, "dual minus vs monomial %d" % k
+        tracker.record(r, scale, "dual minus vs monomial %d" % k)
 
-    return CheckOutcome(approx_zero(residual, scale, tol), residual, worst)
+    return tracker.result()
 
 
 def check_matrix_notation(
@@ -463,27 +407,21 @@ def check_matrix_notation(
     """
     polys = primary_family(factors)
     forms = dual_family(factors)
+    norm = factors.normalization(level)
+    # Right-multiplying a stored form by N is left-multiplying its transpose by N^T.
+    scaled_form = _transpose(_combine([(mat_transpose(norm), _transpose(forms[level]))]))
+    routes = (
+        ("polynomial vs annihilating form", polys[level], associated_plus(g, level, 0)),
+        (
+            "polynomial vs scaled inverse-row form",
+            polys[level],
+            _combine([(norm, associated_minus(g, level, 0))]),
+        ),
+        ("dual vs inverse-column form", forms[level], dual_associated_minus(g, level, 0)),
+        ("dual vs annihilating form", scaled_form, dual_associated_plus(g, level, 0)),
+    )
     scale = g.maxnorm()
-    residual = 0
-    worst = None
-
-    r = poly_residual(polys[level], associated_plus(g, level, 0))
-    if r > residual:
-        residual, worst = r, "polynomial vs annihilating form"
-    r = poly_residual(
-        polys[level],
-        _scale_poly_left(factors.normalization(level), associated_minus(g, level, 0)),
-    )
-    if r > residual:
-        residual, worst = r, "polynomial vs scaled inverse-row form"
-    r = form_residual(forms[level], dual_associated_minus(g, level, 0))
-    if r > residual:
-        residual, worst = r, "dual vs inverse-column form"
-    r = form_residual(
-        _scale_form_right(forms[level], factors.normalization(level)),
-        dual_associated_plus(g, level, 0),
-    )
-    if r > residual:
-        residual, worst = r, "dual vs annihilating form"
-
-    return CheckOutcome(approx_zero(residual, scale, tol), residual, worst)
+    tracker = ResidualTracker(tol)
+    for where, expected, direct in routes:
+        tracker.record(poly_residual(expected, direct), scale, where)
+    return tracker.result()

@@ -32,7 +32,6 @@ from .families import (
     check_connection_formulas,
     check_matrix_notation,
     check_modified_orthogonality,
-    form_residual,
     poly_residual,
     primary_family,
     dual_family,
@@ -42,10 +41,9 @@ from .numerics import (
     EXACT,
     FLOAT,
     BACKENDS,
+    ResidualTracker,
     Tolerance,
-    approx_zero,
     as_backend,
-    mat_sub,
     matrix_residual_norm,
     parse_rational,
     scalar_str,
@@ -60,24 +58,27 @@ from .weights import (
     validate_family,
 )
 
-CHECK_NAMES = (
-    "symmetry",
-    "factorization",
-    "biorthogonality",
-    "matrix-notation",
-    "abc",
-    "reproducing",
-    "projections",
-    "proposition",
-    "theorem",
-    "corollary",
-    "connection",
-    "modified-orthogonality",
-    "classical",
-)
+# The check registry: name -> whether the check evaluates weights pointwise
+# (unavailable for exact gaussian or laguerre seeds).  Checks run, and are
+# reported, in this order; check `name` is `_Runner.check_<name>` with dashes
+# as underscores.
+CHECK_REGISTRY = {
+    "symmetry": False,
+    "factorization": False,
+    "biorthogonality": False,
+    "matrix-notation": False,
+    "abc": True,
+    "reproducing": True,
+    "projections": False,
+    "proposition": True,
+    "theorem": True,
+    "corollary": True,
+    "connection": False,
+    "modified-orthogonality": False,
+    "classical": False,
+}
 
-# Checks that evaluate weights pointwise (unavailable for exact laguerre).
-POINTWISE_CHECKS = ("abc", "reproducing", "proposition", "theorem", "corollary")
+CHECK_NAMES = tuple(CHECK_REGISTRY)
 
 DEFAULT_GRID_COORDS = (
     Fraction(1, 7),
@@ -171,6 +172,15 @@ def validate_levels(levels, max_shift: int, truncation: int) -> tuple:
     return tuple(levels)
 
 
+def validate_checks(checks) -> tuple:
+    """Every requested check must be in the registry."""
+    checks = tuple(checks)
+    for c in checks:
+        if c not in CHECK_REGISTRY:
+            raise ConfigError("checks: unknown check %r" % c)
+    return checks
+
+
 def _parse_seed(entry, path: str) -> SeedWeight:
     if not isinstance(entry, dict) or "coeffs" not in entry or "measure" not in entry:
         raise ConfigError("%s: seed needs 'coeffs' and 'measure'" % path)
@@ -242,10 +252,7 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError("tolerance: %s" % exc) from exc
 
-    checks = tuple(data.get("checks") or CHECK_NAMES)
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise ConfigError("checks: unknown check %r" % c)
+    checks = validate_checks(data.get("checks") or CHECK_NAMES)
 
     grid = None
     if data.get("grid") is not None:
@@ -456,32 +463,6 @@ def write_report(report: CheckReport, path, fmt: str = "json") -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Accumulator:
-    """Tracks per-check verdicts, the max residual and its location."""
-
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
-        self.passed = True
-        self.residual = 0
-        self.worst = None
-        self.notes = []
-
-    def record(self, residual, scale, where: str):
-        if residual > self.residual:
-            self.residual = residual
-            self.worst = where
-        if not approx_zero(residual, scale, self.tol):
-            self.passed = False
-
-    def outcome(self, outcome, where: str):
-        if outcome.residual > self.residual:
-            self.residual = outcome.residual
-            self.worst = where if outcome.worst is None else "%s %s" % (where, outcome.worst)
-        if not outcome.passed:
-            self.passed = False
-        self.notes.extend(outcome.notes)
-
-
 class _Runner:
     """One run's family, factors and evaluators; every cache lives here."""
 
@@ -503,7 +484,7 @@ class _Runner:
         if (
             config.backend == EXACT
             and self.pointwise_ok
-            and any(c in POINTWISE_CHECKS for c in config.checks)
+            and any(CHECK_REGISTRY.get(c) for c in config.checks)
         ):
             self._check_grid_support()
         self.tol = config.tolerance
@@ -553,39 +534,33 @@ class _Runner:
 
     # -- individual checks ---------------------------------------------------
 
-    def check_symmetry(self, acc: _Accumulator):
-        acc.outcome(
+    def check_symmetry(self, acc: ResidualTracker):
+        acc.merge(
             check_multigraded_symmetry(self.g, self.fam.nvec, self.fam.mvec, self.tol), ""
         )
 
-    def check_factorization(self, acc: _Accumulator):
+    def check_factorization(self, acc: ResidualTracker):
         acc.record(factorization_residual(self.g, self.factors), self.scale, "full product")
         nested, level = nested_truncation_residual(self.g, self.factors)
         acc.record(nested, self.scale, "truncation l=%s" % level)
 
-    def check_biorthogonality(self, acc: _Accumulator):
-        acc.outcome(check_biorthogonality(self.g, self.factors, self.tol), "")
+    def check_biorthogonality(self, acc: ResidualTracker):
+        acc.merge(check_biorthogonality(self.g, self.factors, self.tol), "")
 
-    def check_matrix_notation(self, acc: _Accumulator):
+    def check_matrix_notation(self, acc: ResidualTracker):
         for level in self.config.levels:
-            acc.outcome(
+            acc.merge(
                 check_matrix_notation(self.g, self.factors, level, self.tol), "l=%d" % level
             )
 
-    def check_abc(self, acc: _Accumulator):
+    def check_abc(self, acc: ResidualTracker):
         for level in self.config.levels:
             ev = self.evaluator(level)
             for x, y in self.points:
-                lhs = ev.kernel_sum(x, y)
-                rhs = ev.kernel_abc(x, y)
-                scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
-                acc.record(
-                    matrix_residual_norm(mat_sub(lhs, rhs)),
-                    scale,
-                    "l=%d (x,y)=(%s,%s)" % (level, x, y),
-                )
+                where = "l=%d (x,y)=(%s,%s)" % (level, x, y)
+                acc.record_gap(ev.kernel_sum(x, y), ev.kernel_abc(x, y), where)
 
-    def check_reproducing(self, acc: _Accumulator):
+    def check_reproducing(self, acc: ResidualTracker):
         for level in self.config.levels:
             ev = self.evaluator(level)
             for x, y in self.points:
@@ -595,27 +570,24 @@ class _Runner:
                     "l=%d (x,y)=(%s,%s)" % (level, x, y),
                 )
 
-    def check_projections(self, acc: _Accumulator):
+    def check_projections(self, acc: ResidualTracker):
         total = self.config.truncation
+        zero = MatrixPolynomial.of(self.fam.size, [])
         for level in self.config.levels:
             ev = self.evaluator(level)
             for k in range(total):
-                projected = ev.project_poly(self.polys[k])
-                expect = self.polys[k] if k < level else None
-                r = (
-                    poly_residual(projected, expect)
-                    if expect is not None
-                    else max(matrix_residual_norm(c) for c in projected.coeffs)
+                expect = self.polys[k] if k < level else zero
+                acc.record(
+                    poly_residual(ev.project_poly(self.polys[k]), expect),
+                    self.scale,
+                    "l=%d polynomial k=%d" % (level, k),
                 )
-                acc.record(r, self.scale, "l=%d polynomial k=%d" % (level, k))
-                dual_projected = ev.project_form(self.forms[k])
-                expect_f = self.forms[k] if k < level else None
-                r = (
-                    form_residual(dual_projected, expect_f)
-                    if expect_f is not None
-                    else max(matrix_residual_norm(c) for c in dual_projected.coeffs)
+                expect = self.forms[k] if k < level else zero
+                acc.record(
+                    poly_residual(ev.project_form(self.forms[k]), expect),
+                    self.scale,
+                    "l=%d dual k=%d" % (level, k),
                 )
-                acc.record(r, self.scale, "l=%d dual k=%d" % (level, k))
             for deg in range(total):
                 mono = MatrixPolynomial.of(
                     self.fam.size,
@@ -638,20 +610,14 @@ class _Runner:
                     "l=%d idempotence deg=%d" % (level, deg),
                 )
 
-    def check_proposition(self, acc: _Accumulator):
+    def check_proposition(self, acc: ResidualTracker):
         for level in self.config.levels:
             ev = self.evaluator(level)
             for x, y in self.points:
-                lhs = ev.cd_lhs(x, y)
-                rhs = ev.cd_rhs_schur(x, y)
-                scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
-                acc.record(
-                    matrix_residual_norm(mat_sub(lhs, rhs)),
-                    scale,
-                    "l=%d (x,y)=(%s,%s)" % (level, x, y),
-                )
+                where = "l=%d (x,y)=(%s,%s)" % (level, x, y)
+                acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_schur(x, y), where)
 
-    def check_theorem(self, acc: _Accumulator):
+    def check_theorem(self, acc: ResidualTracker):
         threshold = self.config.max_shift()
         for level in self.config.levels:
             ev = self.evaluator(level)
@@ -665,16 +631,10 @@ class _Runner:
                     acc.notes.append("l=%d not asserted: %s" % (level, exc))
                 continue
             for x, y in self.points:
-                lhs = ev.cd_lhs(x, y)
-                rhs = ev.cd_rhs_associated(x, y)
-                scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
-                acc.record(
-                    matrix_residual_norm(mat_sub(lhs, rhs)),
-                    scale,
-                    "l=%d (x,y)=(%s,%s)" % (level, x, y),
-                )
+                where = "l=%d (x,y)=(%s,%s)" % (level, x, y)
+                acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_associated(x, y), where)
 
-    def check_corollary(self, acc: _Accumulator):
+    def check_corollary(self, acc: ResidualTracker):
         threshold = self.config.max_shift()
         on_locus = len(self.points) - len(self.off_locus_points)
         if on_locus:
@@ -695,13 +655,13 @@ class _Runner:
                             "l=%d (a,b)=(%d,%d) (x,y)=(%s,%s)" % (level, a, b, x, y),
                         )
 
-    def check_connection(self, acc: _Accumulator):
+    def check_connection(self, acc: ResidualTracker):
         self._associated_loop(acc, check_connection_formulas, with_factors=True)
 
-    def check_modified_orthogonality(self, acc: _Accumulator):
+    def check_modified_orthogonality(self, acc: ResidualTracker):
         self._associated_loop(acc, check_modified_orthogonality, with_factors=False)
 
-    def _associated_loop(self, acc: _Accumulator, fn, with_factors: bool):
+    def _associated_loop(self, acc: ResidualTracker, fn, with_factors: bool):
         total = self.config.truncation
         for level in self.config.levels:
             top = min(level, 3, total - 1 - level)
@@ -711,9 +671,9 @@ class _Runner:
                     if with_factors
                     else fn(self.g, level, j, self.tol)
                 )
-                acc.outcome(outcome, "l=%d j=%d" % (level, j))
+                acc.merge(outcome, "l=%d j=%d" % (level, j))
 
-    def check_classical(self, acc: _Accumulator):
+    def check_classical(self, acc: ResidualTracker):
         fam = self.fam
         applicable = (
             fam.size == 1
@@ -745,10 +705,7 @@ class _Runner:
         for degree in range(1, top + 1):
             for x, y in points:
                 res = classical_cd(seed, degree, x, y, backend=backend, factors=factors)
-                scale = max(
-                    matrix_residual_norm(res.lhs), matrix_residual_norm(res.rhs)
-                )
-                acc.record(res.residual, scale, "n=%d (x,y)=(%s,%s)" % (degree, x, y))
+                acc.record_gap(res.lhs, res.rhs, "n=%d (x,y)=(%s,%s)" % (degree, x, y))
 
 
 class _Skip(Exception):
@@ -763,46 +720,34 @@ def run(config: RunConfig) -> CheckReport:
     """
     runner = _Runner(config)
     entries = []
-    handlers = {
-        "symmetry": runner.check_symmetry,
-        "factorization": runner.check_factorization,
-        "biorthogonality": runner.check_biorthogonality,
-        "matrix-notation": runner.check_matrix_notation,
-        "abc": runner.check_abc,
-        "reproducing": runner.check_reproducing,
-        "projections": runner.check_projections,
-        "proposition": runner.check_proposition,
-        "theorem": runner.check_theorem,
-        "corollary": runner.check_corollary,
-        "connection": runner.check_connection,
-        "modified-orthogonality": runner.check_modified_orthogonality,
-        "classical": runner.check_classical,
-    }
-    for name in CHECK_NAMES:
+    for name, pointwise in CHECK_REGISTRY.items():
         if name not in config.checks:
             continue
-        acc = _Accumulator(config.tolerance)
+        acc = ResidualTracker(config.tolerance)
         started = time.monotonic()
         status = STATUS_PASS
-        if name in POINTWISE_CHECKS and not runner.pointwise_ok:
+        if pointwise and not runner.pointwise_ok:
             status = STATUS_SKIPPED
             acc.notes.append("pointwise weight values are irrational in exact mode")
         else:
+            # Looked up at call time, so a wrapper installed on the class counts.
+            check = getattr(runner, "check_" + name.replace("-", "_"))
             try:
-                handlers[name](acc)
+                check(acc)
                 status = STATUS_PASS if acc.passed else STATUS_FAIL
             except _Skip as skip:
                 status = STATUS_SKIPPED
                 acc.notes.append(str(skip))
         elapsed = int((time.monotonic() - started) * 1000)
+        outcome = acc.result()
         entries.append(
             CheckEntry(
                 check=name,
                 status=status,
-                residual=scalar_str(acc.residual),
-                worst_point=acc.worst,
+                residual=scalar_str(outcome.residual),
+                worst_point=outcome.worst,
                 elapsed_ms=elapsed,
-                notes=acc.notes,
+                notes=list(outcome.notes),
             )
         )
     return CheckReport(backend=config.backend, config=config.to_dict(), entries=entries)

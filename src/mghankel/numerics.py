@@ -219,18 +219,45 @@ class CheckOutcome:
     worst: str | None = None
     notes: tuple = ()
 
-    def residual_str(self) -> str:
-        return scalar_str(self.residual)
 
+class ResidualTracker:
+    """Running verdict of one check over its residuals.
 
-def residual_outcome(
-    residual: Scalar,
-    scale: Scalar,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    worst: str | None = None,
-    notes: tuple = (),
-) -> CheckOutcome:
-    return CheckOutcome(approx_zero(residual, scale, tol), residual, worst, notes)
+    Keeps the first location of the largest residual (`worst` stays None
+    while every residual is zero) and passes iff every residual is within
+    tolerance of the scale it was recorded with.
+    """
+
+    def __init__(self, tol: Tolerance = DEFAULT_TOLERANCE):
+        self.tol = tol
+        self.passed = True
+        self.residual = 0
+        self.worst = None
+        self.notes = []
+
+    def record(self, residual, scale, where: str) -> None:
+        if residual > self.residual:
+            self.residual = residual
+            self.worst = where
+        if not approx_zero(residual, scale, self.tol):
+            self.passed = False
+
+    def record_gap(self, lhs, rhs, where: str) -> None:
+        """Record the gap between two sides, scaled by the larger side."""
+        scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
+        self.record(matrix_residual_norm(mat_sub(lhs, rhs)), scale, where)
+
+    def merge(self, outcome: CheckOutcome, where: str) -> None:
+        """Fold in a sub-check, prefixing its location with `where`."""
+        if outcome.residual > self.residual:
+            self.residual = outcome.residual
+            self.worst = where if outcome.worst is None else "%s %s" % (where, outcome.worst)
+        if not outcome.passed:
+            self.passed = False
+        self.notes.extend(outcome.notes)
+
+    def result(self) -> CheckOutcome:
+        return CheckOutcome(self.passed, self.residual, self.worst, tuple(self.notes))
 
 
 def gaussian_moment(k: int) -> float:

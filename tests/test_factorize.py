@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mghankel.factorize import (
     lu_factorize,
     nested_truncation_residual,
 )
+from mghankel.harness import builtin_config
 from mghankel.numerics import SingularLeadingMinorError
 from mghankel.weights import WeightFamily
 
@@ -97,6 +99,48 @@ def test_nested_consistency(mg12_bundle):
         assert factors.upper_inv.slice(tail, tail) == invert_block_triangular(
             factors.upper.slice(tail, tail), UPPER
         )
+
+
+def reinverted_truncation_residual(g, factors):
+    """Oracle: re-invert every leading truncation of `lower` from scratch."""
+    worst, worst_level = 0, None
+    for level in range(1, g.nrows + 1):
+        rows = range(level)
+        inverse = invert_block_triangular(factors.lower.slice(rows, rows), LOWER)
+        res = inverse.matmul(factors.upper.slice(rows, rows)).sub(g.slice(rows, rows)).maxnorm()
+        if res > worst:
+            worst, worst_level = res, level
+    return worst, worst_level
+
+
+def case_bundle(case, backend):
+    config = dataclasses.replace(builtin_config(case), backend=backend)
+    g = build_moment_matrix(config.family(), config.truncation)
+    return g, lu_factorize(g)
+
+
+@pytest.mark.parametrize("case,level", [("legendre", 8), ("multigraded-n2", 10)])
+def test_nested_truncation_matches_reinversion_in_float(case, level):
+    g, factors = case_bundle(case, "float")
+    residual, worst_level = nested_truncation_residual(g, factors)
+    assert residual > 0
+    assert (residual, worst_level) == reinverted_truncation_residual(g, factors)
+    assert worst_level == level
+
+
+@pytest.mark.parametrize(
+    "case,block,level", [("legendre", (2, 0), 6), ("multigraded-n2", (1, 0), 4)]
+)
+def test_nested_truncation_matches_reinversion_with_perturbed_lower(case, block, level):
+    g, factors = case_bundle(case, "exact")
+    blocks = [list(row) for row in factors.lower.blocks]
+    i, j = block
+    blocks[i][j] = [[v + 1 for v in row] for row in blocks[i][j]]
+    perturbed = dataclasses.replace(factors, lower=BlockMatrix(g.n, blocks))
+    residual, worst_level = nested_truncation_residual(g, perturbed)
+    assert residual != 0
+    assert (residual, worst_level) == reinverted_truncation_residual(g, perturbed)
+    assert worst_level == level
 
 
 def test_uniqueness_by_refactorization():

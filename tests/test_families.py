@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,14 @@ from mghankel.families import (
     eval_form,
     eval_poly,
     form_against_monomial,
+    form_residual,
     pair_poly_form,
     poly_against_weight,
     poly_residual,
     primary_family,
 )
-from mghankel.numerics import mat_eye, mat_zeros
+from mghankel.harness import builtin_config
+from mghankel.numerics import SingularLeadingMinorError, mat_eye, mat_transpose, mat_zeros
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
 F = Fraction
@@ -241,3 +244,50 @@ def test_plus_family_monic_of_stated_degree(mgn2_bundle):
         for j in range(3):
             p = associated_plus(g, level, j)
             assert p.is_monic() and p.degree() == level + j
+
+
+def test_forms_share_the_polynomial_container():
+    assert LinearForm is MatrixPolynomial
+    assert form_residual is poly_residual
+
+
+def built(build, *args):
+    """build(*args), or the level of the singular leading minor it met."""
+    try:
+        return build(*args)
+    except SingularLeadingMinorError as exc:
+        return "singular at %d" % exc.level
+
+
+def transposed_blocks(p):
+    if isinstance(p, str):
+        return p
+    return MatrixPolynomial.of(p.n, [mat_transpose(c) for c in p.coeffs])
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_dual_associated_families_are_the_transposed_problem(backend):
+    config = dataclasses.replace(builtin_config("multigraded-n2"), backend=backend)
+    g = build_moment_matrix(config.family(), config.truncation)
+    gt = g.transpose()
+    assert gt != g
+    for level in range(g.nrows):
+        for j in range(g.nrows - level):
+            assert built(dual_associated_plus, g, level, j) == transposed_blocks(
+                built(associated_plus, gt, level, j)
+            )
+        for j in range(level + 1):
+            assert built(dual_associated_minus, g, level, j) == transposed_blocks(
+                built(associated_minus, gt, level, j)
+            )
+
+
+def test_dual_associated_range_checks(hilbert_bundle):
+    _, g, _ = hilbert_bundle
+    for bad in ((g.nrows - 1, 1), (-1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="l \\+ j < truncation"):
+            dual_associated_plus(g, *bad)
+    with pytest.raises(ValueError, match="l \\+ 1 <= truncation"):
+        dual_associated_minus(g, g.nrows, 0)
+    with pytest.raises(ValueError, match="0 <= j <= l"):
+        dual_associated_minus(g, 1, 2)

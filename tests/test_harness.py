@@ -6,11 +6,14 @@ import pytest
 from mghankel.cli import main as cli_main
 from mghankel.harness import (
     CHECK_NAMES,
+    CHECK_REGISTRY,
     ConfigError,
+    _Runner,
     builtin_config,
     config_from_dict,
     load_config,
     run,
+    validate_checks,
     write_report,
 )
 from mghankel.numerics import SingularLeadingMinorError
@@ -67,6 +70,61 @@ def test_load_reports_parse_line(tmp_path):
 def test_load_rejects_unknown_check():
     with pytest.raises(ConfigError, match="unknown check"):
         config_from_dict(dict(MINIMAL, checks=["abc", "nonsense"]))
+
+
+def test_check_registry_order_and_pointwise_flags():
+    assert CHECK_NAMES == (
+        "symmetry",
+        "factorization",
+        "biorthogonality",
+        "matrix-notation",
+        "abc",
+        "reproducing",
+        "projections",
+        "proposition",
+        "theorem",
+        "corollary",
+        "connection",
+        "modified-orthogonality",
+        "classical",
+    )
+    pointwise = tuple(name for name, flag in CHECK_REGISTRY.items() if flag)
+    assert pointwise == ("abc", "reproducing", "proposition", "theorem", "corollary")
+    for name in CHECK_NAMES:
+        assert callable(getattr(_Runner, "check_" + name.replace("-", "_")))
+
+
+def test_run_dispatches_through_the_runner_class(monkeypatch):
+    calls = []
+
+    def spy(self, acc):
+        calls.append(self.config.name)
+        acc.record(Fraction(1, 8), 1, "spy")
+
+    monkeypatch.setattr(_Runner, "check_symmetry", spy)
+    config = config_from_dict(dict(MINIMAL, checks=["symmetry", "factorization"]))
+    report = run(config)
+    assert calls == ["custom"]
+    entry = report.entries[0]
+    assert (entry.check, entry.status, entry.residual, entry.worst_point) == (
+        "symmetry",
+        "fail",
+        "0.125",
+        "spy",
+    )
+    assert report.entries[1].status == "pass"
+
+
+def test_validate_checks_accepts_any_iterable_of_known_names():
+    assert validate_checks(c for c in ("abc", "classical")) == ("abc", "classical")
+    with pytest.raises(ConfigError) as info:
+        validate_checks(["abc", "nonsense"])
+    assert str(info.value) == "checks: unknown check 'nonsense'"
+
+
+def test_cli_unknown_check_message(capsys):
+    assert cli_main(["demo", "--case", "legendre", "--checks", "abc,nonsense"]) == 2
+    assert capsys.readouterr().err == "error: checks: unknown check 'nonsense'\n"
 
 
 def test_load_rejects_bad_seed_shape():

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from mghankel.numerics import (
     DEFAULT_TOLERANCE,
+    CheckOutcome,
+    ResidualTracker,
     SingularMatrixError,
     Tolerance,
     approx_zero,
@@ -112,3 +114,49 @@ def test_solve_dense_zero_off_pivot_stays_exact():
     # Identity systems must not leak floats into exact results.
     sol = solve_dense(mat_eye(2), [[Fraction(1, 3)], [Fraction(2, 5)]])
     assert all(isinstance(v, Fraction) for row in sol for v in row)
+
+
+def test_tracker_keeps_first_location_of_largest_residual():
+    tracker = ResidualTracker()
+    for residual, where in ((Fraction(1, 3), "a"), (Fraction(1, 2), "b"), (Fraction(1, 2), "c")):
+        tracker.record(residual, 1, where)
+    outcome = tracker.result()
+    assert (outcome.residual, outcome.worst) == (Fraction(1, 2), "b")
+    assert not outcome.passed
+
+
+def test_tracker_worst_is_none_while_all_residuals_are_zero():
+    tracker = ResidualTracker()
+    tracker.record(Fraction(0), 1, "a")
+    tracker.record(0.0, 1.0, "b")
+    assert tracker.result() == CheckOutcome(True, 0, None, ())
+    assert scalar_str(tracker.result().residual) == "0"
+
+
+def test_tracker_verdict_judges_every_residual_against_its_scale():
+    tol = Tolerance(abs_tol=0.0, rel_tol=1e-9)
+    tracker = ResidualTracker(tol)
+    tracker.record(1e-6, 1e6, "large but well scaled")
+    assert tracker.passed
+    tracker.record(1e-7, 1.0, "small but poorly scaled")
+    outcome = tracker.result()
+    assert not outcome.passed
+    assert (outcome.residual, outcome.worst) == (1e-6, "large but well scaled")
+
+
+def test_tracker_merge_prefixes_locations_and_collects_notes():
+    tracker = ResidualTracker()
+    tracker.merge(CheckOutcome(True, 0, None, ("first",)), "l=1")
+    tracker.merge(CheckOutcome(False, Fraction(1, 4), "(i=0, j=1)", ("second",)), "l=2")
+    tracker.merge(CheckOutcome(False, Fraction(1, 5), None), "l=3")
+    assert tracker.result() == CheckOutcome(
+        False, Fraction(1, 4), "l=2 (i=0, j=1)", ("first", "second")
+    )
+
+
+def test_tracker_record_gap_scales_by_the_larger_side():
+    tracker = ResidualTracker(Tolerance(abs_tol=0.0, rel_tol=1e-3))
+    tracker.record_gap([[1000.0]], [[1000.5]], "close")
+    assert tracker.passed and tracker.residual == 0.5
+    tracker.record_gap([[1.0]], [[1.5]], "far")
+    assert not tracker.passed and tracker.worst == "close"

@@ -1,0 +1,41 @@
+"""The report contract: refactors must leave every report byte-identical.
+
+Each digest is the SHA-256 of a report's JSON with the `elapsed_ms` fields
+removed (keys sorted, compact separators), for a built-in case at levels
+(2, 4).  The exact cases cover every check along the rational path; float
+legendre covers the tolerance path, including checks that fail.  hermite is
+left out: its moments go through `math.exp`, whose last bit may differ
+between libm builds.
+
+A digest changes only when a report changes.  That is a contract change,
+not a refactor: update the digest together with the code that changes the
+report, and say so in the changelog.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from mghankel.harness import builtin_config, run
+
+PINNED = {
+    ("legendre", "exact"): "e4902165b36dd6cb031ecea3d651d41c23a522d2670d97aa18c4a7513b5de51d",
+    ("multigraded-12", "exact"): "cbf3048021ce970d6d95df667a90d0a9c7f8fb12e5340b98fb10c604ab688b08",
+    ("multigraded-n2", "exact"): "d96ef857d1f59bddba51496c7c9a92b194eba0ab7be88d2dcc097c60b343994b",
+    ("legendre", "float"): "e85b30955f91506ec4f2e5cf8543056ffd678ebad3ec6d5bc7f24f7b2c3dda0e",
+}
+
+
+def report_digest(report: dict) -> str:
+    for entry in report["checks"]:
+        del entry["elapsed_ms"]
+    payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case,backend", sorted(PINNED))
+def test_report_digest_is_pinned(case, backend):
+    config = dataclasses.replace(builtin_config(case), levels=(2, 4), backend=backend)
+    assert report_digest(run(config).to_dict()) == PINNED[case, backend]
