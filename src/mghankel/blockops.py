@@ -130,13 +130,7 @@ class BlockMatrix:
         return cls(n, blocks)
 
     def maxnorm(self):
-        best = 0
-        for row in self.blocks:
-            for blk in row:
-                v = matrix_residual_norm(blk)
-                if v > best:
-                    best = v
-        return best
+        return matrix_residual_norm([[matrix_residual_norm(blk) for blk in row] for row in self.blocks])
 
     def __eq__(self, other):
         return (

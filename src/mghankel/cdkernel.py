@@ -28,7 +28,9 @@ from .families import (
     dual_family,
     eval_form,
     eval_poly,
+    form_against_monomial,
     pair_poly_form,
+    pair_with_moments,
     primary_family,
 )
 from .numerics import (
@@ -86,7 +88,9 @@ class KernelEvaluator:
     evaluator's lifetime: the weights rho_j(x), the dual-form values at x,
     the polynomial values at y, the leading-minor solves and Schur factors
     at x and at y, and the kernel sum and associated bilinear form at
-    (x, y).  Matrices handed to callers are fresh copies.
+    (x, y).  The moments form_against_monomial(g, t, forms[k]) that
+    `project_poly` pairs against are memoized the same way.  Matrices
+    handed to callers are fresh copies.
     """
 
     def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors, level: int):
@@ -125,6 +129,7 @@ class KernelEvaluator:
         self._assoc_xy = {}  # (x, y) -> associated bilinear form
         self._assoc = None
         self._pairs = None
+        self._form_moments = {}  # (k, t) -> form_against_monomial(g, t, forms[k])
 
     # -- per-point tables ----------------------------------------------------
 
@@ -324,7 +329,7 @@ class KernelEvaluator:
         n = self.fam.size
         coeffs = [mat_zeros(n, n) for _ in range(max(self.level, 1))]
         for k in range(self.level):
-            weight = pair_poly_form(self.g, p, self.forms[k])
+            weight = pair_with_moments(p, [self._form_moment(k, t) for t in range(len(p.coeffs))])
             for t, c in enumerate(self.polys[k].coeffs):
                 coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c))
         return MatrixPolynomial.of(n, coeffs)
@@ -333,11 +338,19 @@ class KernelEvaluator:
         """Projection onto the span of the first `level` dual forms."""
         n = self.fam.size
         coeffs = [mat_zeros(n, n) for _ in range(max(self.level, 1))]
+        # polys[k] has degree k, so it pairs with moments t <= k < level.
+        moments = [form_against_monomial(self.g, t, f) for t in range(self.level)]
         for k in range(self.level):
-            weight = pair_poly_form(self.g, self.polys[k], f)
+            weight = pair_with_moments(self.polys[k], moments)
             for u, d in enumerate(self.forms[k].coeffs):
                 coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight))
         return LinearForm.of(n, coeffs)
+
+    def _form_moment(self, k: int, t: int) -> list:
+        key = (k, t)
+        if key not in self._form_moments:
+            self._form_moments[key] = form_against_monomial(self.g, t, self.forms[k])
+        return self._form_moments[key]
 
     def _pair_table(self) -> list:
         if self._pairs is None:

@@ -167,15 +167,21 @@ def form_against_monomial(g: BlockMatrix, k: int, f: LinearForm) -> list:
     return acc
 
 
+def pair_with_moments(p: MatrixPolynomial, moments) -> list:
+    """sum_t coeffs[t] moments[t], where moments[t] = form_against_monomial(g, t, f).
+
+    This is pair_poly_form(g, p, f) with the inner sums supplied, so callers
+    pairing many polynomials against one form build them once.
+    """
+    acc = mat_zeros(p.n, p.n)
+    for c, m in zip(p.coeffs, moments):
+        acc = mat_add(acc, mat_mul(c, m))
+    return acc
+
+
 def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
     """Integral of p(x) f(x)^T: sum_{t,s} coeffs[t] g[t, s] dcoeffs[s]."""
-    acc = mat_zeros(p.n, p.n)
-    for t, c in enumerate(p.coeffs):
-        inner = mat_zeros(p.n, p.n)
-        for s, d in enumerate(f.coeffs):
-            inner = mat_add(inner, mat_mul(g.block(t, s), d))
-        acc = mat_add(acc, mat_mul(c, inner))
-    return acc
+    return pair_with_moments(p, [form_against_monomial(g, t, f) for t in range(len(p.coeffs))])
 
 
 # ---------------------------------------------------------------------------

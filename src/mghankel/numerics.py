@@ -6,7 +6,9 @@ compared bit-exactly; every float comparison goes through `Tolerance`.
 
 Dense matrices are plain nested sequences of scalars.  The helpers below
 are backend-agnostic and never introduce a float into an exact
-computation: exact inputs are coerced to `Fraction` before any division.
+computation.  Exact dense solves are fraction-free: `solve_dense`
+eliminates on integers (Bareiss) and creates `Fraction`s only for its
+output entries.
 """
 
 from __future__ import annotations
@@ -144,54 +146,98 @@ def mat_transpose(a) -> list:
 
 
 def matrix_residual_norm(a) -> Scalar:
-    """Max-norm over entries; the residual metric used in every check."""
+    """Max-norm over entries; the residual metric used in every check.
+
+    A NaN entry makes the norm NaN, so it can never read as a small residual.
+    """
     best: Scalar = 0
     for row in a:
         for x in row:
-            if abs(x) > best:
-                best = abs(x)
+            v = abs(x)
+            if not v <= best:
+                if v != v:
+                    return v
+                best = v
     return best
 
 
-def _coerce_rows(rows, exact: bool) -> list:
-    if exact:
-        return [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
-    return [[float(v) for v in row] for row in rows]
+def _exceeds(residual, best) -> bool:
+    """residual > best, where NaN exceeds every number but not another NaN."""
+    return residual > best or (residual != residual and best == best)
+
+
+def _solve_fraction_free(a, b) -> list:
+    """Exact solve by Bareiss elimination on integers (Math. Comp. 22, 1968).
+
+    Each row of [A | B] is scaled to integers by the lcm of its
+    denominators, which leaves the solution unchanged.  Step k replaces
+    every row below the pivot by (p*v - f*w) // prev; the division is exact
+    and every entry stays a nonzero multiple of its Gauss-Jordan
+    counterpart, so the first-nonzero pivot rule picks the same rows and
+    fails in the same column.  Back-substitution yields det * X on
+    integers (exact by Cramer's rule); Fractions are created only there.
+    """
+    n = len(a)
+    m = []
+    for ra, rb in zip(a, b):
+        lcm = math.lcm(*(v.denominator for v in ra), *(v.denominator for v in rb))
+        m.append([v.numerator * (lcm // v.denominator) for r in (ra, rb) for v in r])
+    prev = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError("singular matrix (no pivot in column %d)" % col)
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        p = m[col][col]
+        pivot_tail = m[col][col + 1 :]
+        for row in m[col + 1 :]:
+            f, tail = row[col], row[col + 1 :]
+            if f:
+                row[col + 1 :] = [(p * v - f * w) // prev for v, w in zip(tail, pivot_tail)]
+            else:
+                row[col + 1 :] = [p * v // prev for v in tail]
+        prev = p
+    det = prev
+    scaled = [None] * n  # det * X, row by row
+    for i in reversed(range(n)):
+        row = m[i]
+        acc = [det * v for v in row[n:]]
+        for j in range(i + 1, n):
+            u = row[j]
+            if u:
+                acc = [s - u * x for s, x in zip(acc, scaled[j])]
+        scaled[i] = [s // row[i] for s in acc]
+    return [[Fraction(v, det) for v in row] for row in scaled]
 
 
 def solve_dense(a, b) -> list:
-    """Solve A X = B for dense square A by Gaussian elimination.
+    """Solve A X = B for dense square A.
 
-    Pivots on the first nonzero entry in exact mode and on the largest
-    magnitude in float mode; raises SingularMatrixError when no usable
-    pivot remains.
+    Exact inputs (Fraction or int) are solved fraction-free by Bareiss
+    elimination on integers, pivoting on the first nonzero entry; the
+    result is a matrix of Fractions, created only at the output.  Float
+    inputs use Gauss-Jordan elimination with partial pivoting on the
+    largest magnitude.  Raises SingularMatrixError when no usable pivot
+    remains.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     if len(b) != n:
         raise ValueError("right-hand side has %d rows, expected %d" % (len(b), n))
-    exact = all(is_exact(v) for row in a for v in row) and all(
-        is_exact(v) for row in b for v in row
-    )
-    m = _coerce_rows(a, exact)
-    rhs = _coerce_rows(b, exact)
+    if all(is_exact(v) for row in a for v in row) and all(is_exact(v) for row in b for v in row):
+        return _solve_fraction_free(a, b)
+    m = [[float(v) for v in row] for row in a]
+    rhs = [[float(v) for v in row] for row in b]
     scale = matrix_residual_norm(m)
-    width = len(rhs[0]) if rhs else 0
-
     for col in range(n):
-        if exact:
-            pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        else:
-            pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
-            if abs(m[pivot_row][col]) <= SINGULAR_PIVOT_RTOL * scale:
-                pivot_row = None
-        if pivot_row is None:
+        pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if abs(m[pivot_row][col]) <= SINGULAR_PIVOT_RTOL * scale:
             raise SingularMatrixError("singular matrix (no pivot in column %d)" % col)
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        inv = 1 / m[col][col] if not exact else Fraction(1) / m[col][col]
+        inv = 1 / m[col][col]
         m[col] = [v * inv for v in m[col]]
         rhs[col] = [v * inv for v in rhs[col]]
         for r in range(n):
@@ -202,7 +248,7 @@ def solve_dense(a, b) -> list:
                 continue
             m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
             rhs[r] = [v - factor * w for v, w in zip(rhs[r], rhs[col])]
-    return [row[:width] for row in rhs]
+    return rhs
 
 
 def invert_dense(a) -> list:
@@ -225,7 +271,8 @@ class ResidualTracker:
 
     Keeps the first location of the largest residual (`worst` stays None
     while every residual is zero) and passes iff every residual is within
-    tolerance of the scale it was recorded with.
+    tolerance of the scale it was recorded with.  A NaN residual counts as
+    the largest and fails the check.
     """
 
     def __init__(self, tol: Tolerance = DEFAULT_TOLERANCE):
@@ -236,7 +283,7 @@ class ResidualTracker:
         self.notes = []
 
     def record(self, residual, scale, where: str) -> None:
-        if residual > self.residual:
+        if _exceeds(residual, self.residual):
             self.residual = residual
             self.worst = where
         if not approx_zero(residual, scale, self.tol):
@@ -249,10 +296,10 @@ class ResidualTracker:
 
     def merge(self, outcome: CheckOutcome, where: str) -> None:
         """Fold in a sub-check, prefixing its location with `where`."""
-        if outcome.residual > self.residual:
+        if _exceeds(outcome.residual, self.residual):
             self.residual = outcome.residual
             self.worst = where if outcome.worst is None else "%s %s" % (where, outcome.worst)
-        if not outcome.passed:
+        if not outcome.passed or outcome.residual != outcome.residual:
             self.passed = False
         self.notes.extend(outcome.notes)
 

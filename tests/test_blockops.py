@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -180,3 +181,9 @@ def test_shift_tail_is_sum_of_unit_outer_products():
 def test_block_roundtrip_dense():
     g = hilbert_block(3)
     assert BlockMatrix.from_dense(1, g.to_dense()) == g
+
+
+def test_maxnorm_propagates_nan():
+    blocks = [[[[1.0]], [[math.nan]]], [[[5.0]], [[2.0]]]]
+    assert math.isnan(BlockMatrix(1, blocks).maxnorm())
+    assert BlockMatrix(1, [[[[Fraction(-3, 2)]], [[1]]], [[[0]], [[1]]]]).maxnorm() == Fraction(3, 2)

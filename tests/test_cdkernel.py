@@ -363,6 +363,40 @@ def test_tables_match_fresh_evaluator(table_case):
             assert getattr(warm, name)(x, y) == getattr(fresh, name)(x, y), (name, x, y)
 
 
+def direct_project_poly(g, polys, forms, level, p):
+    n = g.n
+    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
+    for k in range(level):
+        weight = pair_poly_form(g, p, forms[k])
+        for t, c in enumerate(polys[k].coeffs):
+            coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c))
+    return MatrixPolynomial.of(n, coeffs)
+
+
+def direct_project_form(g, polys, forms, level, f):
+    n = g.n
+    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
+    for k in range(level):
+        weight = pair_poly_form(g, polys[k], f)
+        for u, d in enumerate(forms[k].coeffs):
+            coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight))
+    return MatrixPolynomial.of(n, coeffs)
+
+
+def test_projections_match_direct_pairings(table_case):
+    fam, g, factors, _ = table_case
+    polys, forms = primary_family(factors), dual_family(factors)
+    ev = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+    for _ in range(2):  # the second sweep reads the memoized moments
+        for k in range(g.nrows):
+            once = ev.project_poly(polys[k])
+            assert once == direct_project_poly(g, polys, forms, TABLE_LEVEL, polys[k])
+            assert ev.project_poly(once) == direct_project_poly(g, polys, forms, TABLE_LEVEL, once)
+            assert ev.project_form(forms[k]) == direct_project_form(
+                g, polys, forms, TABLE_LEVEL, forms[k]
+            )
+
+
 def test_returned_matrices_are_fresh(mgn2_bundle, rational_grid):
     fam, g, factors = mgn2_bundle
     ev = KernelEvaluator(fam, g, factors, TABLE_LEVEL)

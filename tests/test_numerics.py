@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,128 @@ def test_tracker_record_gap_scales_by_the_larger_side():
     assert tracker.passed and tracker.residual == 0.5
     tracker.record_gap([[1.0]], [[1.5]], "far")
     assert not tracker.passed and tracker.worst == "close"
+
+
+def test_residual_norm_propagates_nan():
+    assert math.isnan(matrix_residual_norm([[math.nan, 1.0]]))
+    assert math.isnan(matrix_residual_norm([[2.0], [math.nan], [3.0]]))
+
+
+def test_tracker_record_gap_fails_on_nan():
+    tracker = ResidualTracker()
+    tracker.record_gap([[math.nan]], [[1.0]], "x")
+    outcome = tracker.result()
+    assert not outcome.passed
+    assert math.isnan(outcome.residual) and outcome.worst == "x"
+
+
+def test_tracker_keeps_nan_as_the_worst_residual():
+    tracker = ResidualTracker()
+    tracker.record(0.5, 1.0, "a")
+    tracker.record(math.nan, 1.0, "b")
+    tracker.record(2.0, 1.0, "c")
+    tracker.record(math.nan, 1.0, "d")
+    assert math.isnan(tracker.residual) and tracker.worst == "b"
+    assert not tracker.passed
+
+
+def test_tracker_merge_fails_on_nan_residual():
+    tracker = ResidualTracker()
+    tracker.merge(CheckOutcome(True, 0.25, "(i=0)"), "l=1")
+    tracker.merge(CheckOutcome(True, math.nan, "(i=1)"), "l=2")
+    tracker.merge(CheckOutcome(True, 1.0, "(i=2)"), "l=3")
+    outcome = tracker.result()
+    assert not outcome.passed
+    assert math.isnan(outcome.residual) and outcome.worst == "l=2 (i=1)"
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free exact solve against the Gauss-Jordan elimination it
+# replaced, kept here as the oracle.
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan_exact(a, b) -> list:
+    """Exact Gauss-Jordan elimination on Fractions, first-nonzero pivot."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] for row in a]
+    rhs = [[Fraction(v) for v in row] for row in b]
+    width = len(rhs[0]) if rhs else 0
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("singular matrix (no pivot in column %d)" % col)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+        inv = Fraction(1) / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        rhs[col] = [v * inv for v in rhs[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = m[r][col]
+            if factor == 0:
+                continue
+            m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+            rhs[r] = [v - factor * w for v, w in zip(rhs[r], rhs[col])]
+    return [row[:width] for row in rhs]
+
+
+small_rationals = st.builds(
+    Fraction, st.integers(-12, 12), st.integers(1, 12)
+) | st.integers(-3, 3)
+
+
+@st.composite
+def exact_systems(draw, deficient=False):
+    n = draw(st.integers(1 if deficient else 0, 8))
+    width = draw(st.integers(0, 3))
+    entries = st.lists(small_rationals, min_size=n, max_size=n)
+    a = draw(st.lists(entries, min_size=n, max_size=n))
+    if deficient:
+        # Overwrite one row with a combination of the others (or zero).
+        target = draw(st.integers(0, n - 1))
+        weights = draw(st.lists(small_rationals, min_size=n, max_size=n))
+        a[target] = [
+            sum((weights[r] * a[r][c] for r in range(n) if r != target), Fraction(0))
+            for c in range(n)
+        ]
+    rows = st.lists(small_rationals, min_size=width, max_size=width)
+    b = draw(st.lists(rows, min_size=n, max_size=n))
+    return a, b
+
+
+def _outcome(solve, a, b):
+    try:
+        return solve(a, b)
+    except SingularMatrixError as exc:
+        return ("singular", str(exc))
+
+
+@given(exact_systems())
+def test_fraction_free_solve_matches_gauss_jordan(system):
+    got = _outcome(solve_dense, *system)
+    assert got == _outcome(gauss_jordan_exact, *system)
+    if isinstance(got, list):
+        assert all(type(v) is Fraction for row in got for v in row)
+
+
+@given(exact_systems(deficient=True))
+def test_fraction_free_solve_matches_gauss_jordan_on_rank_deficient(system):
+    a, b = system
+    with pytest.raises(SingularMatrixError) as caught:
+        gauss_jordan_exact(a, b)
+    with pytest.raises(SingularMatrixError) as got:
+        solve_dense(a, b)
+    assert str(got.value) == str(caught.value)
+
+
+def test_fraction_free_solve_edge_shapes():
+    assert solve_dense([], []) == []
+    assert solve_dense([[Fraction(2)]], [[]]) == [[]]
+    sol = solve_dense([[0, 1], [2, 0]], [[1], [1]])
+    assert sol == [[Fraction(1, 2)], [Fraction(1)]]
+    assert all(type(v) is Fraction for row in sol for v in row)
+    with pytest.raises(SingularMatrixError, match=r"no pivot in column 1"):
+        solve_dense([[1, 2, 3], [2, 4, 5], [0, 0, 1]], [[]] * 3)

@@ -7,6 +7,10 @@ legendre covers the tolerance path, including checks that fail.  hermite is
 left out: its moments go through `math.exp`, whose last bit may differ
 between libm builds.
 
+One seeded exact family (N=3, shifts (1,1,1)/(1,1,1), L=10, level 7, the
+coefficient checks only) guards the coefficient path: its associated
+families solve against the largest leading block minors.
+
 A digest changes only when a report changes.  That is a contract change,
 not a refactor: update the digest together with the code that changes the
 report, and say so in the changelog.
@@ -18,7 +22,8 @@ import json
 
 import pytest
 
-from mghankel.harness import builtin_config, run
+from mghankel.harness import RunConfig, builtin_config, run
+from mghankel.weights import BaseMeasure, SeedWeight
 
 PINNED = {
     ("legendre", "exact"): "e4902165b36dd6cb031ecea3d651d41c23a522d2670d97aa18c4a7513b5de51d",
@@ -26,6 +31,34 @@ PINNED = {
     ("multigraded-n2", "exact"): "d96ef857d1f59bddba51496c7c9a92b194eba0ab7be88d2dcc097c60b343994b",
     ("legendre", "float"): "e85b30955f91506ec4f2e5cf8543056ffd678ebad3ec6d5bc7f24f7b2c3dda0e",
 }
+
+# Quadratic densities on [0, 1], ascending coefficients, one per (a, b).
+DEEP_N3_COEFFS = (
+    ((4, 2, 2), (4, 3, -2), (1, -1, -1)),
+    ((4, 0, 3), (4, -1, 1), (1, -2, 2)),
+    ((4, -1, -1), (4, 0, -1), (1, -2, -1)),
+)
+DEEP_N3_DIGEST = "9bc5e75e179bd10659a04a04bd151fa7a90424a3e44d37a87425a9384f8e5ce0"
+
+
+def deep_n3_config() -> RunConfig:
+    unit = BaseMeasure.finite_interval(0, 1)
+    return RunConfig(
+        nvec=(1, 1, 1),
+        mvec=(1, 1, 1),
+        seeds=tuple(tuple((SeedWeight.of(c, unit),) for c in row) for row in DEEP_N3_COEFFS),
+        truncation=10,
+        levels=(7,),
+        checks=(
+            "symmetry",
+            "factorization",
+            "biorthogonality",
+            "matrix-notation",
+            "connection",
+            "modified-orthogonality",
+        ),
+        name="deep-n3-L10",
+    )
 
 
 def report_digest(report: dict) -> str:
@@ -39,3 +72,7 @@ def report_digest(report: dict) -> str:
 def test_report_digest_is_pinned(case, backend):
     config = dataclasses.replace(builtin_config(case), levels=(2, 4), backend=backend)
     assert report_digest(run(config).to_dict()) == PINNED[case, backend]
+
+
+def test_coefficient_path_report_digest_is_pinned():
+    assert report_digest(run(deep_n3_config()).to_dict()) == DEEP_N3_DIGEST
