@@ -15,8 +15,9 @@ from .numerics import (
     EXACT,
     ResidualTracker,
     Tolerance,
-    mat_add,
+    has_float,
     mat_mul,
+    mat_mul_sum,
     mat_sub,
     mat_transpose,
     mat_zeros,
@@ -33,10 +34,11 @@ def _freeze(rows) -> tuple:
 class BlockMatrix:
     """Immutable grid of N x N scalar blocks, 0-based block indices."""
 
-    __slots__ = ("n", "blocks")
+    __slots__ = ("n", "blocks", "_maxnorm")
 
     def __init__(self, n: int, blocks):
         self.n = n
+        self._maxnorm = None
         self.blocks = tuple(tuple(_freeze(blk) for blk in row) for row in blocks)
         for row in self.blocks:
             for blk in row:
@@ -70,18 +72,13 @@ class BlockMatrix:
         return cls(n, blocks)
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
+        """Block product; exact operands take one dense fraction-free product."""
         if self.ncols != other.nrows or self.n != other.n:
             raise ValueError("incompatible block shapes")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = mat_mul(self.blocks[i][0], other.blocks[0][j])
-                for k in range(1, self.ncols):
-                    acc = mat_add(acc, mat_mul(self.blocks[i][k], other.blocks[k][j]))
-                row.append(acc)
-            out.append(row)
-        return BlockMatrix(self.n, out)
+        if not has_float(*(blk for m in (self, other) for row in m.blocks for blk in row)):
+            return BlockMatrix.from_dense(self.n, mat_mul(self.to_dense(), other.to_dense()))
+        cols = [[row[j] for row in other.blocks] for j in range(other.ncols)]
+        return BlockMatrix(self.n, [[mat_mul_sum(row, col) for col in cols] for row in self.blocks])
 
     def sub(self, other: "BlockMatrix") -> "BlockMatrix":
         if (self.nrows, self.ncols, self.n) != (other.nrows, other.ncols, other.n):
@@ -130,7 +127,12 @@ class BlockMatrix:
         return cls(n, blocks)
 
     def maxnorm(self):
-        return matrix_residual_norm([[matrix_residual_norm(blk) for blk in row] for row in self.blocks])
+        """Max-norm over every entry, computed once per matrix."""
+        if self._maxnorm is None:
+            self._maxnorm = matrix_residual_norm(
+                [[matrix_residual_norm(blk) for blk in row] for row in self.blocks]
+            )
+        return self._maxnorm
 
     def __eq__(self, other):
         return (

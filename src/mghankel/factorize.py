@@ -17,11 +17,12 @@ from .numerics import (
     FLOAT,
     SingularLeadingMinorError,
     SingularMatrixError,
+    _exceeds,
     invert_dense,
     is_exact,
-    mat_add,
     mat_eye,
     mat_mul,
+    mat_mul_sum,
     mat_scale,
     mat_sub,
     mat_zeros,
@@ -135,9 +136,8 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
     for i in range(levels):
         inv[i][i] = diag_invs[i]
         for j in range(i - 1, -1, -1):
-            acc = mat_mul(t.block(i, j), inv[j][j])
-            for k in range(j + 1, i):
-                acc = mat_add(acc, mat_mul(t.block(i, k), inv[k][j]))
+            ks = range(j, i)
+            acc = mat_mul_sum([t.block(i, k) for k in ks], [inv[k][j] for k in ks])
             inv[i][j] = mat_mul(mat_scale(-1, diag_invs[i]), acc)
     return BlockMatrix(n, inv)
 
@@ -167,6 +167,6 @@ def nested_truncation_residual(g: BlockMatrix, factors: GaussFactors):
         border += [res.block(k, last) for k in range(last)]
         for blk in border:
             r = matrix_residual_norm(blk)
-            if r > worst:
+            if _exceeds(r, worst):
                 worst, worst_level = r, level
     return worst, worst_level

@@ -19,6 +19,7 @@ entries; no quadrature appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .blockops import BlockMatrix
 from .factorize import GaussFactors
@@ -32,6 +33,7 @@ from .numerics import (
     mat_add,
     mat_eye,
     mat_mul,
+    mat_mul_sum,
     mat_scale,
     mat_sub,
     mat_transpose,
@@ -151,20 +153,28 @@ def dual_family(factors: GaussFactors) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _pairing(n: int, lefts, rights) -> list:
+    """Sum of lefts[k] @ rights[k], started from an exact zero.
+
+    The zero start only turns int entries into Fractions: a float sum of
+    products is never -0.0, so adding 0.0 to it changes nothing.
+    """
+    if not lefts:
+        return mat_zeros(n, n)
+    return [
+        [Fraction(v) if isinstance(v, int) else v for v in row]
+        for row in mat_mul_sum(lefts, rights)
+    ]
+
+
 def poly_against_weight(g: BlockMatrix, p: MatrixPolynomial, k: int) -> list:
     """Integral of p(x) rho_k(x): sum_t coeffs[t] g[t, k]."""
-    acc = mat_zeros(p.n, p.n)
-    for t, c in enumerate(p.coeffs):
-        acc = mat_add(acc, mat_mul(c, g.block(t, k)))
-    return acc
+    return _pairing(p.n, p.coeffs, [g.block(t, k) for t in range(len(p.coeffs))])
 
 
 def form_against_monomial(g: BlockMatrix, k: int, f: LinearForm) -> list:
     """Integral of x^k f(x)^T: sum_s g[k, s] coeffs[s]."""
-    acc = mat_zeros(f.n, f.n)
-    for s, d in enumerate(f.coeffs):
-        acc = mat_add(acc, mat_mul(g.block(k, s), d))
-    return acc
+    return _pairing(f.n, [g.block(k, s) for s in range(len(f.coeffs))], f.coeffs)
 
 
 def pair_with_moments(p: MatrixPolynomial, moments) -> list:
@@ -173,10 +183,8 @@ def pair_with_moments(p: MatrixPolynomial, moments) -> list:
     This is pair_poly_form(g, p, f) with the inner sums supplied, so callers
     pairing many polynomials against one form build them once.
     """
-    acc = mat_zeros(p.n, p.n)
-    for c, m in zip(p.coeffs, moments):
-        acc = mat_add(acc, mat_mul(c, m))
-    return acc
+    count = min(len(p.coeffs), len(moments))
+    return _pairing(p.n, p.coeffs[:count], moments[:count])
 
 
 def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:

@@ -6,9 +6,11 @@ compared bit-exactly; every float comparison goes through `Tolerance`.
 
 Dense matrices are plain nested sequences of scalars.  The helpers below
 are backend-agnostic and never introduce a float into an exact
-computation.  Exact dense solves are fraction-free: `solve_dense`
-eliminates on integers (Bareiss) and creates `Fraction`s only for its
-output entries.
+computation.  Exact products and solves are fraction-free: `mat_mul` and
+`mat_mul_sum` take integer dot products of rows and columns scaled by the
+lcm of their denominators, `solve_dense` eliminates on integers
+(Bareiss), and both create `Fraction`s only for their output entries.  A
+float anywhere in an operand selects the float arithmetic instead.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 EXACT = "exact"
 FLOAT = "float"
@@ -136,9 +139,84 @@ def mat_scale(c: Scalar, a) -> list:
     return [[c * x for x in row] for row in a]
 
 
+def has_float(*mats) -> bool:
+    """True when some entry of the dense matrices is a float.
+
+    The first entry of every matrix is tested before any full scan, so a
+    float operand is recognised in O(1).
+    """
+    for m in mats:
+        if m and m[0] and isinstance(m[0][0], float):
+            return True
+    return any(isinstance(v, float) for m in mats for row in m for v in row)
+
+
+def _integer_vectors(vectors) -> list:
+    """(integers, lcm of denominators, all-int flag) for each exact vector."""
+    out = []
+    for v in vectors:
+        ratios = [x.as_integer_ratio() for x in v]
+        den = math.lcm(*[d for _, d in ratios])
+        ints = [n * (den // d) for n, d in ratios]
+        out.append((ints, den, den == 1 and all(type(x) is int for x in v)))
+    return out
+
+
+def _mul_fraction_free(a, cols) -> list:
+    """Exact A @ B from the rows of A and the columns of B.
+
+    Every row and column is scaled to integers by the lcm of its
+    denominators, so each entry is one integer dot product over the
+    product of two lcms: one Fraction per entry, canonical and therefore
+    equal to the sum of Fraction products.  Where the row and the column
+    hold only ints, the entry stays an int.
+    """
+    cols = _integer_vectors(cols)
+    return [
+        [
+            sum(map(mul, r, c)) if r_int and c_int else Fraction(sum(map(mul, r, c)), r_den * c_den)
+            for c, c_den, c_int in cols
+        ]
+        for r, r_den, r_int in _integer_vectors(a)
+    ]
+
+
 def mat_mul(a, b) -> list:
+    """A @ B.
+
+    Exact operands (Fraction or int entries) with an inner dimension above
+    one multiply fraction-free on integers; an entry is a Fraction unless
+    its row of A and column of B hold only ints.  Otherwise each entry is
+    the plain sum of its scalar products: floats, and a single product,
+    which needs no common denominator.
+    """
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    if (
+        len(b) > 1
+        and cols
+        and a
+        and not isinstance(a[0][0], float)
+        and not isinstance(b[0][0], float)
+        and not has_float(a, b)
+    ):
+        return _mul_fraction_free(a, cols)
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def mat_mul_sum(lefts, rights) -> list:
+    """Sum of lefts[k] @ rights[k] over k, for at least one pair.
+
+    Exact operands take one `mat_mul` of the block row
+    [lefts[0] lefts[1] ...] and the block column [rights[0]; rights[1]; ...].
+    Floats add the products left to right with `mat_add`.
+    """
+    if has_float(*lefts, *rights):
+        acc = mat_mul(lefts[0], rights[0])
+        for a, b in zip(lefts[1:], rights[1:]):
+            acc = mat_add(acc, mat_mul(a, b))
+        return acc
+    row = [[x for m in lefts for x in m[r]] for r in range(len(lefts[0]))]
+    return mat_mul(row, [r for m in rights for r in m])
 
 
 def mat_transpose(a) -> list:
@@ -225,7 +303,7 @@ def solve_dense(a, b) -> list:
         raise ValueError("matrix is not square")
     if len(b) != n:
         raise ValueError("right-hand side has %d rows, expected %d" % (len(b), n))
-    if all(is_exact(v) for row in a for v in row) and all(is_exact(v) for row in b for v in row):
+    if not has_float(a, b):
         return _solve_fraction_free(a, b)
     m = [[float(v) for v in row] for row in a]
     rhs = [[float(v) for v in row] for row in b]
@@ -252,8 +330,7 @@ def solve_dense(a, b) -> list:
 
 
 def invert_dense(a) -> list:
-    backend = EXACT if all(is_exact(v) for row in a for v in row) else FLOAT
-    return solve_dense(a, mat_eye(len(a), backend))
+    return solve_dense(a, mat_eye(len(a), FLOAT if has_float(a) else EXACT))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from mghankel.blockops import build_moment_matrix
+from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.factorize import lu_factorize
 from mghankel.harness import builtin_config
+from mghankel.numerics import mat_add
 from mghankel.weights import BaseMeasure, SeedWeight, WeightFamily, hankel_family
 
 UNIT_INTERVAL = BaseMeasure.finite_interval(0, 1)
@@ -14,6 +16,39 @@ UNIT_INTERVAL = BaseMeasure.finite_interval(0, 1)
 
 def interval_seed(*coeffs) -> SeedWeight:
     return SeedWeight.of(list(coeffs), UNIT_INTERVAL)
+
+
+# Small rationals mixed with ints, negative entries included.
+exact_scalars = st.integers(-9, 9) | st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+def matrices(rows: int, cols: int, scalars=exact_scalars):
+    return st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def typed(m) -> list:
+    """Entries as (type, repr): equal only for equal types and bit-equal floats."""
+    return [[(type(v), repr(v)) for v in row] for row in m]
+
+
+def sum_of_products(a, b) -> list:
+    """Oracle product: every entry the plain sum of its scalar products."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def blockwise_sum(lefts, rights) -> list:
+    """Oracle block sum: the first product, then `mat_add` left to right."""
+    acc = sum_of_products(lefts[0], rights[0])
+    for a, b in zip(lefts[1:], rights[1:]):
+        acc = mat_add(acc, sum_of_products(a, b))
+    return acc
+
+
+def blockwise_matmul(p: BlockMatrix, q: BlockMatrix) -> BlockMatrix:
+    """Oracle block product, one `blockwise_sum` per output block."""
+    cols = [[row[j] for row in q.blocks] for j in range(q.ncols)]
+    return BlockMatrix(p.n, [[blockwise_sum(row, col) for col in cols] for row in p.blocks])
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mghankel.blockops import (
     BlockMatrix,
@@ -12,10 +13,10 @@ from mghankel.blockops import (
     shift_power,
     unit_column,
 )
-from mghankel.numerics import mat_mul
+from mghankel.numerics import mat_eye, mat_mul, mat_zeros
 from mghankel.weights import WeightFamily
 
-from conftest import interval_seed
+from conftest import blockwise_matmul, interval_seed, matrices, typed
 
 F = Fraction
 
@@ -187,3 +188,49 @@ def test_maxnorm_propagates_nan():
     blocks = [[[[1.0]], [[math.nan]]], [[[5.0]], [[2.0]]]]
     assert math.isnan(BlockMatrix(1, blocks).maxnorm())
     assert BlockMatrix(1, [[[[Fraction(-3, 2)]], [[1]]], [[[0]], [[1]]]]).maxnorm() == Fraction(3, 2)
+
+
+def test_maxnorm_is_cached_and_matches_a_fresh_matrix(mgn2_bundle):
+    _, g, _ = mgn2_bundle
+    first = g.maxnorm()
+    assert g.maxnorm() is first
+    assert BlockMatrix(g.n, g.blocks).maxnorm() == first
+
+
+@st.composite
+def block_products(draw, block):
+    n = draw(st.integers(1, 2))
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    grid = lambda r, c: [[draw(block(n)) for _ in range(c)] for _ in range(r)]
+    return BlockMatrix(n, grid(rows, inner)), BlockMatrix(n, grid(inner, cols))
+
+
+def exact_block(n):
+    return matrices(n, n)
+
+
+def float_or_exact_block(n):
+    # Float runs multiply float blocks against exact zero, identity and int blocks.
+    return (
+        matrices(n, n, st.floats(-100, 100))
+        | st.just(mat_zeros(n, n))
+        | st.just(mat_eye(n))
+        | st.just(mat_zeros(n, n, "float"))
+        | matrices(n, n, st.integers(-3, 3))
+    )
+
+
+def block_typed(m: BlockMatrix) -> list:
+    return [[typed(blk) for blk in row] for row in m.blocks]
+
+
+@given(block_products(exact_block))
+def test_exact_block_product_matches_blockwise_oracle(operands):
+    p, q = operands
+    assert block_typed(p.matmul(q)) == block_typed(blockwise_matmul(p, q))
+
+
+@given(block_products(float_or_exact_block))
+def test_float_block_product_is_bit_identical_to_blockwise_oracle(operands):
+    p, q = operands
+    assert block_typed(p.matmul(q)) == block_typed(blockwise_matmul(p, q))

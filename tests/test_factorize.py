@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.factorize import (
@@ -14,10 +16,22 @@ from mghankel.factorize import (
     nested_truncation_residual,
 )
 from mghankel.harness import builtin_config
-from mghankel.numerics import SingularLeadingMinorError
+from mghankel.numerics import (
+    SingularLeadingMinorError,
+    invert_dense,
+    mat_scale,
+    mat_zeros,
+)
 from mghankel.weights import WeightFamily
 
-from conftest import interval_seed
+from conftest import (
+    blockwise_sum,
+    exact_scalars,
+    interval_seed,
+    matrices,
+    sum_of_products,
+    typed,
+)
 
 F = Fraction
 
@@ -141,6 +155,58 @@ def test_nested_truncation_matches_reinversion_with_perturbed_lower(case, block,
     assert residual != 0
     assert (residual, worst_level) == reinverted_truncation_residual(g, perturbed)
     assert worst_level == level
+
+
+def test_nested_truncation_reports_a_nan_border_block():
+    config = dataclasses.replace(builtin_config("legendre"), backend="float")
+    g = build_moment_matrix(config.family(), 6)
+    factors = lu_factorize(g)
+    blocks = [list(row) for row in g.blocks]
+    blocks[3][2] = [[math.nan]]
+    residual, worst_level = nested_truncation_residual(BlockMatrix(1, blocks), factors)
+    assert math.isnan(residual) and worst_level == 4
+
+
+def substitution_inverse(t: BlockMatrix) -> BlockMatrix:
+    """Oracle: lower block substitution with blockwise sums of plain products."""
+    n, levels = t.n, t.nrows
+    inv = [[mat_zeros(n, n) for _ in range(levels)] for _ in range(levels)]
+    diag = [invert_dense(t.block(i, i)) for i in range(levels)]
+    for i in range(levels):
+        inv[i][i] = diag[i]
+        for j in range(i - 1, -1, -1):
+            ks = range(j, i)
+            acc = blockwise_sum([t.block(i, k) for k in ks], [inv[k][j] for k in ks])
+            inv[i][j] = sum_of_products(mat_scale(-1, diag[i]), acc)
+    return BlockMatrix(n, inv)
+
+
+@st.composite
+def lower_triangular(draw, scalars):
+    """Block lower-triangular with diagonally dominant diagonal blocks."""
+    n, levels = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    blocks = []
+    for i in range(levels):
+        row = [draw(matrices(n, n, scalars)) for _ in range(i)]
+        diag = draw(matrices(n, n, scalars))
+        shrunk = [[v * F(1, 100) for v in x] for x in diag]
+        row.append([[v + (4 if r == c else 0) for c, v in enumerate(x)] for r, x in enumerate(shrunk)])
+        row += [mat_zeros(n, n) for _ in range(i + 1, levels)]
+        blocks.append(row)
+    return BlockMatrix(n, blocks)
+
+
+@pytest.mark.parametrize("scalars", [exact_scalars, st.floats(-10, 10)], ids=["exact", "float"])
+@given(data=st.data())
+def test_triangular_inverse_matches_substitution_oracle(scalars, data):
+    t = data.draw(lower_triangular(scalars))
+    for got, want in (
+        (invert_block_triangular(t, LOWER), substitution_inverse(t)),
+        (invert_block_triangular(t.transpose(), UPPER), substitution_inverse(t).transpose()),
+    ):
+        assert [[typed(b) for b in row] for row in got.blocks] == [
+            [typed(b) for b in row] for row in want.blocks
+        ]
 
 
 def test_uniqueness_by_refactorization():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mghankel.blockops import BlockMatrix, build_moment_matrix
+from mghankel.blockops import BlockMatrix, build_moment_matrix, shift_power
 from mghankel.factorize import lu_factorize
 from mghankel.families import (
     LinearForm,
@@ -22,13 +22,22 @@ from mghankel.families import (
     form_against_monomial,
     form_residual,
     pair_poly_form,
+    pair_with_moments,
     poly_against_weight,
     poly_residual,
     primary_family,
 )
 from mghankel.harness import builtin_config
-from mghankel.numerics import SingularLeadingMinorError, mat_eye, mat_transpose, mat_zeros
+from mghankel.numerics import (
+    SingularLeadingMinorError,
+    mat_add,
+    mat_eye,
+    mat_transpose,
+    mat_zeros,
+)
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
+
+from conftest import sum_of_products, typed
 
 F = Fraction
 
@@ -291,3 +300,41 @@ def test_dual_associated_range_checks(hilbert_bundle):
         dual_associated_minus(g, g.nrows, 0)
     with pytest.raises(ValueError, match="0 <= j <= l"):
         dual_associated_minus(g, 1, 2)
+
+
+def running_pairing(n, lefts, rights):
+    """Oracle: add each plain product to an exact zero, one at a time."""
+    acc = mat_zeros(n, n)
+    for a, b in zip(lefts, rights):
+        acc = mat_add(acc, sum_of_products(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("case", ["legendre", "multigraded-n2"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_moment_pairings_match_the_running_sum(case, backend):
+    config = dataclasses.replace(builtin_config(case), backend=backend)
+    g = build_moment_matrix(config.family(), 6)
+    factors = lu_factorize(g)
+    polys, forms = primary_family(factors), dual_family(factors)
+    for p, f in zip(polys, forms):
+        top = range(len(p.coeffs))
+        for k in range(g.nrows):
+            want = running_pairing(g.n, p.coeffs, [g.block(t, k) for t in top])
+            assert typed(poly_against_weight(g, p, k)) == typed(want)
+            want = running_pairing(g.n, [g.block(k, s) for s in top], f.coeffs)
+            assert typed(form_against_monomial(g, k, f)) == typed(want)
+        moments = [form_against_monomial(g, t, f) for t in range(g.nrows)]
+        for q in polys:
+            want = running_pairing(g.n, q.coeffs, moments)
+            assert typed(pair_with_moments(q, moments)) == typed(want)
+
+
+def test_moment_pairings_start_from_an_exact_zero():
+    # Int operands still pair to Fractions; a -0.0 product still sums to 0.0.
+    lam = shift_power((1,), 3)
+    p = MatrixPolynomial.of(1, [[[1]], [[2]]])
+    got = poly_against_weight(lam, p, 1)
+    assert typed(got) == typed([[Fraction(1)]])
+    g = BlockMatrix(1, [[[[1.0]]]])
+    assert typed(poly_against_weight(g, MatrixPolynomial.of(1, [[[-0.0]]]), 0)) == typed([[0.0]])

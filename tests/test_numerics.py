@@ -11,15 +11,19 @@ from mghankel.numerics import (
     SingularMatrixError,
     Tolerance,
     approx_zero,
+    has_float,
     invert_dense,
     mat_eye,
     mat_mul,
+    mat_mul_sum,
     mat_sub,
     matrix_residual_norm,
     parse_rational,
     scalar_str,
     solve_dense,
 )
+
+from conftest import blockwise_sum, matrices, sum_of_products, typed
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000
@@ -286,3 +290,76 @@ def test_fraction_free_solve_edge_shapes():
     assert all(type(v) is Fraction for row in sol for v in row)
     with pytest.raises(SingularMatrixError, match=r"no pivot in column 1"):
         solve_dense([[1, 2, 3], [2, 4, 5], [0, 0, 1]], [[]] * 3)
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free exact product against the plain sum of scalar products,
+# kept here as the oracle.
+# ---------------------------------------------------------------------------
+
+shapes = st.integers(0, 6)
+
+
+@st.composite
+def products(draw, scalars=small_rationals):
+    m, k, p = draw(shapes), draw(shapes), draw(shapes)
+    return draw(matrices(m, k, scalars)), draw(matrices(k, p, scalars))
+
+
+@given(products())
+def test_fraction_free_product_matches_sum_of_products(operands):
+    assert typed(mat_mul(*operands)) == typed(sum_of_products(*operands))
+
+
+@given(products(small_rationals | st.floats(-100, 100)))
+def test_product_with_a_float_anywhere_is_the_plain_sum(operands):
+    assert typed(mat_mul(*operands)) == typed(sum_of_products(*operands))
+
+
+@st.composite
+def block_sums(draw, scalars=small_rationals):
+    # Inner widths start at 1: a 0 x p right factor is `[]` and has no width.
+    m, p, count = draw(shapes), draw(shapes), draw(st.integers(1, 4))
+    inner = draw(st.lists(st.integers(1, 6), min_size=count, max_size=count))
+    lefts = [draw(matrices(m, k, scalars)) for k in inner]
+    rights = [draw(matrices(k, p, scalars)) for k in inner]
+    return lefts, rights
+
+
+@given(block_sums())
+def test_exact_block_sum_matches_blockwise_oracle(operands):
+    assert typed(mat_mul_sum(*operands)) == typed(blockwise_sum(*operands))
+
+
+@given(block_sums(small_rationals | st.floats(-100, 100)))
+def test_block_sum_with_a_float_anywhere_keeps_the_blockwise_order(operands):
+    assert typed(mat_mul_sum(*operands)) == typed(blockwise_sum(*operands))
+
+
+def test_int_operands_keep_int_products():
+    shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    unit = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    got = mat_mul(shift, unit)
+    assert got == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert all(type(v) is int for row in got for v in row)
+
+
+def test_product_edge_shapes():
+    two = [[Fraction(1, 2), 1], [3, Fraction(-1, 3)]]
+    assert mat_mul([], two) == []
+    assert mat_mul(two, []) == [[], []]
+    assert mat_mul(two, [[], []]) == [[], []]
+    assert mat_mul([[], []], []) == [[], []]
+
+
+def test_fraction_block_with_a_late_float_takes_the_float_path():
+    a = [[Fraction(1, 3), Fraction(2, 7)], [Fraction(1), 0.25]]
+    b = [[Fraction(5, 2), 1], [Fraction(-1, 9), Fraction(3)]]
+    assert typed(mat_mul(a, b)) == typed(sum_of_products(a, b))
+    assert typed(mat_mul_sum([a, b], [b, a])) == typed(blockwise_sum([a, b], [b, a]))
+
+
+def test_has_float_finds_a_float_anywhere():
+    assert not has_float([[Fraction(1, 2), 3]], [], [[]])
+    assert has_float([[0.5]])
+    assert has_float([[Fraction(1), 2]], [[3, 4], [5, 6.0]])

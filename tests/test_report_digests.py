@@ -9,7 +9,10 @@ between libm builds.
 
 One seeded exact family (N=3, shifts (1,1,1)/(1,1,1), L=10, level 7, the
 coefficient checks only) guards the coefficient path: its associated
-families solve against the largest leading block minors.
+families solve against the largest leading block minors.  A second one
+(N=1, density 1 - x on [0, 1], L=20, levels (10, 18)) runs the largest
+dense exact products.  Float multigraded-n2 at levels (2, 4) covers float
+blocks multiplied against exact zero and identity blocks.
 
 A digest changes only when a report changes.  That is a contract change,
 not a refactor: update the digest together with the code that changes the
@@ -32,6 +35,8 @@ PINNED = {
     ("legendre", "float"): "e85b30955f91506ec4f2e5cf8543056ffd678ebad3ec6d5bc7f24f7b2c3dda0e",
 }
 
+FLOAT_MGN2_DIGEST = "e1853daa499b4c6338dfa1a76c744b629b51d5782359ba015c8648e37df1808b"
+
 # Quadratic densities on [0, 1], ascending coefficients, one per (a, b).
 DEEP_N3_COEFFS = (
     ((4, 2, 2), (4, 3, -2), (1, -1, -1)),
@@ -39,6 +44,16 @@ DEEP_N3_COEFFS = (
     ((4, -1, -1), (4, 0, -1), (1, -2, -1)),
 )
 DEEP_N3_DIGEST = "9bc5e75e179bd10659a04a04bd151fa7a90424a3e44d37a87425a9384f8e5ce0"
+DEEP_N1_DIGEST = "ac6175ed479a523612f8cd22746a81f189e6040ad2fce7af604217e0f4eb3b30"
+
+COEFFICIENT_CHECKS = (
+    "symmetry",
+    "factorization",
+    "biorthogonality",
+    "matrix-notation",
+    "connection",
+    "modified-orthogonality",
+)
 
 
 def deep_n3_config() -> RunConfig:
@@ -49,15 +64,20 @@ def deep_n3_config() -> RunConfig:
         seeds=tuple(tuple((SeedWeight.of(c, unit),) for c in row) for row in DEEP_N3_COEFFS),
         truncation=10,
         levels=(7,),
-        checks=(
-            "symmetry",
-            "factorization",
-            "biorthogonality",
-            "matrix-notation",
-            "connection",
-            "modified-orthogonality",
-        ),
+        checks=COEFFICIENT_CHECKS,
         name="deep-n3-L10",
+    )
+
+
+def deep_n1_config() -> RunConfig:
+    return RunConfig(
+        nvec=(1,),
+        mvec=(1,),
+        seeds=(((SeedWeight.of((1, -1, 0), BaseMeasure.finite_interval(0, 1)),),),),
+        truncation=20,
+        levels=(10, 18),
+        checks=COEFFICIENT_CHECKS,
+        name="deep-n1-L20",
     )
 
 
@@ -76,3 +96,12 @@ def test_report_digest_is_pinned(case, backend):
 
 def test_coefficient_path_report_digest_is_pinned():
     assert report_digest(run(deep_n3_config()).to_dict()) == DEEP_N3_DIGEST
+
+
+def test_large_dense_product_report_digest_is_pinned():
+    assert report_digest(run(deep_n1_config()).to_dict()) == DEEP_N1_DIGEST
+
+
+def test_float_blocks_against_exact_blocks_report_digest_is_pinned():
+    config = dataclasses.replace(builtin_config("multigraded-n2"), levels=(2, 4), backend="float")
+    assert report_digest(run(config).to_dict()) == FLOAT_MGN2_DIGEST
