@@ -13,6 +13,7 @@ from .numerics import (
     CheckOutcome,
     DEFAULT_TOLERANCE,
     EXACT,
+    FLOAT,
     ResidualTracker,
     Tolerance,
     has_float,
@@ -53,15 +54,16 @@ class BlockMatrix:
     def ncols(self) -> int:
         return len(self.blocks[0]) if self.blocks else 0
 
+    @property
+    def backend(self) -> str:
+        """FLOAT when some entry is a float, else EXACT."""
+        return FLOAT if has_float(*(blk for row in self.blocks for blk in row)) else EXACT
+
     def block(self, i: int, j: int):
         return self.blocks[i][j]
 
     def entry(self, i: int, j: int, a: int, b: int):
         return self.blocks[i][j][a][b]
-
-    @classmethod
-    def zeros(cls, n: int, nrows: int, ncols: int, backend: str = EXACT) -> "BlockMatrix":
-        return cls(n, [[mat_zeros(n, n, backend) for _ in range(ncols)] for _ in range(nrows)])
 
     @classmethod
     def identity(cls, n: int, nblocks: int, backend: str = EXACT) -> "BlockMatrix":
@@ -170,19 +172,6 @@ def partition(g: BlockMatrix, level: int) -> BlockPartition:
         g.slice(range(level, rows), range(level)),
         g.slice(range(level, rows), range(level, cols)),
     )
-
-
-def matrix_unit(n: int, a: int) -> list:
-    """E_aa: 1 at (a, a), zero elsewhere."""
-    m = [[0] * n for _ in range(n)]
-    m[a][a] = 1
-    return m
-
-
-def unit_column(n: int, nblocks: int, j: int) -> BlockMatrix:
-    """Block column e_j with the identity block in row j."""
-    blocks = [[mat_eye(n) if i == j else mat_zeros(n, n)] for i in range(nblocks)]
-    return BlockMatrix(n, blocks)
 
 
 def shift_power(nvec, truncation: int) -> BlockMatrix:

@@ -14,6 +14,7 @@ equivalent shapes that the harness compares pointwise:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .blockops import BlockMatrix, build_moment_matrix, partition, shift_power
@@ -47,7 +48,7 @@ from .numerics import (
     matrix_residual_norm,
     solve_dense,
 )
-from .weights import SeedWeight, WeightFamily, hankel_family
+from .weights import SeedWeight, WeightFamily, hankel_family, validate_levels
 
 
 @dataclass(frozen=True)
@@ -80,33 +81,83 @@ def _copy(m) -> list:
     return [list(row) for row in m]
 
 
-class KernelEvaluator:
-    """Level-l kernel machinery over one family, moment matrix and factors.
+def _memoized(method):
+    """Memoize a method in its instance's `_memo`; a call that raises stores nothing."""
 
-    Read-only after construction.  Every value that depends on one point
-    coordinate or one grid point is computed once and memoized for the
-    evaluator's lifetime: the weights rho_j(x), the dual-form values at x,
-    the polynomial values at y, the leading-minor solves and Schur factors
-    at x and at y, and the kernel sum and associated bilinear form at
-    (x, y).  The moments form_against_monomial(g, t, forms[k]) that
-    `project_poly` pairs against are memoized the same way.  Matrices
-    handed to callers are fresh copies.
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method, args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return cached
+
+
+class PointTable:
+    """The level-free values of one family, moment matrix and factors.
+
+    The level-l kernel is a partial sum over k < l of dual forms paired
+    with polynomials, all read off one factorization, so none of the
+    values below depends on l: the weights rho_j(x), the dual-form values
+    at x, the polynomial values at y, the pairings of polynomials with
+    forms and the form moments.  Each is computed on first use and kept
+    for the table's lifetime; every level of a run reads one table.
     """
 
-    def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors, level: int):
+    def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors):
+        self.fam = fam
+        self.g = g
+        self.polys = primary_family(factors)
+        self.forms = dual_family(factors)
+        self._memo = {}
+
+    @_memoized
+    def weight(self, j: int, x) -> list:
+        return self.fam.eval_weight(j, x)
+
+    @_memoized
+    def form_value(self, k: int, x) -> list:
+        """Transposed value of dual form k at x."""
+        return eval_form(self.forms[k], self.fam, x, lambda j: self.weight(j, x))
+
+    @_memoized
+    def poly_value(self, k: int, y) -> list:
+        return eval_poly(self.polys[k], y)
+
+    @_memoized
+    def pair(self, j: int, k: int) -> list:
+        """Integral of polynomial j times dual form k (transposed)."""
+        return pair_poly_form(self.g, self.polys[j], self.forms[k])
+
+    @_memoized
+    def form_moment(self, k: int, t: int) -> list:
+        return form_against_monomial(self.g, t, self.forms[k])
+
+
+class KernelEvaluator:
+    """Level-l kernel machinery: a view of a point table at one level.
+
+    Level-free values come from `table`, the `PointTable` of the same
+    family, moment matrix and factors that every level of a run shares
+    (without one, a private table).  Values that depend on the level are
+    memoized per evaluator: the leading-minor solves and Schur factors at
+    x and at y, the kernel sum and associated form at (x, y), and the
+    associated families.  Matrices handed to callers are fresh copies.
+    """
+
+    def __init__(
+        self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors, level: int, *, table=None
+    ):
         if g.nrows != g.ncols:
             raise ValueError("kernel evaluation needs a square moment matrix")
-        if not 0 <= level or level + fam.max_shift() >= g.nrows:
-            raise ValueError(
-                "level %d violates the truncation budget (need l + max shift < %d)"
-                % (level, g.nrows)
-            )
+        validate_levels((level,), fam.max_shift(), g.nrows)
         self.fam = fam
         self.g = g
         self.factors = factors
         self.level = level
-        self.polys = primary_family(factors)
-        self.forms = dual_family(factors)
+        self.table = PointTable(fam, g, factors) if table is None else table
+        self._memo = {}
         total = g.nrows
         parts = partition(g, level)
         head, tail = range(level), range(level, total)
@@ -116,40 +167,8 @@ class KernelEvaluator:
         self._bl = parts.bl.to_dense()
         self._lam_m_t = mat_transpose(shift_power(fam.mvec, total).slice(head, tail).to_dense())
         self._lam_n = shift_power(fam.nvec, total).slice(head, tail).to_dense()
-        self._weights = {}  # (j, x) -> rho_j(x)
-        self._forms_at = {}  # x -> dual forms k < level at x
-        self._polys_at = {}  # y -> polynomials k < level at y
-        self._solve_right = {}  # y -> (g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n
-        self._solve_left = {}  # x -> chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n
-        self._schur_x = {}  # x -> x-side factors of the partition form
-        self._schur_y = {}  # y -> y-side factor of the partition form
-        self._kernels = {}  # (x, y) -> kernel sum
-        self._assoc_x = {}  # x -> associated form values
-        self._assoc_y = {}  # y -> associated polynomial values
-        self._assoc_xy = {}  # (x, y) -> associated bilinear form
-        self._assoc = None
-        self._pairs = None
-        self._form_moments = {}  # (k, t) -> form_against_monomial(g, t, forms[k])
 
-    # -- per-point tables ----------------------------------------------------
-
-    def _weight(self, j: int, x) -> list:
-        if (j, x) not in self._weights:
-            self._weights[j, x] = self.fam.eval_weight(j, x)
-        return self._weights[j, x]
-
-    def _form_values(self, x) -> list:
-        if x not in self._forms_at:
-            weight = lambda j: self._weight(j, x)
-            self._forms_at[x] = [
-                eval_form(f, self.fam, x, weight) for f in self.forms[: self.level]
-            ]
-        return self._forms_at[x]
-
-    def _poly_values(self, y) -> list:
-        if y not in self._polys_at:
-            self._polys_at[y] = [eval_poly(p, y) for p in self.polys[: self.level]]
-        return self._polys_at[y]
+    # -- per-level tables ----------------------------------------------------
 
     def _chi1_col(self, count: int, y, offset: int = 0) -> list:
         n = self.fam.size
@@ -163,56 +182,51 @@ class KernelEvaluator:
         n = self.fam.size
         rows = [[] for _ in range(n)]
         for k in range(offset, offset + count):
-            w = self._weight(k, x)
+            w = self.table.weight(k, x)
             for r in range(n):
                 rows[r].extend(w[r])
         return rows
 
+    def _solve_minor(self, a, b) -> list:
+        try:
+            return solve_dense(a, b)
+        except SingularMatrixError as exc:
+            raise SingularLeadingMinorError(self.level) from exc
+
+    @_memoized
     def _right_piece(self, y) -> list:
-        if y not in self._solve_right:
-            try:
-                self._solve_right[y] = solve_dense(self._tl, self._chi1_col(self.level, y))
-            except SingularMatrixError as exc:
-                raise SingularLeadingMinorError(self.level) from exc
-        return self._solve_right[y]
+        """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
+        return self._solve_minor(self._tl, self._chi1_col(self.level, y))
 
+    @_memoized
     def _left_piece(self, x) -> list:
-        if x not in self._solve_left:
-            try:
-                sol = solve_dense(self._tl_t, mat_transpose(self._chi2_row(self.level, x)))
-            except SingularMatrixError as exc:
-                raise SingularLeadingMinorError(self.level) from exc
-            self._solve_left[x] = mat_transpose(sol)
-        return self._solve_left[x]
+        """chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n."""
+        rhs = mat_transpose(self._chi2_row(self.level, x))
+        return mat_transpose(self._solve_minor(self._tl_t, rhs))
 
+    @_memoized
     def _schur_row(self, x) -> tuple:
         """x-side factors of the partition form: (A(x) Lambda_m^T, W(x) Lambda_n)."""
-        if x not in self._schur_x:
-            w = self._left_piece(x)
-            tail = self.g.nrows - self.level
-            a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), mat_mul(w, self._tr))
-            self._schur_x[x] = (mat_mul(a_row, self._lam_m_t), mat_mul(w, self._lam_n))
-        return self._schur_x[x]
+        w = self._left_piece(x)
+        tail = self.g.nrows - self.level
+        a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), mat_mul(w, self._tr))
+        return mat_mul(a_row, self._lam_m_t), mat_mul(w, self._lam_n)
 
+    @_memoized
     def _schur_col(self, y) -> list:
         """y-side factor C(y) of the partition form."""
-        if y not in self._schur_y:
-            tail = self.g.nrows - self.level
-            self._schur_y[y] = mat_sub(
-                self._chi1_col(tail, y, offset=self.level),
-                mat_mul(self._bl, self._right_piece(y)),
-            )
-        return self._schur_y[y]
+        tail = self.g.nrows - self.level
+        return mat_sub(
+            self._chi1_col(tail, y, offset=self.level),
+            mat_mul(self._bl, self._right_piece(y)),
+        )
 
+    @_memoized
     def _kernel(self, x, y) -> list:
-        if (x, y) not in self._kernels:
-            forms_x, polys_y = self._form_values(x), self._poly_values(y)
-            n = self.fam.size
-            acc = mat_zeros(n, n, self.fam.backend)
-            for k in range(self.level):
-                acc = mat_add(acc, mat_mul(forms_x[k], polys_y[k]))
-            self._kernels[x, y] = acc
-        return self._kernels[x, y]
+        acc = mat_zeros(self.fam.size, self.fam.size, self.fam.backend)
+        for k in range(self.level):
+            acc = mat_add(acc, mat_mul(self.table.form_value(k, x), self.table.poly_value(k, y)))
+        return acc
 
     # -- kernel values -----------------------------------------------------
 
@@ -244,47 +258,42 @@ class KernelEvaluator:
         term2 = mat_mul(w_lam, self._schur_col(y))
         return mat_sub(term1, term2)
 
-    def _associated(self):
-        """Associated families feeding the bilinear form; built once."""
-        if self._assoc is None:
-            level = self.level
-            fam = self.fam
-            top = fam.max_shift()
-            if level < max(fam.nvec) or level < max(fam.mvec):
-                raise ValueError(
-                    "level %d is below every-shift dominance (max shift %d); "
-                    "the associated-family form is undefined" % (level, top)
-                )
-            self._assoc = {
-                "plus_forms": [dual_associated_plus(self.g, level, j) for j in range(max(fam.mvec))],
-                "minus_polys": [associated_minus(self.g, level - 1, k) for k in range(max(fam.mvec))],
-                "minus_forms": [dual_associated_minus(self.g, level - 1, k) for k in range(max(fam.nvec))],
-                "plus_polys": [associated_plus(self.g, level, j) for j in range(max(fam.nvec))],
-            }
-        return self._assoc
+    @_memoized
+    def _associated(self) -> dict:
+        """Associated families feeding the bilinear form."""
+        level = self.level
+        fam = self.fam
+        if level < max(fam.nvec) or level < max(fam.mvec):
+            raise ValueError(
+                "level %d is below every-shift dominance (max shift %d); "
+                "the associated-family form is undefined" % (level, fam.max_shift())
+            )
+        return {
+            "plus_forms": [dual_associated_plus(self.g, level, j) for j in range(max(fam.mvec))],
+            "minus_polys": [associated_minus(self.g, level - 1, k) for k in range(max(fam.mvec))],
+            "minus_forms": [dual_associated_minus(self.g, level - 1, k) for k in range(max(fam.nvec))],
+            "plus_polys": [associated_plus(self.g, level, j) for j in range(max(fam.nvec))],
+        }
 
+    @_memoized
     def _assoc_forms(self, x) -> tuple:
-        if x not in self._assoc_x:
-            assoc = self._associated()
-            weight = lambda j: self._weight(j, x)
-            self._assoc_x[x] = (
-                [eval_form(f, self.fam, x, weight) for f in assoc["plus_forms"]],
-                [eval_form(f, self.fam, x, weight) for f in assoc["minus_forms"]],
-            )
-        return self._assoc_x[x]
+        assoc = self._associated()
+        weight = lambda j: self.table.weight(j, x)
+        return (
+            [eval_form(f, self.fam, x, weight) for f in assoc["plus_forms"]],
+            [eval_form(f, self.fam, x, weight) for f in assoc["minus_forms"]],
+        )
 
+    @_memoized
     def _assoc_polys(self, y) -> tuple:
-        if y not in self._assoc_y:
-            assoc = self._associated()
-            self._assoc_y[y] = (
-                [eval_poly(p, y) for p in assoc["minus_polys"]],
-                [eval_poly(p, y) for p in assoc["plus_polys"]],
-            )
-        return self._assoc_y[y]
+        assoc = self._associated()
+        return (
+            [eval_poly(p, y) for p in assoc["minus_polys"]],
+            [eval_poly(p, y) for p in assoc["plus_polys"]],
+        )
 
+    @_memoized
     def _assoc_form(self, x, y) -> list:
-        if (x, y) in self._assoc_xy:
-            return self._assoc_xy[x, y]
         plus_forms_x, minus_forms_x = self._assoc_forms(x)
         minus_polys_y, plus_polys_y = self._assoc_polys(y)
         fam = self.fam
@@ -302,7 +311,6 @@ class KernelEvaluator:
                 for r in range(n):
                     for c in range(n):
                         acc[r][c] -= left[r][a] * right[a][c]
-        self._assoc_xy[x, y] = acc
         return acc
 
     def cd_rhs_associated(self, x, y) -> list:
@@ -329,8 +337,9 @@ class KernelEvaluator:
         n = self.fam.size
         coeffs = [mat_zeros(n, n) for _ in range(max(self.level, 1))]
         for k in range(self.level):
-            weight = pair_with_moments(p, [self._form_moment(k, t) for t in range(len(p.coeffs))])
-            for t, c in enumerate(self.polys[k].coeffs):
+            moments = [self.table.form_moment(k, t) for t in range(len(p.coeffs))]
+            weight = pair_with_moments(p, moments)
+            for t, c in enumerate(self.table.polys[k].coeffs):
                 coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c))
         return MatrixPolynomial.of(n, coeffs)
 
@@ -341,24 +350,10 @@ class KernelEvaluator:
         # polys[k] has degree k, so it pairs with moments t <= k < level.
         moments = [form_against_monomial(self.g, t, f) for t in range(self.level)]
         for k in range(self.level):
-            weight = pair_with_moments(self.polys[k], moments)
-            for u, d in enumerate(self.forms[k].coeffs):
+            weight = pair_with_moments(self.table.polys[k], moments)
+            for u, d in enumerate(self.table.forms[k].coeffs):
                 coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight))
         return LinearForm.of(n, coeffs)
-
-    def _form_moment(self, k: int, t: int) -> list:
-        key = (k, t)
-        if key not in self._form_moments:
-            self._form_moments[key] = form_against_monomial(self.g, t, self.forms[k])
-        return self._form_moments[key]
-
-    def _pair_table(self) -> list:
-        if self._pairs is None:
-            self._pairs = [
-                [pair_poly_form(self.g, self.polys[j], self.forms[k]) for k in range(self.level)]
-                for j in range(self.level)
-            ]
-        return self._pairs
 
     def reproducing_residual(self, x, y) -> Scalar:
         """Gap between the kernel and its self-convolution.
@@ -366,13 +361,15 @@ class KernelEvaluator:
         The middle integrals are computed honestly from moment pairings,
         not assumed to be the identity.
         """
+        table = self.table
         n = self.fam.size
-        table = self._pair_table()
-        forms_x, polys_y = self._form_values(x), self._poly_values(y)
+        levels = range(self.level)
+        forms_x = [table.form_value(k, x) for k in levels]
+        polys_y = [table.poly_value(k, y) for k in levels]
         acc = mat_zeros(n, n, self.fam.backend)
-        for j in range(self.level):
-            for k in range(self.level):
-                acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(table[j][k], polys_y[k])))
+        for j in levels:
+            for k in levels:
+                acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(table.pair(j, k), polys_y[k])))
         return matrix_residual_norm(mat_sub(acc, self._kernel(x, y)))
 
 

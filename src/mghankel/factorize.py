@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 from .blockops import BlockMatrix
 from .numerics import (
-    EXACT,
-    FLOAT,
     SingularLeadingMinorError,
     SingularMatrixError,
     _exceeds,
     invert_dense,
-    is_exact,
     mat_eye,
     mat_mul,
     mat_mul_sum,
@@ -57,15 +54,6 @@ class GaussFactors:
         return self.upper.block(level, level)
 
 
-def _backend_of(g: BlockMatrix) -> str:
-    for row in g.blocks:
-        for blk in row:
-            for r in blk:
-                for v in r:
-                    return EXACT if is_exact(v) else FLOAT
-    return EXACT
-
-
 def lu_factorize(g: BlockMatrix) -> GaussFactors:
     """Block Doolittle elimination without block pivoting.
 
@@ -76,22 +64,20 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
     if g.nrows != g.ncols:
         raise ValueError("factorization needs a square block matrix")
     n, levels = g.n, g.nrows
-    backend = _backend_of(g)
+    backend = g.backend
     low = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
     up = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
     pivot_invs = []
     for i in range(levels):
-        for j in range(i):
+        for j in range(levels):
             acc = [list(r) for r in g.block(i, j)]
-            for k in range(j):
+            for k in range(min(i, j)):
                 acc = mat_sub(acc, mat_mul(low[i][k], up[k][j]))
-            low[i][j] = mat_mul(acc, pivot_invs[j])
+            if j < i:
+                low[i][j] = mat_mul(acc, pivot_invs[j])
+            else:
+                up[i][j] = acc
         low[i][i] = mat_eye(n, backend)
-        for j in range(i, levels):
-            acc = [list(r) for r in g.block(i, j)]
-            for k in range(i):
-                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j]))
-            up[i][j] = acc
         try:
             pivot_invs.append(_invert_pivot(up[i][i]))
         except SingularMatrixError as exc:
@@ -125,8 +111,8 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
         raise ValueError("inversion needs a square block matrix")
     if orientation == UPPER:
         return invert_block_triangular(t.transpose(), LOWER).transpose()
-    n, levels = t.n, t.nrows
-    inv = [[mat_zeros(n, n) for _ in range(levels)] for _ in range(levels)]
+    n, levels, backend = t.n, t.nrows, t.backend
+    inv = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
     diag_invs = []
     for i in range(levels):
         try:

@@ -71,12 +71,6 @@ class MatrixPolynomial:
                 return k
         return -1
 
-    def is_monic(self) -> bool:
-        lead = self.coeffs[-1]
-        return all(
-            lead[r][c] == (1 if r == c else 0) for r in range(self.n) for c in range(self.n)
-        )
-
 
 LinearForm = MatrixPolynomial
 

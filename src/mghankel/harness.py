@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 from . import __version__
 from .blockops import build_moment_matrix, check_multigraded_symmetry
-from .cdkernel import KernelEvaluator, classical_cd
+from .cdkernel import KernelEvaluator, PointTable, classical_cd
 from .factorize import (
     factorization_residual,
     lu_factorize,
@@ -33,8 +33,6 @@ from .families import (
     check_matrix_notation,
     check_modified_orthogonality,
     poly_residual,
-    primary_family,
-    dual_family,
 )
 from .numerics import (
     DEFAULT_TOLERANCE,
@@ -50,12 +48,14 @@ from .numerics import (
 )
 from .weights import (
     BaseMeasure,
+    ConfigError,
     GAUSSIAN,
     LAGUERRE,
     SeedWeight,
     WeightFamily,
     hankel_family,
     validate_family,
+    validate_levels,
 )
 
 # The check registry: name -> whether the check evaluates weights pointwise
@@ -91,10 +91,6 @@ DEFAULT_GRID_COORDS = (
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_SKIPPED = "skipped"
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; includes the offending field path."""
 
 
 @dataclass
@@ -159,17 +155,6 @@ class RunConfig:
             else [[str(x), str(y)] for x, y in self.grid],
             "checks": list(self.checks),
         }
-
-
-def validate_levels(levels, max_shift: int, truncation: int) -> tuple:
-    """The level budget: every level l must satisfy 0 <= l and l + max_shift < L."""
-    for l in levels:
-        if l < 0 or l + max_shift >= truncation:
-            raise ConfigError(
-                "levels: l=%d violates the truncation budget (need l + %d < L=%d)"
-                % (l, max_shift, truncation)
-            )
-    return tuple(levels)
 
 
 def validate_checks(checks) -> tuple:
@@ -395,14 +380,7 @@ class CheckEntry:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "residual": self.residual,
-            "worst_point": self.worst_point,
-            "elapsed_ms": self.elapsed_ms,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -463,8 +441,14 @@ def write_report(report: CheckReport, path, fmt: str = "json") -> None:
 # ---------------------------------------------------------------------------
 
 
+def _monomial(n: int, deg: int) -> MatrixPolynomial:
+    """x^deg times the n x n identity, with int entries."""
+    eye = [[int(r == c) for c in range(n)] for r in range(n)]
+    return MatrixPolynomial.of(n, [[[0] * n for _ in range(n)]] * deg + [eye])
+
+
 class _Runner:
-    """One run's family, factors and evaluators; every cache lives here."""
+    """One run's family, factors, point table and evaluators; every cache lives here."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -490,8 +474,7 @@ class _Runner:
         self.tol = config.tolerance
         self.g = build_moment_matrix(self.fam, config.truncation)
         self.factors = lu_factorize(self.g)
-        self.polys = primary_family(self.factors)
-        self.forms = dual_family(self.factors)
+        self.table = PointTable(self.fam, self.g, self.factors)
         self._evaluators = {}
 
     def _check_grid_support(self):
@@ -510,7 +493,9 @@ class _Runner:
 
     def evaluator(self, level: int) -> KernelEvaluator:
         if level not in self._evaluators:
-            self._evaluators[level] = KernelEvaluator(self.fam, self.g, self.factors, level)
+            self._evaluators[level] = KernelEvaluator(
+                self.fam, self.g, self.factors, level, table=self.table
+            )
         return self._evaluators[level]
 
     @cached_property
@@ -572,37 +557,25 @@ class _Runner:
 
     def check_projections(self, acc: ResidualTracker):
         total = self.config.truncation
+        polys, forms = self.table.polys, self.table.forms
         zero = MatrixPolynomial.of(self.fam.size, [])
         for level in self.config.levels:
             ev = self.evaluator(level)
             for k in range(total):
-                expect = self.polys[k] if k < level else zero
+                expect = polys[k] if k < level else zero
                 acc.record(
-                    poly_residual(ev.project_poly(self.polys[k]), expect),
+                    poly_residual(ev.project_poly(polys[k]), expect),
                     self.scale,
                     "l=%d polynomial k=%d" % (level, k),
                 )
-                expect = self.forms[k] if k < level else zero
+                expect = forms[k] if k < level else zero
                 acc.record(
-                    poly_residual(ev.project_form(self.forms[k]), expect),
+                    poly_residual(ev.project_form(forms[k]), expect),
                     self.scale,
                     "l=%d dual k=%d" % (level, k),
                 )
             for deg in range(total):
-                mono = MatrixPolynomial.of(
-                    self.fam.size,
-                    [
-                        [
-                            [
-                                (1 if (r == c and t == deg) else 0)
-                                for c in range(self.fam.size)
-                            ]
-                            for r in range(self.fam.size)
-                        ]
-                        for t in range(deg + 1)
-                    ],
-                )
-                once = ev.project_poly(mono)
+                once = ev.project_poly(_monomial(self.fam.size, deg))
                 twice = ev.project_poly(once)
                 acc.record(
                     poly_residual(once, twice),
@@ -656,22 +629,22 @@ class _Runner:
                         )
 
     def check_connection(self, acc: ResidualTracker):
-        self._associated_loop(acc, check_connection_formulas, with_factors=True)
+        self._associated_loop(
+            acc,
+            lambda level, j: check_connection_formulas(self.g, self.factors, level, j, self.tol),
+        )
 
     def check_modified_orthogonality(self, acc: ResidualTracker):
-        self._associated_loop(acc, check_modified_orthogonality, with_factors=False)
+        self._associated_loop(
+            acc, lambda level, j: check_modified_orthogonality(self.g, level, j, self.tol)
+        )
 
-    def _associated_loop(self, acc: ResidualTracker, fn, with_factors: bool):
+    def _associated_loop(self, acc: ResidualTracker, outcome):
+        """Merge outcome(level, j) for every level and j <= min(level, 3, L - 1 - level)."""
         total = self.config.truncation
         for level in self.config.levels:
-            top = min(level, 3, total - 1 - level)
-            for j in range(top + 1):
-                outcome = (
-                    fn(self.g, self.factors, level, j, self.tol)
-                    if with_factors
-                    else fn(self.g, level, j, self.tol)
-                )
-                acc.merge(outcome, "l=%d j=%d" % (level, j))
+            for j in range(min(level, 3, total - 1 - level) + 1):
+                acc.merge(outcome(level, j), "l=%d j=%d" % (level, j))
 
     def check_classical(self, acc: ResidualTracker):
         fam = self.fam

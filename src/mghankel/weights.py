@@ -268,6 +268,21 @@ def validate_family(fam: WeightFamily, truncation: int) -> FamilyValidation:
     return FamilyValidation(not problems, tuple(problems))
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration; includes the offending field path."""
+
+
+def validate_levels(levels, max_shift: int, truncation: int) -> tuple:
+    """The level budget: every level l must satisfy 0 <= l and l + max_shift < L."""
+    for l in levels:
+        if l < 0 or l + max_shift >= truncation:
+            raise ConfigError(
+                "levels: l=%d violates the truncation budget (need l + %d < L=%d)"
+                % (l, max_shift, truncation)
+            )
+    return tuple(levels)
+
+
 def hankel_family(seed: SeedWeight, backend: str = EXACT) -> WeightFamily:
     """Scalar Hankel special case: N=1, n=m=(1), a single seed weight."""
     return WeightFamily((1,), (1,), [[[seed]]], backend=backend)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.factorize import lu_factorize
 from mghankel.harness import builtin_config
-from mghankel.numerics import mat_add
+from mghankel.numerics import EXACT, mat_add, mat_eye, mat_zeros
 from mghankel.weights import BaseMeasure, SeedWeight, WeightFamily, hankel_family
 
 UNIT_INTERVAL = BaseMeasure.finite_interval(0, 1)
@@ -49,6 +49,28 @@ def blockwise_matmul(p: BlockMatrix, q: BlockMatrix) -> BlockMatrix:
     """Oracle block product, one `blockwise_sum` per output block."""
     cols = [[row[j] for row in q.blocks] for j in range(q.ncols)]
     return BlockMatrix(p.n, [[blockwise_sum(row, col) for col in cols] for row in p.blocks])
+
+
+def matrix_unit(n: int, a: int) -> list:
+    """E_aa: 1 at (a, a), zero elsewhere."""
+    m = [[0] * n for _ in range(n)]
+    m[a][a] = 1
+    return m
+
+
+def unit_column(n: int, nblocks: int, j: int) -> BlockMatrix:
+    """Block column e_j with the identity block in row j."""
+    blocks = [[mat_eye(n) if i == j else mat_zeros(n, n)] for i in range(nblocks)]
+    return BlockMatrix(n, blocks)
+
+
+def block_zeros(n: int, nrows: int, ncols: int, backend: str = EXACT) -> BlockMatrix:
+    return BlockMatrix(n, [[mat_zeros(n, n, backend) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def is_monic(p) -> bool:
+    lead = p.coeffs[-1]
+    return all(lead[r][c] == (1 if r == c else 0) for r in range(p.n) for c in range(p.n))
 
 
 @pytest.fixture(scope="session")

@@ -8,15 +8,21 @@ from mghankel.blockops import (
     BlockMatrix,
     build_moment_matrix,
     check_multigraded_symmetry,
-    matrix_unit,
     partition,
     shift_power,
-    unit_column,
 )
 from mghankel.numerics import mat_eye, mat_mul, mat_zeros
 from mghankel.weights import WeightFamily
 
-from conftest import blockwise_matmul, interval_seed, matrices, typed
+from conftest import (
+    block_zeros,
+    blockwise_matmul,
+    interval_seed,
+    matrices,
+    matrix_unit,
+    typed,
+    unit_column,
+)
 
 F = Fraction
 
@@ -124,7 +130,7 @@ def test_unit_vectors():
     assert e1.block(0, 0) == ((0, 0), (0, 0))
     assert e1.transpose().matmul(e1) == BlockMatrix.identity(2, 1)
     e0 = unit_column(2, 3, 0)
-    assert e0.transpose().matmul(e1) == BlockMatrix.zeros(2, 1, 1)
+    assert e0.transpose().matmul(e1) == block_zeros(2, 1, 1)
     e_aa = matrix_unit(2, 1)
     assert mat_mul(e_aa, e_aa) == [[0, 0], [0, 1]]
     assert mat_mul(matrix_unit(2, 0), e_aa) == [[0, 0], [0, 0]]

@@ -1,10 +1,12 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from mghankel.blockops import build_moment_matrix
-from mghankel.cdkernel import KernelEvaluator, classical_cd, diag_power
+from mghankel import cdkernel, harness
+from mghankel.cdkernel import KernelEvaluator, PointTable, classical_cd, diag_power
 from mghankel.factorize import lu_factorize
 from mghankel.families import (
     MatrixPolynomial,
@@ -32,7 +34,7 @@ from mghankel.numerics import (
 )
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
-from conftest import interval_seed
+from conftest import interval_seed, typed
 
 F = Fraction
 
@@ -351,16 +353,67 @@ def test_tables_match_direct_composition(table_case):
                         )
 
 
+def typed_outcome(ev, name, x, y):
+    """(type, repr) of every entry of a point method's value, or the error it raises."""
+    try:
+        value = getattr(ev, name)(x, y)
+    except ValueError as exc:
+        return repr(exc)
+    return typed(value) if isinstance(value, list) else (type(value), repr(value))
+
+
 def test_tables_match_fresh_evaluator(table_case):
+    """One point table shared by every level of the budget, warmed by all of
+    them, gives each level the values of a standalone evaluator, bit for bit."""
     fam, g, factors, points = table_case
-    warm = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+    table = PointTable(fam, g, factors)
+    levels = range(g.nrows - fam.max_shift())
+    warm = {level: KernelEvaluator(fam, g, factors, level, table=table) for level in levels}
     for name in POINT_METHODS:
         for x, y in points:
-            getattr(warm, name)(x, y)
-    for name in POINT_METHODS:
-        for x, y in points:
-            fresh = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
-            assert getattr(warm, name)(x, y) == getattr(fresh, name)(x, y), (name, x, y)
+            for level in levels:
+                typed_outcome(warm[level], name, x, y)
+    for level in levels:
+        for x, y in points[::3]:
+            fresh = KernelEvaluator(fam, g, factors, level)
+            for name in POINT_METHODS:
+                assert typed_outcome(warm[level], name, x, y) == typed_outcome(
+                    fresh, name, x, y
+                ), (level, name, x, y)
+
+
+@pytest.mark.parametrize("case,backend", [("legendre", "exact"), ("multigraded-n2", "float")])
+def test_run_evaluates_each_member_once_per_point(monkeypatch, case, backend):
+    """Across every level of a run, each family member is evaluated once per
+    point, from the one point table the run builds.
+
+    Calls are keyed by function, member value and point, so evaluators
+    that each hold their own copy of the families would count repeats.
+    The associated families (theorem, corollary) belong to one level each
+    and may equal a family member by value, so those checks stay out.
+    """
+    calls, tables = Counter(), []
+    # eval_form(form, fam, x, weight) and eval_poly(poly, y)
+    for name, at in (("eval_form", 1), ("eval_poly", 0)):
+        def counted(member, *args, _fn=getattr(cdkernel, name), _at=at, **kwargs):
+            calls[_fn.__name__, member, args[_at]] += 1
+            return _fn(member, *args, **kwargs)
+
+        monkeypatch.setattr(cdkernel, name, counted)
+
+    class CountedTable(PointTable):
+        def __init__(self, *args):
+            tables.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "PointTable", CountedTable)
+    monkeypatch.setattr(cdkernel, "PointTable", CountedTable)
+    checks = ("abc", "reproducing", "projections", "proposition")
+    config = dataclasses.replace(builtin_config(case), backend=backend, checks=checks)
+    assert len(config.levels) > 1
+    harness.run(config)
+    assert len(tables) == 1
+    assert calls and set(calls.values()) == {1}
 
 
 def direct_project_poly(g, polys, forms, level, p):

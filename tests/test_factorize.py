@@ -168,9 +168,15 @@ def test_nested_truncation_reports_a_nan_border_block():
 
 
 def substitution_inverse(t: BlockMatrix) -> BlockMatrix:
-    """Oracle: lower block substitution with blockwise sums of plain products."""
+    """Oracle: lower block substitution with blockwise sums of plain products.
+
+    The unused triangle is zero in the operand's backend: float when any
+    entry of t is a float.
+    """
     n, levels = t.n, t.nrows
-    inv = [[mat_zeros(n, n) for _ in range(levels)] for _ in range(levels)]
+    floats = any(isinstance(v, float) for row in t.blocks for b in row for r in b for v in r)
+    backend = "float" if floats else "exact"
+    inv = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
     diag = [invert_dense(t.block(i, i)) for i in range(levels)]
     for i in range(levels):
         inv[i][i] = diag[i]
@@ -207,6 +213,15 @@ def test_triangular_inverse_matches_substitution_oracle(scalars, data):
         assert [[typed(b) for b in row] for row in got.blocks] == [
             [typed(b) for b in row] for row in want.blocks
         ]
+
+
+@pytest.mark.parametrize("case", ["legendre", "multigraded-n2"])
+def test_float_triangular_factors_hold_only_floats(case):
+    config = dataclasses.replace(builtin_config(case), backend="float")
+    factors = lu_factorize(build_moment_matrix(config.family(), 6))
+    for matrix in (factors.lower, factors.upper_inv):
+        kinds = {type(v) for row in matrix.blocks for b in row for r in b for v in r}
+        assert kinds == {float}
 
 
 def test_uniqueness_by_refactorization():

@@ -37,7 +37,7 @@ from mghankel.numerics import (
 )
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
-from conftest import sum_of_products, typed
+from conftest import is_monic, sum_of_products, typed
 
 F = Fraction
 
@@ -51,7 +51,7 @@ def test_primary_family_hilbert(hilbert_bundle):
     polys = primary_family(factors)
     assert coeffs_of(polys[0]) == [1]
     assert coeffs_of(polys[1]) == [F(-1, 2), 1]
-    assert all(p.is_monic() for p in polys)
+    assert all(is_monic(p) for p in polys)
 
 
 def test_primary_family_identity_moments():
@@ -119,7 +119,7 @@ def test_associated_plus_hilbert():
     g = build_moment_matrix(hankel_family(SeedWeight.of([1], BaseMeasure.finite_interval(0, 1))), 4)
     p = associated_plus(g, 1, 1)
     assert coeffs_of(p) == [F(-1, 3), 0, 1]
-    assert p.is_monic() and p.degree() == 2
+    assert is_monic(p) and p.degree() == 2
     assert poly_against_weight(g, p, 0) == [[0]]
 
 
@@ -252,7 +252,7 @@ def test_plus_family_monic_of_stated_degree(mgn2_bundle):
     for level in range(3):
         for j in range(3):
             p = associated_plus(g, level, j)
-            assert p.is_monic() and p.degree() == level + j
+            assert is_monic(p) and p.degree() == level + j
 
 
 def test_forms_share_the_polynomial_container():

@@ -12,7 +12,8 @@ coefficient checks only) guards the coefficient path: its associated
 families solve against the largest leading block minors.  A second one
 (N=1, density 1 - x on [0, 1], L=20, levels (10, 18)) runs the largest
 dense exact products.  Float multigraded-n2 at levels (2, 4) covers float
-blocks multiplied against exact zero and identity blocks.
+blocks multiplied against exact zero and identity blocks; at every level of
+its budget (1..7) it covers one point table shared by many levels in float.
 
 A digest changes only when a report changes.  That is a contract change,
 not a refactor: update the digest together with the code that changes the
@@ -36,6 +37,7 @@ PINNED = {
 }
 
 FLOAT_MGN2_DIGEST = "e1853daa499b4c6338dfa1a76c744b629b51d5782359ba015c8648e37df1808b"
+FLOAT_MGN2_ALL_LEVELS_DIGEST = "4fdc9e5107f89e6f890e960f5d729b43820d030d69fd49ea35c48078d94aed28"
 
 # Quadratic densities on [0, 1], ascending coefficients, one per (a, b).
 DEEP_N3_COEFFS = (
@@ -105,3 +107,10 @@ def test_large_dense_product_report_digest_is_pinned():
 def test_float_blocks_against_exact_blocks_report_digest_is_pinned():
     config = dataclasses.replace(builtin_config("multigraded-n2"), levels=(2, 4), backend="float")
     assert report_digest(run(config).to_dict()) == FLOAT_MGN2_DIGEST
+
+
+def test_float_table_shared_by_every_level_report_digest_is_pinned():
+    config = dataclasses.replace(
+        builtin_config("multigraded-n2"), levels=tuple(range(1, 8)), backend="float"
+    )
+    assert report_digest(run(config).to_dict()) == FLOAT_MGN2_ALL_LEVELS_DIGEST
