@@ -45,7 +45,7 @@ from .families import (
     eval_poly,
     primary_family,
 )
-from .cdkernel import IdentityResidual, KernelEvaluator, PointTable, classical_cd
+from .cdkernel import IdentityResidual, KernelEvaluator, classical_cd
 from .harness import (
     CheckReport,
     ConfigError,
@@ -94,7 +94,6 @@ __all__ = [
     "primary_family",
     "IdentityResidual",
     "KernelEvaluator",
-    "PointTable",
     "classical_cd",
     "CheckReport",
     "ConfigError",

@@ -81,7 +81,7 @@ def _copy(m) -> list:
     return [list(row) for row in m]
 
 
-def _memoized(method):
+def memoized(method):
     """Memoize a method in its instance's `_memo`; a call that raises stores nothing."""
 
     @functools.wraps(method)
@@ -102,35 +102,35 @@ class PointTable:
     values below depends on l: the weights rho_j(x), the dual-form values
     at x, the polynomial values at y, the pairings of polynomials with
     forms and the form moments.  Each is computed on first use and kept
-    for the table's lifetime; every level of a run reads one table.
+    for the table's lifetime; every level of a run reads one table.  The
+    matrices returned are the memoized values themselves: read only.
     """
 
     def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors):
-        self.fam = fam
-        self.g = g
+        self.fam, self.g, self.factors = fam, g, factors
         self.polys = primary_family(factors)
         self.forms = dual_family(factors)
         self._memo = {}
 
-    @_memoized
+    @memoized
     def weight(self, j: int, x) -> list:
         return self.fam.eval_weight(j, x)
 
-    @_memoized
+    @memoized
     def form_value(self, k: int, x) -> list:
         """Transposed value of dual form k at x."""
         return eval_form(self.forms[k], self.fam, x, lambda j: self.weight(j, x))
 
-    @_memoized
+    @memoized
     def poly_value(self, k: int, y) -> list:
         return eval_poly(self.polys[k], y)
 
-    @_memoized
+    @memoized
     def pair(self, j: int, k: int) -> list:
         """Integral of polynomial j times dual form k (transposed)."""
         return pair_poly_form(self.g, self.polys[j], self.forms[k])
 
-    @_memoized
+    @memoized
     def form_moment(self, k: int, t: int) -> list:
         return form_against_monomial(self.g, t, self.forms[k])
 
@@ -138,10 +138,10 @@ class PointTable:
 class KernelEvaluator:
     """Level-l kernel machinery: a view of a point table at one level.
 
-    Level-free values come from `table`, the `PointTable` of the same
-    family, moment matrix and factors that every level of a run shares
-    (without one, a private table).  Values that depend on the level are
-    memoized per evaluator: the leading-minor solves and Schur factors at
+    Level-free values come from `table`, the `PointTable` that every level
+    of a run shares; it must be built from these same family, moment
+    matrix and factors objects (without one, a private table).  Values
+    that depend on the level are memoized per evaluator: the leading-minor solves and Schur factors at
     x and at y, the kernel sum and associated form at (x, y), and the
     associated families.  Matrices handed to callers are fresh copies.
     """
@@ -154,9 +154,11 @@ class KernelEvaluator:
         validate_levels((level,), fam.max_shift(), g.nrows)
         self.fam = fam
         self.g = g
-        self.factors = factors
         self.level = level
-        self.table = PointTable(fam, g, factors) if table is None else table
+        table = PointTable(fam, g, factors) if table is None else table
+        if not (table.fam is fam and table.g is g and table.factors is factors):
+            raise ValueError("the point table was built from another family, g or factors")
+        self.table = table
         self._memo = {}
         total = g.nrows
         parts = partition(g, level)
@@ -193,18 +195,18 @@ class KernelEvaluator:
         except SingularMatrixError as exc:
             raise SingularLeadingMinorError(self.level) from exc
 
-    @_memoized
+    @memoized
     def _right_piece(self, y) -> list:
         """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
         return self._solve_minor(self._tl, self._chi1_col(self.level, y))
 
-    @_memoized
+    @memoized
     def _left_piece(self, x) -> list:
         """chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n."""
         rhs = mat_transpose(self._chi2_row(self.level, x))
         return mat_transpose(self._solve_minor(self._tl_t, rhs))
 
-    @_memoized
+    @memoized
     def _schur_row(self, x) -> tuple:
         """x-side factors of the partition form: (A(x) Lambda_m^T, W(x) Lambda_n)."""
         w = self._left_piece(x)
@@ -212,7 +214,7 @@ class KernelEvaluator:
         a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), mat_mul(w, self._tr))
         return mat_mul(a_row, self._lam_m_t), mat_mul(w, self._lam_n)
 
-    @_memoized
+    @memoized
     def _schur_col(self, y) -> list:
         """y-side factor C(y) of the partition form."""
         tail = self.g.nrows - self.level
@@ -221,7 +223,7 @@ class KernelEvaluator:
             mat_mul(self._bl, self._right_piece(y)),
         )
 
-    @_memoized
+    @memoized
     def _kernel(self, x, y) -> list:
         acc = mat_zeros(self.fam.size, self.fam.size, self.fam.backend)
         for k in range(self.level):
@@ -258,7 +260,7 @@ class KernelEvaluator:
         term2 = mat_mul(w_lam, self._schur_col(y))
         return mat_sub(term1, term2)
 
-    @_memoized
+    @memoized
     def _associated(self) -> dict:
         """Associated families feeding the bilinear form."""
         level = self.level
@@ -275,7 +277,7 @@ class KernelEvaluator:
             "plus_polys": [associated_plus(self.g, level, j) for j in range(max(fam.nvec))],
         }
 
-    @_memoized
+    @memoized
     def _assoc_forms(self, x) -> tuple:
         assoc = self._associated()
         weight = lambda j: self.table.weight(j, x)
@@ -284,7 +286,7 @@ class KernelEvaluator:
             [eval_form(f, self.fam, x, weight) for f in assoc["minus_forms"]],
         )
 
-    @_memoized
+    @memoized
     def _assoc_polys(self, y) -> tuple:
         assoc = self._associated()
         return (
@@ -292,7 +294,7 @@ class KernelEvaluator:
             [eval_poly(p, y) for p in assoc["plus_polys"]],
         )
 
-    @_memoized
+    @memoized
     def _assoc_form(self, x, y) -> list:
         plus_forms_x, minus_forms_x = self._assoc_forms(x)
         minus_polys_y, plus_polys_y = self._assoc_polys(y)

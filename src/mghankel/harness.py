@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 from . import __version__
 from .blockops import build_moment_matrix, check_multigraded_symmetry
-from .cdkernel import KernelEvaluator, PointTable, classical_cd
+from .cdkernel import KernelEvaluator, PointTable, classical_cd, memoized
 from .factorize import (
     factorization_residual,
     lu_factorize,
@@ -380,7 +380,14 @@ class CheckEntry:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "check": self.check,
+            "status": self.status,
+            "residual": self.residual,
+            "worst_point": self.worst_point,
+            "elapsed_ms": self.elapsed_ms,
+            "notes": list(self.notes),
+        }
 
 
 @dataclass
@@ -475,7 +482,7 @@ class _Runner:
         self.g = build_moment_matrix(self.fam, config.truncation)
         self.factors = lu_factorize(self.g)
         self.table = PointTable(self.fam, self.g, self.factors)
-        self._evaluators = {}
+        self._memo = {}
 
     def _check_grid_support(self):
         """Exact weights have no value outside their support, and the
@@ -491,12 +498,9 @@ class _Runner:
                                 % (where % idx, x, r, a, b)
                             )
 
+    @memoized
     def evaluator(self, level: int) -> KernelEvaluator:
-        if level not in self._evaluators:
-            self._evaluators[level] = KernelEvaluator(
-                self.fam, self.g, self.factors, level, table=self.table
-            )
-        return self._evaluators[level]
+        return KernelEvaluator(self.fam, self.g, self.factors, level, table=self.table)
 
     @cached_property
     def scale(self):
@@ -562,18 +566,15 @@ class _Runner:
         for level in self.config.levels:
             ev = self.evaluator(level)
             for k in range(total):
-                expect = polys[k] if k < level else zero
-                acc.record(
-                    poly_residual(ev.project_poly(polys[k]), expect),
-                    self.scale,
-                    "l=%d polynomial k=%d" % (level, k),
-                )
-                expect = forms[k] if k < level else zero
-                acc.record(
-                    poly_residual(ev.project_form(forms[k]), expect),
-                    self.scale,
-                    "l=%d dual k=%d" % (level, k),
-                )
+                for kind, project, member in (
+                    ("polynomial", ev.project_poly, polys[k]),
+                    ("dual", ev.project_form, forms[k]),
+                ):
+                    acc.record(
+                        poly_residual(project(member), member if k < level else zero),
+                        self.scale,
+                        "l=%d %s k=%d" % (level, kind, k),
+                    )
             for deg in range(total):
                 once = ev.project_poly(_monomial(self.fam.size, deg))
                 twice = ev.project_poly(once)

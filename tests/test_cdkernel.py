@@ -354,32 +354,51 @@ def test_tables_match_direct_composition(table_case):
 
 
 def typed_outcome(ev, name, x, y):
-    """(type, repr) of every entry of a point method's value, or the error it raises."""
-    try:
-        value = getattr(ev, name)(x, y)
-    except ValueError as exc:
-        return repr(exc)
+    """(type, repr) of every entry of a point method's value.
+
+    Below every-shift dominance the associated form must raise; its error
+    is the outcome there.  Any other error fails the test.
+    """
+    fam = ev.fam
+    if name == "cd_rhs_associated" and ev.level < max(*fam.nvec, *fam.mvec):
+        with pytest.raises(ValueError, match="every-shift dominance") as info:
+            ev.cd_rhs_associated(x, y)
+        return repr(info.value)
+    value = getattr(ev, name)(x, y)
     return typed(value) if isinstance(value, list) else (type(value), repr(value))
 
 
 def test_tables_match_fresh_evaluator(table_case):
     """One point table shared by every level of the budget, warmed by all of
-    them, gives each level the values of a standalone evaluator, bit for bit."""
+    them, gives each level the values of a standalone evaluator, bit for bit,
+    at every point."""
     fam, g, factors, points = table_case
     table = PointTable(fam, g, factors)
     levels = range(g.nrows - fam.max_shift())
+    assert TABLE_LEVEL in levels
     warm = {level: KernelEvaluator(fam, g, factors, level, table=table) for level in levels}
     for name in POINT_METHODS:
         for x, y in points:
             for level in levels:
                 typed_outcome(warm[level], name, x, y)
     for level in levels:
-        for x, y in points[::3]:
+        for x, y in points:
             fresh = KernelEvaluator(fam, g, factors, level)
             for name in POINT_METHODS:
                 assert typed_outcome(warm[level], name, x, y) == typed_outcome(
                     fresh, name, x, y
                 ), (level, name, x, y)
+
+
+def test_table_of_other_inputs_is_refused(hilbert_bundle, mgn2_bundle):
+    fam, g, factors = hilbert_bundle
+    with pytest.raises(ValueError, match="point table"):
+        KernelEvaluator(fam, g, factors, 1, table=PointTable(*mgn2_bundle))
+    # equal factors of another factorization are not the table's factors
+    with pytest.raises(ValueError, match="point table"):
+        KernelEvaluator(fam, g, lu_factorize(g), 1, table=PointTable(fam, g, factors))
+    table = PointTable(fam, g, factors)
+    assert KernelEvaluator(fam, g, factors, 1, table=table).table is table
 
 
 @pytest.mark.parametrize("case,backend", [("legendre", "exact"), ("multigraded-n2", "float")])
