@@ -10,11 +10,16 @@ equivalent shapes that the harness compares pointwise:
   * the associated-family bilinear form, valid once the level dominates
     every shift exponent,
   * the per-entry quotient form away from the locus x^{n_a} == y^{n_b}.
+
+The kernel sum, the reproducing sum, the projections and the associated
+form are block sums, each taken by one `numerics.mat_mul_sum`: one
+fraction-free product in exact runs, the terms added in order in float.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 from .blockops import BlockMatrix, build_moment_matrix, partition, shift_power
@@ -40,7 +45,7 @@ from .numerics import (
     SingularLeadingMinorError,
     SingularLocusError,
     SingularMatrixError,
-    mat_add,
+    block_sum,
     mat_mul,
     mat_sub,
     mat_transpose,
@@ -141,9 +146,12 @@ class KernelEvaluator:
     Level-free values come from `table`, the `PointTable` that every level
     of a run shares; it must be built from these same family, moment
     matrix and factors objects (without one, a private table).  Values
-    that depend on the level are memoized per evaluator: the leading-minor solves and Schur factors at
-    x and at y, the kernel sum and associated form at (x, y), and the
-    associated families.  Matrices handed to callers are fresh copies.
+    that depend on the level are memoized per evaluator: the
+    leading-minor solves and Schur factors at x and at y, the kernel sum
+    and associated form at (x, y), the pair-times-polynomial terms of the
+    reproducing sum at y, and the associated families; each sum over terms
+    is one block sum (see the module docstring).  Matrices handed to
+    callers are fresh copies.
     """
 
     def __init__(
@@ -225,10 +233,10 @@ class KernelEvaluator:
 
     @memoized
     def _kernel(self, x, y) -> list:
-        acc = mat_zeros(self.fam.size, self.fam.size, self.fam.backend)
-        for k in range(self.level):
-            acc = mat_add(acc, mat_mul(self.table.form_value(k, x), self.table.poly_value(k, y)))
-        return acc
+        table, levels = self.table, range(self.level)
+        forms_x = [table.form_value(k, x) for k in levels]
+        polys_y = [table.poly_value(k, y) for k in levels]
+        return block_sum(self.fam.size, forms_x, polys_y, self.fam.backend)
 
     # -- kernel values -----------------------------------------------------
 
@@ -273,7 +281,9 @@ class KernelEvaluator:
         return {
             "plus_forms": [dual_associated_plus(self.g, level, j) for j in range(max(fam.mvec))],
             "minus_polys": [associated_minus(self.g, level - 1, k) for k in range(max(fam.mvec))],
-            "minus_forms": [dual_associated_minus(self.g, level - 1, k) for k in range(max(fam.nvec))],
+            "minus_forms": [
+                dual_associated_minus(self.g, level - 1, k) for k in range(max(fam.nvec))
+            ],
             "plus_polys": [associated_plus(self.g, level, j) for j in range(max(fam.nvec))],
         }
 
@@ -299,21 +309,18 @@ class KernelEvaluator:
         plus_forms_x, minus_forms_x = self._assoc_forms(x)
         minus_polys_y, plus_polys_y = self._assoc_polys(y)
         fam = self.fam
-        n = fam.size
-        acc = mat_zeros(n, n, fam.backend)
-        for a in range(n):
+        # One term per (a, j): column a of a form value times row a of a
+        # polynomial value; the minus terms enter through negated rows.
+        cols, rows = [], []
+        for a in range(fam.size):
             ma, na = fam.mvec[a], fam.nvec[a]
             for j in range(ma):
-                left, right = plus_forms_x[j], minus_polys_y[ma - j - 1]
-                for r in range(n):
-                    for c in range(n):
-                        acc[r][c] += left[r][a] * right[a][c]
+                cols.append([v[a] for v in plus_forms_x[j]])
+                rows.append(minus_polys_y[ma - j - 1][a])
             for j in range(na):
-                left, right = minus_forms_x[na - j - 1], plus_polys_y[j]
-                for r in range(n):
-                    for c in range(n):
-                        acc[r][c] -= left[r][a] * right[a][c]
-        return acc
+                cols.append([v[a] for v in minus_forms_x[na - j - 1]])
+                rows.append([-v for v in plus_polys_y[j][a]])
+        return block_sum(fam.size, [mat_transpose(cols)], [rows], fam.backend)
 
     def cd_rhs_associated(self, x, y) -> list:
         """Bilinear associated-family form of the difference identity."""
@@ -333,29 +340,32 @@ class KernelEvaluator:
         return self._assoc_form(x, y)[a][b] / denom
 
     # -- projections and the reproducing property ---------------------------
+    #
+    # Member k has k + 1 coefficients, so coefficient t of a projection sums
+    # k = t..level-1, from an exact zero; level 0 gives one zero coefficient.
 
     def project_poly(self, p: MatrixPolynomial) -> MatrixPolynomial:
         """Projection onto the span of the first `level` polynomials."""
-        n = self.fam.size
-        coeffs = [mat_zeros(n, n) for _ in range(max(self.level, 1))]
-        for k in range(self.level):
-            moments = [self.table.form_moment(k, t) for t in range(len(p.coeffs))]
-            weight = pair_with_moments(p, moments)
-            for t, c in enumerate(self.table.polys[k].coeffs):
-                coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c))
-        return MatrixPolynomial.of(n, coeffs)
+        n, polys, levels = self.fam.size, self.table.polys, range(self.level)
+        top = range(len(p.coeffs))
+        weights = [
+            pair_with_moments(p, [self.table.form_moment(k, t) for t in top]) for k in levels
+        ]
+        coeffs = [
+            block_sum(n, weights[t:], [polys[k].coeffs[t] for k in levels[t:]]) for t in levels
+        ]
+        return MatrixPolynomial.of(n, coeffs or [mat_zeros(n, n)])
 
     def project_form(self, f: LinearForm) -> LinearForm:
         """Projection onto the span of the first `level` dual forms."""
-        n = self.fam.size
-        coeffs = [mat_zeros(n, n) for _ in range(max(self.level, 1))]
+        n, forms, levels = self.fam.size, self.table.forms, range(self.level)
         # polys[k] has degree k, so it pairs with moments t <= k < level.
-        moments = [form_against_monomial(self.g, t, f) for t in range(self.level)]
-        for k in range(self.level):
-            weight = pair_with_moments(self.table.polys[k], moments)
-            for u, d in enumerate(self.table.forms[k].coeffs):
-                coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight))
-        return LinearForm.of(n, coeffs)
+        moments = [form_against_monomial(self.g, t, f) for t in levels]
+        weights = [pair_with_moments(self.table.polys[k], moments) for k in levels]
+        coeffs = [
+            block_sum(n, [forms[k].coeffs[t] for k in levels[t:]], weights[t:]) for t in levels
+        ]
+        return LinearForm.of(n, coeffs or [mat_zeros(n, n)])
 
     def reproducing_residual(self, x, y) -> Scalar:
         """Gap between the kernel and its self-convolution.
@@ -363,16 +373,34 @@ class KernelEvaluator:
         The middle integrals are computed honestly from moment pairings,
         not assumed to be the identity.
         """
-        table = self.table
-        n = self.fam.size
         levels = range(self.level)
-        forms_x = [table.form_value(k, x) for k in levels]
-        polys_y = [table.poly_value(k, y) for k in levels]
-        acc = mat_zeros(n, n, self.fam.backend)
-        for j in levels:
-            for k in levels:
-                acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(table.pair(j, k), polys_y[k])))
+        forms_x = [self.table.form_value(j, x) for j in levels]
+        lefts = [forms_x[j] for j in levels for _ in levels]
+        acc = block_sum(self.fam.size, lefts, self._paired_polys(y), self.fam.backend)
         return matrix_residual_norm(mat_sub(acc, self._kernel(x, y)))
+
+    @memoized
+    def _paired_polys(self, y) -> list:
+        """pair(j, k) @ (polynomial k at y) for j, k < level, j before k."""
+        table, levels = self.table, range(self.level)
+        return [mat_mul(table.pair(j, k), table.poly_value(k, y)) for j in levels for k in levels]
+
+
+# id(factors) -> (monic polynomials, {point: their values so far}), dropped
+# with the factors object.  Keyed by identity: equal factors hash every entry.
+_CLASSICAL_VALUES = {}
+
+
+def _classical_values(factors: GaussFactors, x, count: int) -> list:
+    """Monic polynomials 0..count-1 of scalar factors at x, each evaluated once."""
+    key = id(factors)
+    if key not in _CLASSICAL_VALUES:
+        _CLASSICAL_VALUES[key] = (primary_family(factors), {})
+        weakref.finalize(factors, _CLASSICAL_VALUES.pop, key, None)
+    polys, values = _CLASSICAL_VALUES[key]
+    known = values.setdefault(x, [])
+    known.extend(eval_poly(polys[k], x)[0][0] for k in range(len(known), count))
+    return known[:count]
 
 
 def classical_cd(
@@ -387,7 +415,8 @@ def classical_cd(
     `factors`, when given, must factorize the seed's Hankel moment matrix at
     a truncation above `degree`.  Without block pivoting the factors of a
     leading truncation are the leading blocks of the full factors, computed
-    by the same operations, so a caller sweeping degrees factorizes once.
+    by the same operations, so a caller sweeping degrees factorizes once,
+    and each polynomial is evaluated once per point for the factors' lifetime.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -396,11 +425,12 @@ def classical_cd(
     if factors is None:
         factors = lu_factorize(build_moment_matrix(hankel_family(seed, backend), degree + 1))
     elif factors.nlevels <= degree:
-        raise ValueError("factors cover %d levels, degree %d needs more" % (factors.nlevels, degree))
-    polys = primary_family(factors)
+        raise ValueError(
+            "factors cover %d levels, degree %d needs more" % (factors.nlevels, degree)
+        )
     norms = [factors.normalization(k)[0][0] for k in range(degree + 1)]
-    px = [eval_poly(polys[k], x)[0][0] for k in range(degree + 1)]
-    py = [eval_poly(polys[k], y)[0][0] for k in range(degree + 1)]
+    px = _classical_values(factors, x, degree + 1)
+    py = _classical_values(factors, y, degree + 1)
     lhs = sum(px[k] * py[k] / norms[k] for k in range(degree))
     rhs = (px[degree] * py[degree - 1] - px[degree - 1] * py[degree]) / (
         norms[degree - 1] * (x - y)

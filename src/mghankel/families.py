@@ -19,7 +19,6 @@ entries; no quadrature appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .blockops import BlockMatrix
 from .factorize import GaussFactors
@@ -30,10 +29,10 @@ from .numerics import (
     SingularLeadingMinorError,
     SingularMatrixError,
     Tolerance,
+    block_sum,
     mat_add,
     mat_eye,
     mat_mul,
-    mat_mul_sum,
     mat_scale,
     mat_sub,
     mat_transpose,
@@ -97,11 +96,8 @@ def eval_form(f: LinearForm, fam: WeightFamily, x, weight=None) -> list:
     """
     if weight is None:
         weight = lambda j: fam.eval_weight(j, x)
-    acc = mat_zeros(f.n, f.n, fam.backend)
-    for j, d in enumerate(f.coeffs):
-        if matrix_residual_norm(d) != 0:
-            acc = mat_add(acc, mat_mul(weight(j), d))
-    return acc
+    used = [j for j, d in enumerate(f.coeffs) if matrix_residual_norm(d) != 0]
+    return block_sum(f.n, [weight(j) for j in used], [f.coeffs[j] for j in used], fam.backend)
 
 
 def poly_residual(p: MatrixPolynomial, q: MatrixPolynomial):
@@ -147,28 +143,14 @@ def dual_family(factors: GaussFactors) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _pairing(n: int, lefts, rights) -> list:
-    """Sum of lefts[k] @ rights[k], started from an exact zero.
-
-    The zero start only turns int entries into Fractions: a float sum of
-    products is never -0.0, so adding 0.0 to it changes nothing.
-    """
-    if not lefts:
-        return mat_zeros(n, n)
-    return [
-        [Fraction(v) if isinstance(v, int) else v for v in row]
-        for row in mat_mul_sum(lefts, rights)
-    ]
-
-
 def poly_against_weight(g: BlockMatrix, p: MatrixPolynomial, k: int) -> list:
     """Integral of p(x) rho_k(x): sum_t coeffs[t] g[t, k]."""
-    return _pairing(p.n, p.coeffs, [g.block(t, k) for t in range(len(p.coeffs))])
+    return block_sum(p.n, p.coeffs, [g.block(t, k) for t in range(len(p.coeffs))])
 
 
 def form_against_monomial(g: BlockMatrix, k: int, f: LinearForm) -> list:
     """Integral of x^k f(x)^T: sum_s g[k, s] coeffs[s]."""
-    return _pairing(f.n, [g.block(k, s) for s in range(len(f.coeffs))], f.coeffs)
+    return block_sum(f.n, [g.block(k, s) for s in range(len(f.coeffs))], f.coeffs)
 
 
 def pair_with_moments(p: MatrixPolynomial, moments) -> list:
@@ -178,7 +160,7 @@ def pair_with_moments(p: MatrixPolynomial, moments) -> list:
     pairing many polynomials against one form build them once.
     """
     count = min(len(p.coeffs), len(moments))
-    return _pairing(p.n, p.coeffs[:count], moments[:count])
+    return block_sum(p.n, p.coeffs[:count], moments[:count])
 
 
 def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:

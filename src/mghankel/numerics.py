@@ -206,9 +206,10 @@ def mat_mul(a, b) -> list:
 def mat_mul_sum(lefts, rights) -> list:
     """Sum of lefts[k] @ rights[k] over k, for at least one pair.
 
-    Exact operands take one `mat_mul` of the block row
-    [lefts[0] lefts[1] ...] and the block column [rights[0]; rights[1]; ...].
-    Floats add the products left to right with `mat_add`.
+    Exact operands take one product of the block row [lefts[0] lefts[1] ...]
+    and the block column [rights[0]; rights[1]; ...], by the rules of
+    `mat_mul`; the one scan for floats here serves it.  Floats add the
+    products left to right with `mat_add`.
     """
     if has_float(*lefts, *rights):
         acc = mat_mul(lefts[0], rights[0])
@@ -216,7 +217,26 @@ def mat_mul_sum(lefts, rights) -> list:
             acc = mat_add(acc, mat_mul(a, b))
         return acc
     row = [[x for m in lefts for x in m[r]] for r in range(len(lefts[0]))]
-    return mat_mul(row, [r for m in rights for r in m])
+    col = [r for m in rights for r in m]
+    if len(col) > 1:
+        return _mul_fraction_free(row, list(zip(*col)))
+    return mat_mul(row, col)
+
+
+def block_sum(n: int, lefts, rights, backend: str = EXACT) -> list:
+    """Sum of lefts[k] @ rights[k] (`mat_mul_sum`), started from an n x n zero.
+
+    With no pairs the sum is the zero of `backend`.  Otherwise the zero
+    start only turns exact int entries into Fractions: the operands of a
+    float run hold floats, and a float sum of products is never -0.0, so
+    adding 0.0 to it changes nothing.
+    """
+    if not lefts:
+        return mat_zeros(n, n, backend)
+    return [
+        [Fraction(v) if isinstance(v, int) else v for v in row]
+        for row in mat_mul_sum(lefts, rights)
+    ]
 
 
 def mat_transpose(a) -> list:

@@ -7,8 +7,17 @@ from hypothesis import strategies as st
 
 from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.factorize import lu_factorize
+from mghankel.families import MatrixPolynomial, pair_poly_form
 from mghankel.harness import builtin_config
-from mghankel.numerics import EXACT, mat_add, mat_eye, mat_zeros
+from mghankel.numerics import (
+    EXACT,
+    mat_add,
+    mat_eye,
+    mat_mul,
+    mat_sub,
+    mat_zeros,
+    matrix_residual_norm,
+)
 from mghankel.weights import BaseMeasure, SeedWeight, WeightFamily, hankel_family
 
 UNIT_INTERVAL = BaseMeasure.finite_interval(0, 1)
@@ -71,6 +80,68 @@ def block_zeros(n: int, nrows: int, ncols: int, backend: str = EXACT) -> BlockMa
 def is_monic(p) -> bool:
     lead = p.coeffs[-1]
     return all(lead[r][c] == (1 if r == c else 0) for r in range(p.n) for c in range(p.n))
+
+
+# -- per-term loops: oracles for the block sums of the kernel module ---------
+#
+# Each adds one product at a time to a zero, in the order the kernel module
+# sums its terms; floats must agree bit for bit.
+
+
+def term_kernel(fam, forms_x, polys_y) -> list:
+    """Sum of forms_x[k] @ polys_y[k] from a zero of the family's backend."""
+    acc = mat_zeros(fam.size, fam.size, fam.backend)
+    for f, p in zip(forms_x, polys_y):
+        acc = mat_add(acc, mat_mul(f, p))
+    return acc
+
+
+def term_reproducing(fam, forms_x, polys_y, pairs):
+    """Reproducing residual with pairs[j][k] = pair_poly_form(g, polys[j], forms[k]),
+    the terms added j then k."""
+    levels = range(len(forms_x))
+    acc = mat_zeros(fam.size, fam.size, fam.backend)
+    for j in levels:
+        for k in levels:
+            acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(pairs[j][k], polys_y[k])))
+    return matrix_residual_norm(mat_sub(acc, term_kernel(fam, forms_x, polys_y)))
+
+
+def term_associated(fam, plus_forms, minus_polys, minus_forms, plus_polys) -> list:
+    """Associated bilinear form, one scalar product added or subtracted at a time."""
+    n = fam.size
+    acc = mat_zeros(n, n, fam.backend)
+    for a in range(n):
+        ma, na = fam.mvec[a], fam.nvec[a]
+        for j in range(ma):
+            for r in range(n):
+                for c in range(n):
+                    acc[r][c] += plus_forms[j][r][a] * minus_polys[ma - j - 1][a][c]
+        for j in range(na):
+            for r in range(n):
+                for c in range(n):
+                    acc[r][c] -= minus_forms[na - j - 1][r][a] * plus_polys[j][a][c]
+    return acc
+
+
+def term_project_poly(g, polys, forms, level, p) -> MatrixPolynomial:
+    n = g.n
+    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
+    for k in range(level):
+        weight = pair_poly_form(g, p, forms[k])
+        for t, c in enumerate(polys[k].coeffs):
+            coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c))
+    return MatrixPolynomial.of(n, coeffs)
+
+
+def term_project_form(g, polys, forms, level, f) -> MatrixPolynomial:
+    n = g.n
+    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
+    for k in range(level):
+        weight = pair_poly_form(g, polys[k], f)
+        for u, d in enumerate(forms[k].coeffs):
+            coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight))
+    return MatrixPolynomial.of(n, coeffs)
 
 
 @pytest.fixture(scope="session")

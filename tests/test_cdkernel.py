@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 from collections import Counter
 from fractions import Fraction
 
@@ -29,12 +30,19 @@ from mghankel.numerics import (
     mat_add,
     mat_mul,
     mat_sub,
-    mat_zeros,
     matrix_residual_norm,
 )
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
-from conftest import interval_seed, typed
+from conftest import (
+    interval_seed,
+    term_associated,
+    term_kernel,
+    term_project_form,
+    term_project_poly,
+    term_reproducing,
+    typed,
+)
 
 F = Fraction
 
@@ -266,19 +274,8 @@ POINT_METHODS = (
 )
 
 
-@pytest.fixture(
-    scope="module",
-    params=[
-        ("legendre", "exact"),
-        ("legendre", "float"),
-        ("multigraded-n2", "exact"),
-        ("multigraded-n2", "float"),
-    ],
-    ids=lambda p: "-".join(p),
-)
-def table_case(request):
+def lattice_case(case, backend) -> tuple:
     """(family, g, factors, lattice points) of a built-in case in one backend."""
-    case, backend = request.param
     config = dataclasses.replace(builtin_config(case), backend=backend)
     fam = config.family()
     g = build_moment_matrix(fam, config.truncation)
@@ -290,54 +287,69 @@ def table_case(request):
     return fam, g, lu_factorize(g), points
 
 
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("legendre", "exact"),
+        ("legendre", "float"),
+        ("multigraded-n2", "exact"),
+        ("multigraded-n2", "float"),
+    ],
+    ids=lambda p: "-".join(p),
+)
+def table_case(request):
+    return lattice_case(*request.param)
+
+
 def direct_kernel(fam, polys, forms, level, x, y):
-    acc = mat_zeros(fam.size, fam.size, fam.backend)
-    for k in range(level):
-        acc = mat_add(acc, mat_mul(eval_form(forms[k], fam, x), eval_poly(polys[k], y)))
-    return acc
+    return term_kernel(
+        fam,
+        [eval_form(forms[k], fam, x) for k in range(level)],
+        [eval_poly(polys[k], y) for k in range(level)],
+    )
 
 
-def direct_associated(fam, g, level, x, y):
-    n = fam.size
-    plus_forms = [eval_form(dual_associated_plus(g, level, j), fam, x) for j in range(max(fam.mvec))]
-    minus_polys = [eval_poly(associated_minus(g, level - 1, k), y) for k in range(max(fam.mvec))]
-    minus_forms = [eval_form(dual_associated_minus(g, level - 1, k), fam, x) for k in range(max(fam.nvec))]
-    plus_polys = [eval_poly(associated_plus(g, level, j), y) for j in range(max(fam.nvec))]
-    acc = mat_zeros(n, n, fam.backend)
-    for a in range(n):
-        ma, na = fam.mvec[a], fam.nvec[a]
-        for j in range(ma):
-            for r in range(n):
-                for c in range(n):
-                    acc[r][c] += plus_forms[j][r][a] * minus_polys[ma - j - 1][a][c]
-        for j in range(na):
-            for r in range(n):
-                for c in range(n):
-                    acc[r][c] -= minus_forms[na - j - 1][r][a] * plus_polys[j][a][c]
-    return acc
+def associated_members(fam, g, level) -> tuple:
+    """The associated families of `level`, in the evaluator's order."""
+    m, nn = max(fam.mvec), max(fam.nvec)
+    return (
+        [dual_associated_plus(g, level, j) for j in range(m)],
+        [associated_minus(g, level - 1, k) for k in range(m)],
+        [dual_associated_minus(g, level - 1, k) for k in range(nn)],
+        [associated_plus(g, level, j) for j in range(nn)],
+    )
+
+
+def associated_values(fam, members, x, y) -> tuple:
+    plus_forms, minus_polys, minus_forms, plus_polys = members
+    return (
+        [eval_form(f, fam, x) for f in plus_forms],
+        [eval_poly(p, y) for p in minus_polys],
+        [eval_form(f, fam, x) for f in minus_forms],
+        [eval_poly(p, y) for p in plus_polys],
+    )
 
 
 def direct_reproducing(fam, g, polys, forms, level, x, y):
-    forms_x = [eval_form(forms[k], fam, x) for k in range(level)]
-    polys_y = [eval_poly(polys[k], y) for k in range(level)]
-    acc = mat_zeros(fam.size, fam.size, fam.backend)
-    for j in range(level):
-        for k in range(level):
-            pair = pair_poly_form(g, polys[j], forms[k])
-            acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(pair, polys_y[k])))
-    kernel = direct_kernel(fam, polys, forms, level, x, y)
-    return matrix_residual_norm(mat_sub(acc, kernel))
+    pairs = [[pair_poly_form(g, polys[j], forms[k]) for k in range(level)] for j in range(level)]
+    return term_reproducing(
+        fam,
+        [eval_form(forms[k], fam, x) for k in range(level)],
+        [eval_poly(polys[k], y) for k in range(level)],
+        pairs,
+    )
 
 
 def test_tables_match_direct_composition(table_case):
     fam, g, factors, points = table_case
     polys, forms = primary_family(factors), dual_family(factors)
     ev = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+    members = associated_members(fam, g, TABLE_LEVEL)
     nvec = fam.nvec
     for _ in range(2):  # the second sweep reads every value from the tables
         for x, y in points:
             kernel = direct_kernel(fam, polys, forms, TABLE_LEVEL, x, y)
-            assoc = direct_associated(fam, g, TABLE_LEVEL, x, y)
+            assoc = term_associated(fam, *associated_values(fam, members, x, y))
             lhs = mat_sub(mat_mul(diag_power(x, nvec), kernel), mat_mul(kernel, diag_power(y, nvec)))
             assert ev.kernel_sum(x, y) == kernel
             assert ev.cd_lhs(x, y) == lhs
@@ -435,26 +447,6 @@ def test_run_evaluates_each_member_once_per_point(monkeypatch, case, backend):
     assert calls and set(calls.values()) == {1}
 
 
-def direct_project_poly(g, polys, forms, level, p):
-    n = g.n
-    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
-    for k in range(level):
-        weight = pair_poly_form(g, p, forms[k])
-        for t, c in enumerate(polys[k].coeffs):
-            coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c))
-    return MatrixPolynomial.of(n, coeffs)
-
-
-def direct_project_form(g, polys, forms, level, f):
-    n = g.n
-    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
-    for k in range(level):
-        weight = pair_poly_form(g, polys[k], f)
-        for u, d in enumerate(forms[k].coeffs):
-            coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight))
-    return MatrixPolynomial.of(n, coeffs)
-
-
 def test_projections_match_direct_pairings(table_case):
     fam, g, factors, _ = table_case
     polys, forms = primary_family(factors), dual_family(factors)
@@ -462,11 +454,61 @@ def test_projections_match_direct_pairings(table_case):
     for _ in range(2):  # the second sweep reads the memoized moments
         for k in range(g.nrows):
             once = ev.project_poly(polys[k])
-            assert once == direct_project_poly(g, polys, forms, TABLE_LEVEL, polys[k])
-            assert ev.project_poly(once) == direct_project_poly(g, polys, forms, TABLE_LEVEL, once)
-            assert ev.project_form(forms[k]) == direct_project_form(
+            assert once == term_project_poly(g, polys, forms, TABLE_LEVEL, polys[k])
+            assert ev.project_poly(once) == term_project_poly(g, polys, forms, TABLE_LEVEL, once)
+            assert ev.project_form(forms[k]) == term_project_form(
                 g, polys, forms, TABLE_LEVEL, forms[k]
             )
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (case, backend)
+        for case in ("legendre", "multigraded-12", "multigraded-n2")
+        for backend in ("exact", "float")
+    ],
+    ids=lambda p: "-".join(p),
+)
+def loop_case(request):
+    return lattice_case(*request.param)
+
+
+def typed_poly(p) -> list:
+    return [typed(c) for c in p.coeffs]
+
+
+def test_block_sums_match_term_loops(loop_case):
+    """Kernel sum, reproducing residual, associated form and both projections
+    equal their per-term loops by type and repr, at every level of the budget
+    and every grid point."""
+    fam, g, factors, points = loop_case
+    polys, forms = primary_family(factors), dual_family(factors)
+    levels = range(g.nrows - fam.max_shift())
+    forms_at = {x: [eval_form(f, fam, x) for f in forms[: len(levels)]] for x, _ in points}
+    polys_at = {y: [eval_poly(p, y) for p in polys[: len(levels)]] for _, y in points}
+    pairs = [[pair_poly_form(g, p, f) for f in forms[: len(levels)]] for p in polys[: len(levels)]]
+    # the harness projects monomials, whose entries are ints
+    eye = [[int(r == c) for c in range(fam.size)] for r in range(fam.size)]
+    monomial = MatrixPolynomial.of(fam.size, [[[0] * fam.size] * fam.size, eye])
+    for level in levels:
+        ev = KernelEvaluator(fam, g, factors, level)
+        members = associated_members(fam, g, level) if level >= fam.max_shift() else None
+        for x, y in points:
+            fx, py = forms_at[x][:level], polys_at[y][:level]
+            assert typed(ev.kernel_sum(x, y)) == typed(term_kernel(fam, fx, py)), (level, x, y)
+            got = ev.reproducing_residual(x, y)
+            want = term_reproducing(fam, fx, py, [row[:level] for row in pairs[:level]])
+            assert (type(got), repr(got)) == (type(want), repr(want)), (level, x, y)
+            if members is not None:
+                want = term_associated(fam, *associated_values(fam, members, x, y))
+                assert typed(ev.cd_rhs_associated(x, y)) == typed(want), (level, x, y)
+        for p in [*polys, monomial]:
+            want = term_project_poly(g, polys, forms, level, p)
+            assert typed_poly(ev.project_poly(p)) == typed_poly(want), level
+        for f in forms:
+            want = term_project_form(g, polys, forms, level, f)
+            assert typed_poly(ev.project_form(f)) == typed_poly(want), level
 
 
 def test_returned_matrices_are_fresh(mgn2_bundle, rational_grid):
@@ -497,3 +539,38 @@ def test_classical_reuses_top_factorization():
                 )
         with pytest.raises(ValueError):
             classical_cd(seed, 7, *points[0], backend, factors=top)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_classical_check_evaluates_each_pair_once(monkeypatch, backend):
+    """The classical check builds its family once and evaluates each
+    (polynomial, point) pair once, across every degree and point.  The
+    run's point table builds the family of the run's own factors."""
+    calls, families = Counter(), Counter()
+
+    def counted_eval(poly, x, _fn=cdkernel.eval_poly):
+        calls[poly, x] += 1
+        return _fn(poly, x)
+
+    def counted_family(factors, _fn=cdkernel.primary_family):
+        families[id(factors)] += 1
+        return _fn(factors)
+
+    monkeypatch.setattr(cdkernel, "eval_poly", counted_eval)
+    monkeypatch.setattr(cdkernel, "primary_family", counted_family)
+    config = dataclasses.replace(builtin_config("legendre"), backend=backend, checks=("classical",))
+    report = harness.run(config)
+    assert [e.status for e in report.entries] == ["pass"]
+    assert set(families.values()) == {1}
+    assert calls and set(calls.values()) == {1}
+
+
+def test_classical_values_are_dropped_with_their_factors():
+    seed = interval_seed(1)
+    factors = lu_factorize(build_moment_matrix(hankel_family(seed), 4))
+    classical_cd(seed, 2, F(1, 7), F(2, 7), factors=factors)
+    key = id(factors)
+    assert key in cdkernel._CLASSICAL_VALUES
+    del factors
+    gc.collect()
+    assert key not in cdkernel._CLASSICAL_VALUES

@@ -30,6 +30,7 @@ from mghankel.families import (
 from mghankel.harness import builtin_config
 from mghankel.numerics import (
     SingularLeadingMinorError,
+    as_backend,
     mat_add,
     mat_eye,
     mat_transpose,
@@ -328,6 +329,24 @@ def test_moment_pairings_match_the_running_sum(case, backend):
         for q in polys:
             want = running_pairing(g.n, q.coeffs, moments)
             assert typed(pair_with_moments(q, moments)) == typed(want)
+
+
+@pytest.mark.parametrize("case", ["legendre", "multigraded-12", "multigraded-n2"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_form_values_match_the_running_sum(case, backend):
+    """eval_form adds rho_j(x) @ coeffs[j] over the nonzero blocks, in order,
+    to a zero of the backend; by type and repr."""
+    config = dataclasses.replace(builtin_config(case), backend=backend)
+    fam = config.family()
+    forms = dual_family(lu_factorize(build_moment_matrix(fam, 8)))
+    for x in (Fraction(1, 7), Fraction(3, 7), Fraction(6, 7)):
+        x = as_backend(x, backend)
+        for f in forms:
+            acc = mat_zeros(f.n, f.n, backend)
+            for j, d in enumerate(f.coeffs):
+                if any(v != 0 for row in d for v in row):
+                    acc = mat_add(acc, sum_of_products(fam.eval_weight(j, x), d))
+            assert typed(eval_form(f, fam, x)) == typed(acc)
 
 
 def test_moment_pairings_start_from_an_exact_zero():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mghankel import numerics
 from mghankel.numerics import (
     DEFAULT_TOLERANCE,
     CheckOutcome,
@@ -11,6 +12,7 @@ from mghankel.numerics import (
     SingularMatrixError,
     Tolerance,
     approx_zero,
+    block_sum,
     has_float,
     invert_dense,
     mat_eye,
@@ -357,6 +359,28 @@ def test_fraction_block_with_a_late_float_takes_the_float_path():
     b = [[Fraction(5, 2), 1], [Fraction(-1, 9), Fraction(3)]]
     assert typed(mat_mul(a, b)) == typed(sum_of_products(a, b))
     assert typed(mat_mul_sum([a, b], [b, a])) == typed(blockwise_sum([a, b], [b, a]))
+
+
+def test_exact_block_sum_scans_its_operands_once(monkeypatch):
+    scans = []
+
+    def counted(*mats, _fn=numerics.has_float):
+        scans.append(len(mats))
+        return _fn(*mats)
+
+    monkeypatch.setattr(numerics, "has_float", counted)
+    lefts = [[[Fraction(1, 2), 3]], [[Fraction(-2, 7), 1]]]
+    rights = [[[1], [Fraction(1, 3)]], [[Fraction(5, 4)], [2]]]
+    assert mat_mul_sum(lefts, rights) == blockwise_sum(lefts, rights)
+    assert scans == [4]
+
+
+def test_block_sum_starts_from_a_zero_of_the_backend():
+    assert typed(block_sum(2, [], [], "float")) == typed([[0.0, 0.0], [0.0, 0.0]])
+    assert typed(block_sum(1, [], [])) == typed([[Fraction(0)]])
+    # int products become Fractions; a float sum of products is never -0.0
+    assert typed(block_sum(1, [[[2]], [[1]]], [[[3]], [[1]]])) == typed([[Fraction(7)]])
+    assert typed(block_sum(1, [[[-0.0]]], [[[1]]], "float")) == typed([[0.0]])
 
 
 def test_has_float_finds_a_float_anywhere():

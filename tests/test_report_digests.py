@@ -14,6 +14,9 @@ families solve against the largest leading block minors.  A second one
 dense exact products.  Float multigraded-n2 at levels (2, 4) covers float
 blocks multiplied against exact zero and identity blocks; at every level of
 its budget (1..7) it covers one point table shared by many levels in float.
+Exact multigraded-n2 at every level of its budget, every check, covers every
+kernel block sum (kernel, reproducing, projections, associated form) at
+every level it can take, on the rational path.
 
 A digest changes only when a report changes.  That is a contract change,
 not a refactor: update the digest together with the code that changes the
@@ -26,7 +29,7 @@ import json
 
 import pytest
 
-from mghankel.harness import RunConfig, builtin_config, run
+from mghankel.harness import CHECK_NAMES, RunConfig, builtin_config, run
 from mghankel.weights import BaseMeasure, SeedWeight
 
 PINNED = {
@@ -38,6 +41,7 @@ PINNED = {
 
 FLOAT_MGN2_DIGEST = "e1853daa499b4c6338dfa1a76c744b629b51d5782359ba015c8648e37df1808b"
 FLOAT_MGN2_ALL_LEVELS_DIGEST = "4fdc9e5107f89e6f890e960f5d729b43820d030d69fd49ea35c48078d94aed28"
+EXACT_MGN2_ALL_LEVELS_DIGEST = "a07b33990f61982614a43c114ae342221b1fe9ab6761f5313afa2dae8de0d32e"
 
 # Quadratic densities on [0, 1], ascending coefficients, one per (a, b).
 DEEP_N3_COEFFS = (
@@ -114,3 +118,9 @@ def test_float_table_shared_by_every_level_report_digest_is_pinned():
         builtin_config("multigraded-n2"), levels=tuple(range(1, 8)), backend="float"
     )
     assert report_digest(run(config).to_dict()) == FLOAT_MGN2_ALL_LEVELS_DIGEST
+
+
+def test_exact_block_sums_at_every_level_report_digest_is_pinned():
+    config = dataclasses.replace(builtin_config("multigraded-n2"), levels=tuple(range(1, 8)))
+    assert config.backend == "exact" and len(config.checks) == len(CHECK_NAMES)
+    assert report_digest(run(config).to_dict()) == EXACT_MGN2_ALL_LEVELS_DIGEST
