@@ -19,7 +19,6 @@ fraction-free product in exact runs, the terms added in order in float.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 
 from .blockops import BlockMatrix, build_moment_matrix, partition, shift_power
@@ -35,7 +34,6 @@ from .families import (
     eval_form,
     eval_poly,
     form_against_monomial,
-    pair_poly_form,
     pair_with_moments,
     primary_family,
 )
@@ -132,8 +130,9 @@ class PointTable:
 
     @memoized
     def pair(self, j: int, k: int) -> list:
-        """Integral of polynomial j times dual form k (transposed)."""
-        return pair_poly_form(self.g, self.polys[j], self.forms[k])
+        """Integral of polynomial j times dual form k (transposed): `pair_poly_form`
+        from the memoized form moments."""
+        return pair_with_moments(self.polys[j], [self.form_moment(k, t) for t in range(j + 1)])
 
     @memoized
     def form_moment(self, k: int, t: int) -> list:
@@ -208,7 +207,6 @@ class KernelEvaluator:
         """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
         return self._solve_minor(self._tl, self._chi1_col(self.level, y))
 
-    @memoized
     def _left_piece(self, x) -> list:
         """chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n."""
         rhs = mat_transpose(self._chi2_row(self.level, x))
@@ -386,51 +384,38 @@ class KernelEvaluator:
         return [mat_mul(table.pair(j, k), table.poly_value(k, y)) for j in levels for k in levels]
 
 
-# id(factors) -> (monic polynomials, {point: their values so far}), dropped
-# with the factors object.  Keyed by identity: equal factors hash every entry.
-_CLASSICAL_VALUES = {}
-
-
-def _classical_values(factors: GaussFactors, x, count: int) -> list:
-    """Monic polynomials 0..count-1 of scalar factors at x, each evaluated once."""
-    key = id(factors)
-    if key not in _CLASSICAL_VALUES:
-        _CLASSICAL_VALUES[key] = (primary_family(factors), {})
-        weakref.finalize(factors, _CLASSICAL_VALUES.pop, key, None)
-    polys, values = _CLASSICAL_VALUES[key]
-    known = values.setdefault(x, [])
-    known.extend(eval_poly(polys[k], x)[0][0] for k in range(len(known), count))
-    return known[:count]
-
-
 def classical_cd(
-    seed: SeedWeight, degree: int, x, y, backend: str = EXACT, factors: GaussFactors | None = None
+    seed: SeedWeight, degree: int, x, y, backend: str = EXACT, table: PointTable | None = None
 ) -> IdentityResidual:
     """Two-term scalar Christoffel-Darboux identity for one classical weight.
 
-    Builds the scalar Hankel family for the seed, reads the monic orthogonal
-    polynomials and their norms off the factorization, and returns both
-    sides at (x, y).  Requires degree >= 1 and x != y.
+    Reads the monic orthogonal polynomials and their norms off a point
+    table of the seed's scalar Hankel family and returns both sides at
+    (x, y).  Requires degree >= 1 and x != y.
 
-    `factors`, when given, must factorize the seed's Hankel moment matrix at
-    a truncation above `degree`.  Without block pivoting the factors of a
-    leading truncation are the leading blocks of the full factors, computed
-    by the same operations, so a caller sweeping degrees factorizes once,
-    and each polynomial is evaluated once per point for the factors' lifetime.
+    `table`, when given, must be a `PointTable` of the seed's Hankel
+    problem whose factors cover more than `degree` levels; without one,
+    a table at truncation degree + 1 is built.  Without block pivoting the
+    factors of a leading truncation are the leading blocks of the full
+    factors, computed by the same operations, so a caller sweeping degrees
+    (the harness passes its run's table) factorizes once, and each
+    polynomial is evaluated once per point for the table's lifetime.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if x == y:
         raise SingularLocusError("classical identity undefined on the diagonal")
-    if factors is None:
-        factors = lu_factorize(build_moment_matrix(hankel_family(seed, backend), degree + 1))
-    elif factors.nlevels <= degree:
+    if table is None:
+        fam = hankel_family(seed, backend)
+        g = build_moment_matrix(fam, degree + 1)
+        table = PointTable(fam, g, lu_factorize(g))
+    elif table.factors.nlevels <= degree:
         raise ValueError(
-            "factors cover %d levels, degree %d needs more" % (factors.nlevels, degree)
+            "factors cover %d levels, degree %d needs more" % (table.factors.nlevels, degree)
         )
-    norms = [factors.normalization(k)[0][0] for k in range(degree + 1)]
-    px = _classical_values(factors, x, degree + 1)
-    py = _classical_values(factors, y, degree + 1)
+    norms = [table.factors.normalization(k)[0][0] for k in range(degree)]
+    px = [table.poly_value(k, x)[0][0] for k in range(degree + 1)]
+    py = [table.poly_value(k, y)[0][0] for k in range(degree + 1)]
     lhs = sum(px[k] * py[k] / norms[k] for k in range(degree))
     rhs = (px[degree] * py[degree - 1] - px[degree - 1] * py[degree]) / (
         norms[degree - 1] * (x - y)

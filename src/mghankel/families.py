@@ -32,7 +32,6 @@ from .numerics import (
     block_sum,
     mat_add,
     mat_eye,
-    mat_mul,
     mat_scale,
     mat_sub,
     mat_transpose,
@@ -299,10 +298,11 @@ def _combine(terms) -> MatrixPolynomial:
     terms = list(terms)
     n = terms[0][1].n
     top = max(len(p.coeffs) for _, p in terms)
-    coeffs = [mat_zeros(n, n) for _ in range(top)]
-    for m, p in terms:
-        for k, c in enumerate(p.coeffs):
-            coeffs[k] = mat_add(coeffs[k], mat_mul(m, c))
+    # Coefficient k sums the terms that have one, in order: one block sum.
+    coeffs = [
+        block_sum(n, *zip(*[(m, p.coeffs[k]) for m, p in terms if k < len(p.coeffs)]))
+        for k in range(top)
+    ]
     return MatrixPolynomial.of(n, coeffs)
 
 

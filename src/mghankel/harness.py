@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -53,7 +54,6 @@ from .weights import (
     LAGUERRE,
     SeedWeight,
     WeightFamily,
-    hankel_family,
     validate_family,
     validate_levels,
 )
@@ -157,40 +157,47 @@ class RunConfig:
         }
 
 
+@contextmanager
+def _field(name: str):
+    """Re-raise a malformed or unreadable value as a ConfigError naming its field."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, OSError) as exc:
+        raise ConfigError("%s: %s" % (name, exc)) from exc
+
+
 def validate_checks(checks) -> tuple:
     """Every requested check must be in the registry."""
-    checks = tuple(checks)
-    for c in checks:
-        if c not in CHECK_REGISTRY:
-            raise ConfigError("checks: unknown check %r" % c)
+    with _field("checks"):
+        checks = tuple(checks)
+        unknown = [c for c in checks if c not in CHECK_REGISTRY]
+    if unknown:
+        raise ConfigError("checks: unknown check %r" % unknown[0])
     return checks
 
 
 def _parse_seed(entry, path: str) -> SeedWeight:
     if not isinstance(entry, dict) or "coeffs" not in entry or "measure" not in entry:
         raise ConfigError("%s: seed needs 'coeffs' and 'measure'" % path)
-    try:
-        measure = BaseMeasure.from_dict(entry["measure"])
-        return SeedWeight.of(entry["coeffs"], measure)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from exc
+    with _field(path):
+        return SeedWeight.of(entry["coeffs"], BaseMeasure.from_dict(entry["measure"]))
 
 
 def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
     """Build and validate a RunConfig from parsed JSON."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    try:
+    with _field("nvec/mvec"):
         nvec = tuple(int(v) for v in data["nvec"])
         mvec = tuple(int(v) for v in data["mvec"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("nvec/mvec: %s" % exc) from exc
     if len(nvec) != len(mvec) or not nvec:
         raise ConfigError("nvec/mvec: must be nonempty and of equal length")
     if any(v < 1 for v in nvec + mvec):
         raise ConfigError("nvec/mvec: components must be >= 1")
     size = len(nvec)
-    if "N" in data and int(data["N"]) != size:
+    with _field("N"):
+        given = int(data.get("N", size))
+    if given != size:
         raise ConfigError("N: does not match multi-index length %d" % size)
 
     raw_seeds = data.get("seeds")
@@ -198,8 +205,9 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
         not isinstance(raw_seeds, list)
         or len(raw_seeds) != size
         or any(not isinstance(row, list) or len(row) != size for row in raw_seeds)
+        or any(not isinstance(entry, list) for row in raw_seeds for entry in row)
     ):
-        raise ConfigError("seeds: must be an %d x %d table" % (size, size))
+        raise ConfigError("seeds: must be an %d x %d table of seed lists" % (size, size))
     seeds = tuple(
         tuple(
             tuple(
@@ -211,10 +219,8 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
         for a in range(size)
     )
 
-    try:
+    with _field("L"):
         truncation = int(data["L"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("L: %s" % exc) from exc
     if truncation < 1:
         raise ConfigError("L: must be >= 1")
 
@@ -224,7 +230,8 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
 
     max_shift = max(max(nvec), max(mvec))
     if "levels" in data and data["levels"] is not None:
-        levels = tuple(int(v) for v in data["levels"])
+        with _field("levels"):
+            levels = tuple(int(v) for v in data["levels"])
     else:
         levels = tuple(range(1, truncation - max_shift))
     levels = validate_levels(levels, max_shift, truncation)
@@ -232,23 +239,19 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
     tol = DEFAULT_TOLERANCE
     if "tolerance" in data and data["tolerance"] is not None:
         t = data["tolerance"]
-        try:
+        with _field("tolerance"):
             tol = Tolerance(float(t.get("abs", 1e-9)), float(t.get("rel", 1e-9)))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError("tolerance: %s" % exc) from exc
 
     checks = validate_checks(data.get("checks") or CHECK_NAMES)
 
     grid = None
     if data.get("grid") is not None:
-        if not data["grid"]:
-            raise ConfigError("grid: must be nonempty when given")
+        if not isinstance(data["grid"], list) or not data["grid"]:
+            raise ConfigError("grid: must be a nonempty list when given")
         pairs = []
         for idx, pair in enumerate(data["grid"]):
-            try:
+            with _field("grid[%d]" % idx):
                 x, y = (parse_rational(v) for v in pair)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("grid[%d]: %s" % (idx, exc)) from exc
             pairs.append((x, y))
         grid = tuple(pairs)
         if "corollary" in checks:
@@ -275,7 +278,7 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _field("config"), open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         data = json.loads(text)
@@ -503,11 +506,6 @@ class _Runner:
         return KernelEvaluator(self.fam, self.g, self.factors, level, table=self.table)
 
     @cached_property
-    def scale(self):
-        """Max-norm of g: the magnitude reference of coefficient-space residuals."""
-        return self.g.maxnorm()
-
-    @cached_property
     def points(self) -> list:
         return [
             (as_backend(x, self.config.backend), as_backend(y, self.config.backend))
@@ -521,6 +519,13 @@ class _Runner:
             for x, y in self.config.off_locus_pairs()
         ]
 
+    def _located(self, levels=None):
+        """(evaluator, x, y, location) per level, then per grid point."""
+        for level in self.config.levels if levels is None else levels:
+            ev = self.evaluator(level)
+            for x, y in self.points:
+                yield ev, x, y, "l=%d (x,y)=(%s,%s)" % (level, x, y)
+
     # -- individual checks ---------------------------------------------------
 
     def check_symmetry(self, acc: ResidualTracker):
@@ -529,9 +534,9 @@ class _Runner:
         )
 
     def check_factorization(self, acc: ResidualTracker):
-        acc.record(factorization_residual(self.g, self.factors), self.scale, "full product")
+        acc.record(factorization_residual(self.g, self.factors), self.g.maxnorm(), "full product")
         nested, level = nested_truncation_residual(self.g, self.factors)
-        acc.record(nested, self.scale, "truncation l=%s" % level)
+        acc.record(nested, self.g.maxnorm(), "truncation l=%s" % level)
 
     def check_biorthogonality(self, acc: ResidualTracker):
         acc.merge(check_biorthogonality(self.g, self.factors, self.tol), "")
@@ -543,21 +548,12 @@ class _Runner:
             )
 
     def check_abc(self, acc: ResidualTracker):
-        for level in self.config.levels:
-            ev = self.evaluator(level)
-            for x, y in self.points:
-                where = "l=%d (x,y)=(%s,%s)" % (level, x, y)
-                acc.record_gap(ev.kernel_sum(x, y), ev.kernel_abc(x, y), where)
+        for ev, x, y, where in self._located():
+            acc.record_gap(ev.kernel_sum(x, y), ev.kernel_abc(x, y), where)
 
     def check_reproducing(self, acc: ResidualTracker):
-        for level in self.config.levels:
-            ev = self.evaluator(level)
-            for x, y in self.points:
-                acc.record(
-                    ev.reproducing_residual(x, y),
-                    self.scale,
-                    "l=%d (x,y)=(%s,%s)" % (level, x, y),
-                )
+        for ev, x, y, where in self._located():
+            acc.record(ev.reproducing_residual(x, y), self.g.maxnorm(), where)
 
     def check_projections(self, acc: ResidualTracker):
         total = self.config.truncation
@@ -572,7 +568,7 @@ class _Runner:
                 ):
                     acc.record(
                         poly_residual(project(member), member if k < level else zero),
-                        self.scale,
+                        self.g.maxnorm(),
                         "l=%d %s k=%d" % (level, kind, k),
                     )
             for deg in range(total):
@@ -580,32 +576,27 @@ class _Runner:
                 twice = ev.project_poly(once)
                 acc.record(
                     poly_residual(once, twice),
-                    self.scale,
+                    self.g.maxnorm(),
                     "l=%d idempotence deg=%d" % (level, deg),
                 )
 
     def check_proposition(self, acc: ResidualTracker):
-        for level in self.config.levels:
-            ev = self.evaluator(level)
-            for x, y in self.points:
-                where = "l=%d (x,y)=(%s,%s)" % (level, x, y)
-                acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_schur(x, y), where)
+        for ev, x, y, where in self._located():
+            acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_schur(x, y), where)
 
     def check_theorem(self, acc: ResidualTracker):
         threshold = self.config.max_shift()
         for level in self.config.levels:
-            ev = self.evaluator(level)
             if level < threshold:
                 try:
-                    ev.cd_rhs_associated(*self.points[0])
+                    self.evaluator(level).cd_rhs_associated(*self.points[0])
                     acc.notes.append(
                         "l=%d below the shift bound but the associated form evaluated" % level
                     )
                 except ValueError as exc:
                     acc.notes.append("l=%d not asserted: %s" % (level, exc))
                 continue
-            for x, y in self.points:
-                where = "l=%d (x,y)=(%s,%s)" % (level, x, y)
+            for ev, x, y, where in self._located((level,)):
                 acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_associated(x, y), where)
 
     def check_corollary(self, acc: ResidualTracker):
@@ -673,12 +664,10 @@ class _Runner:
                 y = rng.uniform(-2.0, 2.0)
             if x != y:
                 points.append((x, y))
-        top = min(6, self.config.truncation - 2)
-        backend = self.config.backend
-        factors = lu_factorize(build_moment_matrix(hankel_family(seed, backend), top + 1))
-        for degree in range(1, top + 1):
+        # The run's moment matrix is the seed's Hankel matrix, truncated at L > top.
+        for degree in range(1, min(6, self.config.truncation - 2) + 1):
             for x, y in points:
-                res = classical_cd(seed, degree, x, y, backend=backend, factors=factors)
+                res = classical_cd(seed, degree, x, y, self.config.backend, table=self.table)
                 acc.record_gap(res.lhs, res.rhs, "n=%d (x,y)=(%s,%s)" % (degree, x, y))
 
 

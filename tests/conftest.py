@@ -144,6 +144,18 @@ def term_project_form(g, polys, forms, level, f) -> MatrixPolynomial:
     return MatrixPolynomial.of(n, coeffs)
 
 
+def term_combine(terms) -> MatrixPolynomial:
+    """Sum of left-coefficient-times-polynomial terms, each product added to
+    its coefficient's exact zero, term by term (`families._combine`)."""
+    terms = list(terms)
+    n = terms[0][1].n
+    coeffs = [mat_zeros(n, n) for _ in range(max(len(p.coeffs) for _, p in terms))]
+    for m, p in terms:
+        for k, c in enumerate(p.coeffs):
+            coeffs[k] = mat_add(coeffs[k], mat_mul(m, c))
+    return MatrixPolynomial.of(n, coeffs)
+
+
 @pytest.fixture(scope="session")
 def legendre_family():
     return hankel_family(interval_seed(1))

@@ -1,12 +1,11 @@
 import dataclasses
-import gc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from mghankel.blockops import build_moment_matrix
-from mghankel import cdkernel, harness
+from mghankel import cdkernel, factorize, harness
 from mghankel.cdkernel import KernelEvaluator, PointTable, classical_cd, diag_power
 from mghankel.factorize import lu_factorize
 from mghankel.families import (
@@ -531,14 +530,16 @@ def test_classical_reuses_top_factorization():
         (SeedWeight.of([1], BaseMeasure.gaussian()), "float", [(0.7, -0.2), (1.5, 0.3)]),
     ]
     for seed, backend, points in cases:
-        top = lu_factorize(build_moment_matrix(hankel_family(seed, backend), 7))
+        fam = hankel_family(seed, backend)
+        g = build_moment_matrix(fam, 7)
+        top = PointTable(fam, g, lu_factorize(g))
         for degree in range(1, 7):
             for x, y in points:
-                assert classical_cd(seed, degree, x, y, backend, factors=top) == classical_cd(
+                assert classical_cd(seed, degree, x, y, backend, table=top) == classical_cd(
                     seed, degree, x, y, backend
                 )
         with pytest.raises(ValueError):
-            classical_cd(seed, 7, *points[0], backend, factors=top)
+            classical_cd(seed, 7, *points[0], backend, table=top)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -565,12 +566,33 @@ def test_classical_check_evaluates_each_pair_once(monkeypatch, backend):
     assert calls and set(calls.values()) == {1}
 
 
-def test_classical_values_are_dropped_with_their_factors():
-    seed = interval_seed(1)
-    factors = lu_factorize(build_moment_matrix(hankel_family(seed), 4))
-    classical_cd(seed, 2, F(1, 7), F(2, 7), factors=factors)
-    key = id(factors)
-    assert key in cdkernel._CLASSICAL_VALUES
-    del factors
-    gc.collect()
-    assert key not in cdkernel._CLASSICAL_VALUES
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_run_factorizes_once_with_the_classical_check(monkeypatch, backend):
+    """The classical check reads the run's own factors: one factorization per run."""
+    calls = Counter()
+
+    def counted(g, _fn=factorize.lu_factorize):
+        calls["lu_factorize"] += 1
+        return _fn(g)
+
+    for module in (factorize, cdkernel, harness):
+        monkeypatch.setattr(module, "lu_factorize", counted)
+    config = dataclasses.replace(builtin_config("legendre"), backend=backend)
+    assert "classical" in config.checks
+    report = harness.run(config)
+    assert report.entries[-1].check == "classical" and report.entries[-1].status == "pass"
+    assert calls["lu_factorize"] == 1
+
+
+@pytest.mark.parametrize("case", ["legendre", "multigraded-n2"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_table_pairs_are_the_moment_pairings(case, backend):
+    """pair(j, k) is pair_poly_form(g, polys[j], forms[k]) from the memoized
+    form moments: by type and repr, for every j and k."""
+    config = dataclasses.replace(builtin_config(case), backend=backend)
+    fam = config.family()
+    g = build_moment_matrix(fam, config.truncation)
+    table = PointTable(fam, g, lu_factorize(g))
+    for j, p in enumerate(table.polys):
+        for k, f in enumerate(table.forms):
+            assert typed(table.pair(j, k)) == typed(pair_poly_form(g, p, f)), (j, k)

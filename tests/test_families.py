@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mghankel import families
 from mghankel.blockops import BlockMatrix, build_moment_matrix, shift_power
 from mghankel.factorize import lu_factorize
 from mghankel.families import (
@@ -27,7 +28,7 @@ from mghankel.families import (
     poly_residual,
     primary_family,
 )
-from mghankel.harness import builtin_config
+from mghankel.harness import builtin_config, run
 from mghankel.numerics import (
     SingularLeadingMinorError,
     as_backend,
@@ -38,7 +39,7 @@ from mghankel.numerics import (
 )
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
-from conftest import is_monic, sum_of_products, typed
+from conftest import is_monic, sum_of_products, term_combine, typed
 
 F = Fraction
 
@@ -357,3 +358,28 @@ def test_moment_pairings_start_from_an_exact_zero():
     assert typed(got) == typed([[Fraction(1)]])
     g = BlockMatrix(1, [[[[1.0]]]])
     assert typed(poly_against_weight(g, MatrixPolynomial.of(1, [[[-0.0]]]), 0)) == typed([[0.0]])
+
+
+@pytest.mark.parametrize(
+    "case,backend",
+    [(c, b) for c in ("legendre", "multigraded-12", "multigraded-n2") for b in ("exact", "float")]
+    + [("hermite", "float")],
+)
+def test_combined_routes_match_the_per_term_loop(monkeypatch, case, backend):
+    """Each coefficient of a combination is one block sum over the terms that
+    have it, in order: by type and repr, the per-term loop's value."""
+    combined = []
+
+    def recorded(terms, _fn=families._combine):
+        terms = list(terms)
+        combined.append((_fn(terms), term_combine(terms)))
+        return combined[-1][0]
+
+    monkeypatch.setattr(families, "_combine", recorded)
+    config = dataclasses.replace(
+        builtin_config(case), backend=backend, checks=("matrix-notation", "connection")
+    )
+    run(config)
+    assert len(combined) > 2 * len(config.levels)
+    for got, want in combined:
+        assert [typed(c) for c in got.coeffs] == [typed(c) for c in want.coeffs]

@@ -295,6 +295,38 @@ def test_cli_levels_override_budget_message(capsys):
     )
 
 
+def seed_with(**fields) -> dict:
+    seed = dict(MINIMAL["seeds"][0][0][0], **fields)
+    return dict(MINIMAL, seeds=[[[seed]]])
+
+
+@pytest.mark.parametrize(
+    "field,config",
+    [
+        ("N", dict(MINIMAL, N="x")),
+        ("levels", dict(MINIMAL, levels=["a"])),
+        ("levels", dict(MINIMAL, levels=3)),
+        ("checks", dict(MINIMAL, checks=5)),
+        ("checks", dict(MINIMAL, checks=[["abc"]])),
+        ("seeds[0][0][0]", seed_with(coeffs=5)),
+        ("seeds[0][0][0]", seed_with(measure=5)),
+        ("seeds", dict(MINIMAL, seeds=[[5]])),
+        ("grid", dict(MINIMAL, grid=5)),
+        ("config", None),
+    ],
+)
+def test_cli_malformed_config_field_exits_two(tmp_path, capsys, field, config):
+    """A malformed field is an input error: exit 2, naming the field, with
+    the error payload in the report file."""
+    path = write_json(tmp_path, config) if config is not None else str(tmp_path / "absent.json")
+    out = tmp_path / "err.json"
+    assert cli_main(["verify", "--config", path, "--report", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: %s: " % field)
+    data = json.loads(out.read_text())
+    assert data["status"] == "error" and data["error"] == "config"
+    assert data["message"].startswith("%s: " % field)
+
+
 OUT_OF_SUPPORT = dict(
     MINIMAL, levels=[2], checks=["abc"], grid=[["1/3", "1/3"], ["3/2", "1/3"]]
 )

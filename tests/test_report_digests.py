@@ -16,7 +16,10 @@ blocks multiplied against exact zero and identity blocks; at every level of
 its budget (1..7) it covers one point table shared by many levels in float.
 Exact multigraded-n2 at every level of its budget, every check, covers every
 kernel block sum (kernel, reproducing, projections, associated form) at
-every level it can take, on the rational path.
+every level it can take, on the rational path.  Float legendre at L=12
+with only the classical check covers the classical identity read off a
+run's factors larger than the classical problem: its float bits are
+those of the leading blocks.
 
 A digest changes only when a report changes.  That is a contract change,
 not a refactor: update the digest together with the code that changes the
@@ -42,6 +45,7 @@ PINNED = {
 FLOAT_MGN2_DIGEST = "e1853daa499b4c6338dfa1a76c744b629b51d5782359ba015c8648e37df1808b"
 FLOAT_MGN2_ALL_LEVELS_DIGEST = "4fdc9e5107f89e6f890e960f5d729b43820d030d69fd49ea35c48078d94aed28"
 EXACT_MGN2_ALL_LEVELS_DIGEST = "a07b33990f61982614a43c114ae342221b1fe9ab6761f5313afa2dae8de0d32e"
+FLOAT_CLASSICAL_L12_DIGEST = "130e69f4a9cb749c7d84865c20270a1de2f7ad50f9de46bd0dc9abd6f41c30f5"
 
 # Quadratic densities on [0, 1], ascending coefficients, one per (a, b).
 DEEP_N3_COEFFS = (
@@ -124,3 +128,10 @@ def test_exact_block_sums_at_every_level_report_digest_is_pinned():
     config = dataclasses.replace(builtin_config("multigraded-n2"), levels=tuple(range(1, 8)))
     assert config.backend == "exact" and len(config.checks) == len(CHECK_NAMES)
     assert report_digest(run(config).to_dict()) == EXACT_MGN2_ALL_LEVELS_DIGEST
+
+
+def test_float_classical_from_a_larger_run_report_digest_is_pinned():
+    config = dataclasses.replace(
+        builtin_config("legendre"), truncation=12, backend="float", checks=("classical",)
+    )
+    assert report_digest(run(config).to_dict()) == FLOAT_CLASSICAL_L12_DIGEST
