@@ -1,0 +1,62 @@
+"""Full-level sweep over the truncation L and the block size N.
+
+Runs `mghankel.run()` on exact `legendre` (N=1) and exact `multigraded-n2`
+(N=2) at L in {10, 14, 20}, every level of the budget (1 <= l and
+l + max shift < L) and every check.  For each config it prints the name,
+N, L, the level count, the wall seconds, the exit code (2 for a config
+error or a singular leading minor) and a 12-hex SHA-256 digest of the
+report with its `elapsed_ms` fields removed, so two checkouts can be
+compared line by line.
+
+    python3 scripts/level_sweep.py
+
+Standard library only; the checkout's `src/` goes first on the path.
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from mghankel import ConfigError, SingularLeadingMinorError, builtin_config, run  # noqa: E402
+
+CASES = ("legendre", "multigraded-n2")
+TRUNCATIONS = (10, 14, 20)
+
+
+def report_digest(report: dict) -> str:
+    for entry in report["checks"]:
+        del entry["elapsed_ms"]
+    payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def main() -> int:
+    columns = ("config", "N", "L", "levels", "wall_s", "exit", "digest")
+    print("%-16s %2s %3s %6s %9s %4s %s" % columns)
+    for case in CASES:
+        base = builtin_config(case)
+        for truncation in TRUNCATIONS:
+            levels = tuple(range(1, truncation - base.max_shift()))
+            config = dataclasses.replace(base, truncation=truncation, levels=levels)
+            started = time.perf_counter()
+            try:
+                report = run(config)
+                code, digest = report.exit_code, report_digest(report.to_dict())
+            except (ConfigError, SingularLeadingMinorError) as exc:
+                code, digest = 2, "error: %s" % exc
+            wall = time.perf_counter() - started
+            print(
+                "%-16s %2d %3d %6d %9.2f %4d %s"
+                % (case, len(base.nvec), truncation, len(levels), wall, code, digest)
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -40,16 +40,14 @@ from .families import (
 from .numerics import (
     EXACT,
     Scalar,
-    SingularLeadingMinorError,
     SingularLocusError,
-    SingularMatrixError,
     block_sum,
     mat_mul,
     mat_sub,
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
-    solve_dense,
+    solve_leading,
 )
 from .weights import SeedWeight, WeightFamily, hankel_family, validate_levels
 
@@ -196,21 +194,15 @@ class KernelEvaluator:
                 rows[r].extend(w[r])
         return rows
 
-    def _solve_minor(self, a, b) -> list:
-        try:
-            return solve_dense(a, b)
-        except SingularMatrixError as exc:
-            raise SingularLeadingMinorError(self.level) from exc
-
     @memoized
     def _right_piece(self, y) -> list:
         """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
-        return self._solve_minor(self._tl, self._chi1_col(self.level, y))
+        return solve_leading(self._tl, self._chi1_col(self.level, y), self.level)
 
     def _left_piece(self, x) -> list:
         """chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n."""
         rhs = mat_transpose(self._chi2_row(self.level, x))
-        return mat_transpose(self._solve_minor(self._tl_t, rhs))
+        return mat_transpose(solve_leading(self._tl_t, rhs, self.level))
 
     @memoized
     def _schur_row(self, x) -> tuple:

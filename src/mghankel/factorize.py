@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 from .blockops import BlockMatrix
 from .numerics import (
-    SingularLeadingMinorError,
-    SingularMatrixError,
     _exceeds,
-    invert_dense,
     mat_eye,
     mat_mul,
     mat_mul_sum,
@@ -24,6 +21,7 @@ from .numerics import (
     mat_sub,
     mat_zeros,
     matrix_residual_norm,
+    solve_leading,
 )
 
 LOWER = "lower"
@@ -78,10 +76,7 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
             else:
                 up[i][j] = acc
         low[i][i] = mat_eye(n, backend)
-        try:
-            pivot_invs.append(_invert_pivot(up[i][i]))
-        except SingularMatrixError as exc:
-            raise SingularLeadingMinorError(i) from exc
+        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), i))
     lower_inv = BlockMatrix(n, low)
     upper = BlockMatrix(n, up)
     return GaussFactors(
@@ -90,13 +85,6 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
         upper=upper,
         upper_inv=invert_block_triangular(upper, UPPER),
     )
-
-
-def _invert_pivot(block):
-    norm = matrix_residual_norm(block)
-    if norm == 0:
-        raise SingularMatrixError("zero pivot block")
-    return invert_dense(block)
 
 
 def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
@@ -113,18 +101,12 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
         return invert_block_triangular(t.transpose(), LOWER).transpose()
     n, levels, backend = t.n, t.nrows, t.backend
     inv = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
-    diag_invs = []
     for i in range(levels):
-        try:
-            diag_invs.append(_invert_pivot(t.block(i, i)))
-        except SingularMatrixError as exc:
-            raise SingularLeadingMinorError(i) from exc
-    for i in range(levels):
-        inv[i][i] = diag_invs[i]
+        inv[i][i] = solve_leading(t.block(i, i), mat_eye(n, backend), i)
         for j in range(i - 1, -1, -1):
             ks = range(j, i)
             acc = mat_mul_sum([t.block(i, k) for k in ks], [inv[k][j] for k in ks])
-            inv[i][j] = mat_mul(mat_scale(-1, diag_invs[i]), acc)
+            inv[i][j] = mat_mul(mat_scale(-1, inv[i][i]), acc)
     return BlockMatrix(n, inv)
 
 

@@ -26,8 +26,6 @@ from .numerics import (
     CheckOutcome,
     DEFAULT_TOLERANCE,
     ResidualTracker,
-    SingularLeadingMinorError,
-    SingularMatrixError,
     Tolerance,
     block_sum,
     mat_add,
@@ -37,7 +35,7 @@ from .numerics import (
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
-    solve_dense,
+    solve_leading,
 )
 from .weights import WeightFamily
 
@@ -177,11 +175,7 @@ def _solve_leading(g: BlockMatrix, level: int, rhs) -> list:
     head = range(level)
     tiles = [[tuple(zip(*g.block(k, i))) for k in head] for i in head]  # g[k, i]^T
     dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
-    try:
-        return solve_dense(dense, rhs)
-    except SingularMatrixError as exc:
-        message = "leading minor of order %d is singular" % level
-        raise SingularLeadingMinorError(level, message) from exc
+    return solve_leading(dense, rhs, level, "leading minor of order %d is singular" % level)
 
 
 def _transposed_lead(g: BlockMatrix, order: int) -> BlockMatrix:
@@ -198,9 +192,6 @@ def _plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     if j < 0 or level < 0 or level + j >= g.nrows:
         raise ValueError("need 0 <= l and l + j < truncation")
     n = g.n
-    if level == 0:
-        coeffs = [mat_zeros(n, n) for _ in range(j)] + [mat_eye(n)]
-        return MatrixPolynomial.of(n, coeffs)
     # row = (g[l+j, 0..l-1]) (g^{[l]})^{-1}, found from the transposed system
     flat = [
         [g.block(level + j, k)[r][c] for k in range(level) for c in range(n)]

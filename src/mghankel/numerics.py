@@ -10,7 +10,9 @@ computation.  Exact products and solves are fraction-free: `mat_mul` and
 `mat_mul_sum` take integer dot products of rows and columns scaled by the
 lcm of their denominators, `solve_dense` eliminates on integers
 (Bareiss), and both create `Fraction`s only for their output entries.  A
-float anywhere in an operand selects the float arithmetic instead.
+float anywhere in an operand selects the float arithmetic instead.  Every
+singular pivot block or leading block minor is reported through
+`solve_leading`, as a `SingularLeadingMinorError` naming its level.
 """
 
 from __future__ import annotations
@@ -351,6 +353,14 @@ def solve_dense(a, b) -> list:
 
 def invert_dense(a) -> list:
     return solve_dense(a, mat_eye(len(a), FLOAT if has_float(a) else EXACT))
+
+
+def solve_leading(a, b, level: int, message: str | None = None) -> list:
+    """`solve_dense(a, b)`; a singular `a` raises SingularLeadingMinorError(level, message)."""
+    try:
+        return solve_dense(a, b)
+    except SingularMatrixError as exc:
+        raise SingularLeadingMinorError(level, message) from exc
 
 
 @dataclass(frozen=True)

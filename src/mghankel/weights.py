@@ -194,9 +194,6 @@ class WeightFamily:
     def max_shift(self) -> int:
         return max(max(self.nvec), max(self.mvec))
 
-    def seed(self, a: int, b: int, r: int) -> SeedWeight:
-        return self.seeds[a][b][r]
-
     def _split(self, j: int, b: int) -> tuple:
         q, r = divmod(j, self.mvec[b])
         return q, r

@@ -77,6 +77,11 @@ def block_zeros(n: int, nrows: int, ncols: int, backend: str = EXACT) -> BlockMa
     return BlockMatrix(n, [[mat_zeros(n, n, backend) for _ in range(ncols)] for _ in range(nrows)])
 
 
+def level_zero_plus(n: int, j: int) -> MatrixPolynomial:
+    """Oracle for the plus family at level 0: nothing to annihilate, so x^j."""
+    return MatrixPolynomial.of(n, [mat_zeros(n, n)] * j + [mat_eye(n)])
+
+
 def is_monic(p) -> bool:
     lead = p.coeffs[-1]
     return all(lead[r][c] == (1 if r == c else 0) for r in range(p.n) for c in range(p.n))

@@ -39,7 +39,7 @@ from mghankel.numerics import (
 )
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
-from conftest import is_monic, sum_of_products, term_combine, typed
+from conftest import is_monic, level_zero_plus, sum_of_products, term_combine, typed
 
 F = Fraction
 
@@ -255,6 +255,17 @@ def test_plus_family_monic_of_stated_degree(mgn2_bundle):
         for j in range(3):
             p = associated_plus(g, level, j)
             assert is_monic(p) and p.degree() == level + j
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_plus_families_at_level_zero_match_the_oracle(backend):
+    config = dataclasses.replace(builtin_config("multigraded-n2"), backend=backend)
+    g = build_moment_matrix(config.family(), config.truncation)
+    for j in range(4):
+        expected = level_zero_plus(g.n, j)
+        for build in (associated_plus, dual_associated_plus):
+            got = build(g, 0, j)
+            assert [typed(c) for c in got.coeffs] == [typed(c) for c in expected.coeffs]
 
 
 def test_forms_share_the_polynomial_container():

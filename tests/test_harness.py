@@ -313,6 +313,13 @@ def seed_with(**fields) -> dict:
         ("seeds", dict(MINIMAL, seeds=[[5]])),
         ("grid", dict(MINIMAL, grid=5)),
         ("config", None),
+        ("nvec/mvec", dict(MINIMAL, nvec=[1.9])),
+        ("nvec/mvec", dict(MINIMAL, mvec=[1.5])),
+        ("N", dict(MINIMAL, N=1.5)),
+        ("L", dict(MINIMAL, L=6.7)),
+        ("L", dict(MINIMAL, L=True, levels=None)),
+        ("levels", dict(MINIMAL, levels=[2.5])),
+        ("levels", dict(MINIMAL, levels=[True])),
     ],
 )
 def test_cli_malformed_config_field_exits_two(tmp_path, capsys, field, config):
@@ -325,6 +332,12 @@ def test_cli_malformed_config_field_exits_two(tmp_path, capsys, field, config):
     data = json.loads(out.read_text())
     assert data["status"] == "error" and data["error"] == "config"
     assert data["message"].startswith("%s: " % field)
+
+
+def test_integral_floats_and_numeric_strings_load_as_integers():
+    config = config_from_dict(dict(MINIMAL, N=1.0, L=6.0, levels=[2.0, "3"], nvec=["1"]))
+    assert (config.nvec, config.truncation, config.levels) == ((1,), 6, (2, 3))
+    assert config_from_dict(dict(MINIMAL, L="6")).truncation == 6
 
 
 OUT_OF_SUPPORT = dict(

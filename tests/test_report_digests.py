@@ -19,7 +19,10 @@ kernel block sum (kernel, reproducing, projections, associated form) at
 every level it can take, on the rational path.  Float legendre at L=12
 with only the classical check covers the classical identity read off a
 run's factors larger than the classical problem: its float bits are
-those of the leading blocks.
+those of the leading blocks.  multigraded-n2 at levels (0, 1, 2), every
+check, exact and float, covers the plus families at level 0 (primal and
+dual), the zero kernels of level 0 and the theorem's notes for levels
+below the shift bound.
 
 A digest changes only when a report changes.  That is a contract change,
 not a refactor: update the digest together with the code that changes the
@@ -46,6 +49,10 @@ FLOAT_MGN2_DIGEST = "e1853daa499b4c6338dfa1a76c744b629b51d5782359ba015c8648e37df
 FLOAT_MGN2_ALL_LEVELS_DIGEST = "4fdc9e5107f89e6f890e960f5d729b43820d030d69fd49ea35c48078d94aed28"
 EXACT_MGN2_ALL_LEVELS_DIGEST = "a07b33990f61982614a43c114ae342221b1fe9ab6761f5313afa2dae8de0d32e"
 FLOAT_CLASSICAL_L12_DIGEST = "130e69f4a9cb749c7d84865c20270a1de2f7ad50f9de46bd0dc9abd6f41c30f5"
+LOW_LEVELS_MGN2_DIGESTS = {
+    "exact": "c55fc963ad4dadf90675eb7c0cae18d5674a06fc0b40d90bef089227eded33e1",
+    "float": "689b5aca718c0302aa695f175c7f834a9f348399d096ed275f72f506ecf39650",
+}
 
 # Quadratic densities on [0, 1], ascending coefficients, one per (a, b).
 DEEP_N3_COEFFS = (
@@ -135,3 +142,12 @@ def test_float_classical_from_a_larger_run_report_digest_is_pinned():
         builtin_config("legendre"), truncation=12, backend="float", checks=("classical",)
     )
     assert report_digest(run(config).to_dict()) == FLOAT_CLASSICAL_L12_DIGEST
+
+
+@pytest.mark.parametrize("backend", sorted(LOW_LEVELS_MGN2_DIGESTS))
+def test_levels_from_zero_report_digest_is_pinned(backend):
+    config = dataclasses.replace(
+        builtin_config("multigraded-n2"), levels=(0, 1, 2), backend=backend
+    )
+    assert len(config.checks) == len(CHECK_NAMES)
+    assert report_digest(run(config).to_dict()) == LOW_LEVELS_MGN2_DIGESTS[backend]
