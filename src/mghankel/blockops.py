@@ -24,6 +24,7 @@ from .numerics import (
     mat_zeros,
     mat_eye,
     matrix_residual_norm,
+    memoized,
 )
 from .weights import WeightFamily, validate_family
 
@@ -35,11 +36,11 @@ def _freeze(rows) -> tuple:
 class BlockMatrix:
     """Immutable grid of N x N scalar blocks, 0-based block indices."""
 
-    __slots__ = ("n", "blocks", "_maxnorm")
+    __slots__ = ("n", "blocks", "_memo")
 
     def __init__(self, n: int, blocks):
         self.n = n
-        self._maxnorm = None
+        self._memo = {}
         self.blocks = tuple(tuple(_freeze(blk) for blk in row) for row in blocks)
         for row in self.blocks:
             for blk in row:
@@ -55,8 +56,9 @@ class BlockMatrix:
         return len(self.blocks[0]) if self.blocks else 0
 
     @property
+    @memoized
     def backend(self) -> str:
-        """FLOAT when some entry is a float, else EXACT."""
+        """FLOAT when some entry is a float, else EXACT; scanned once per matrix."""
         return FLOAT if has_float(*(blk for row in self.blocks for blk in row)) else EXACT
 
     def block(self, i: int, j: int):
@@ -77,7 +79,7 @@ class BlockMatrix:
         """Block product; exact operands take one dense fraction-free product."""
         if self.ncols != other.nrows or self.n != other.n:
             raise ValueError("incompatible block shapes")
-        if not has_float(*(blk for m in (self, other) for row in m.blocks for blk in row)):
+        if self.backend == other.backend == EXACT:
             return BlockMatrix.from_dense(self.n, mat_mul(self.to_dense(), other.to_dense()))
         cols = [[row[j] for row in other.blocks] for j in range(other.ncols)]
         return BlockMatrix(self.n, [[mat_mul_sum(row, col) for col in cols] for row in self.blocks])
@@ -128,13 +130,10 @@ class BlockMatrix:
         ]
         return cls(n, blocks)
 
+    @memoized
     def maxnorm(self):
         """Max-norm over every entry, computed once per matrix."""
-        if self._maxnorm is None:
-            self._maxnorm = matrix_residual_norm(
-                [[matrix_residual_norm(blk) for blk in row] for row in self.blocks]
-            )
-        return self._maxnorm
+        return matrix_residual_norm([[matrix_residual_norm(b) for b in row] for row in self.blocks])
 
     def __eq__(self, other):
         return (

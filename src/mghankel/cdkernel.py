@@ -18,7 +18,6 @@ fraction-free product in exact runs, the terms added in order in float.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .blockops import BlockMatrix, build_moment_matrix, partition, shift_power
@@ -39,6 +38,7 @@ from .families import (
 )
 from .numerics import (
     EXACT,
+    FLOAT,
     Scalar,
     SingularLocusError,
     block_sum,
@@ -47,6 +47,7 @@ from .numerics import (
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
+    memoized,
     solve_leading,
 )
 from .weights import SeedWeight, WeightFamily, hankel_family, validate_levels
@@ -70,9 +71,8 @@ class IdentityResidual:
 
 
 def diag_power(x, nvec) -> list:
-    """diag(x^{n_1}, ..., x^{n_N})."""
-    n = len(nvec)
-    m = mat_zeros(n, n)
+    """diag(x^{n_1}, ..., x^{n_N}), with zeros of x's backend."""
+    m = mat_zeros(len(nvec), len(nvec), FLOAT if isinstance(x, float) else EXACT)
     for a, na in enumerate(nvec):
         m[a][a] = x**na
     return m
@@ -80,19 +80,6 @@ def diag_power(x, nvec) -> list:
 
 def _copy(m) -> list:
     return [list(row) for row in m]
-
-
-def memoized(method):
-    """Memoize a method in its instance's `_memo`; a call that raises stores nothing."""
-
-    @functools.wraps(method)
-    def cached(self, *args):
-        key = (method, args)
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
-
-    return cached
 
 
 class PointTable:

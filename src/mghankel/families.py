@@ -10,7 +10,9 @@ transposed, rather than a second copy of it.
 
 Associated families are built independently of the factorization, by
 direct linear solves against leading truncations of the moment matrix, so
-the connection formulas below genuinely compare two routes.
+the connection formulas below genuinely compare two routes.  There is one
+solve per leading minor and side (g or g^T), kept on the moment matrix:
+every member j at that order, and every check reading one, shares it.
 
 All integrals of polynomial-times-weight products reduce to moment-matrix
 entries; no quadrature appears anywhere.
@@ -35,6 +37,7 @@ from .numerics import (
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
+    memoized,
     solve_leading,
 )
 from .weights import WeightFamily
@@ -98,15 +101,11 @@ def eval_form(f: LinearForm, fam: WeightFamily, x, weight=None) -> list:
 
 
 def poly_residual(p: MatrixPolynomial, q: MatrixPolynomial):
-    """Max-norm of the coefficientwise difference (zero-padded)."""
-    worst = 0
-    top = max(len(p.coeffs), len(q.coeffs))
-    zero = mat_zeros(p.n, p.n)
-    for k in range(top):
-        a = p.coeffs[k] if k < len(p.coeffs) else zero
-        b = q.coeffs[k] if k < len(q.coeffs) else zero
-        worst = max(worst, matrix_residual_norm(mat_sub(a, b)))
-    return worst
+    """Max-norm of the coefficientwise difference; a coefficient only one side
+    has counts whole, and a NaN anywhere makes the residual NaN."""
+    pad = min(len(p.coeffs), len(q.coeffs))
+    diffs = [mat_sub(a, b) for a, b in zip(p.coeffs, q.coeffs)] + [*p.coeffs[pad:], *q.coeffs[pad:]]
+    return matrix_residual_norm([[matrix_residual_norm(d) for d in diffs]])
 
 
 # A form shares the container, so it shares the residual.
@@ -170,58 +169,48 @@ def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _solve_leading(g: BlockMatrix, level: int, rhs) -> list:
-    """Solve (g^{[level]})^T X = rhs against the leading block minor."""
-    head = range(level)
-    tiles = [[tuple(zip(*g.block(k, i))) for k in head] for i in head]  # g[k, i]^T
-    dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
-    return solve_leading(dense, rhs, level, "leading minor of order %d is singular" % level)
+@memoized
+def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> list:
+    """X solving (h^{[order]})^T X = [I | h[order+i, 0..order-1]^T for i >= 0], h = g or g^T.
+
+    One elimination per order and side, kept on g for every builder: block
+    column i < order of X is that of ((h^{[order]})^T)^{-1}, and block
+    column order+i the solved combination of block row order+i of h."""
+    width = order * g.n
+    # [(h^{[order]})^T | h[order.., 0..order-1]^T] is the first `width` rows of h^T.
+    rows = (g.to_dense() if dual else mat_transpose(g.to_dense()))[:width]
+    dense = [row[:width] for row in rows]
+    rhs = [[int(c == r) for c in range(width)] + row[width:] for r, row in enumerate(rows)]
+    return solve_leading(dense, rhs, order, "leading minor of order %d is singular" % order)
 
 
-def _transposed_lead(g: BlockMatrix, order: int) -> BlockMatrix:
-    """Leading order x order blocks of g^T, clipped to the size of g.
-
-    This is all of the transposed problem that a builder at that order
-    reads; clipping leaves its range checks to report a bad index.
-    """
-    head = range(max(0, min(order, g.nrows)))
-    return BlockMatrix(g.n, [[mat_transpose(g.block(k, i)) for k in head] for i in head])
+def _solution_block(g: BlockMatrix, order: int, dual: bool, k: int, i: int) -> list:
+    """Block (k, i) of `_lead_solution`, transposed unless `dual`: a stored coefficient."""
+    n, sol = g.n, _lead_solution(g, order, dual)
+    blk = [row[i * n : (i + 1) * n] for row in sol[k * n : (k + 1) * n]]
+    return blk if dual else mat_transpose(blk)
 
 
-def _plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+def _plus(g: BlockMatrix, level: int, j: int, dual: bool = False) -> MatrixPolynomial:
     if j < 0 or level < 0 or level + j >= g.nrows:
         raise ValueError("need 0 <= l and l + j < truncation")
-    n = g.n
-    # row = (g[l+j, 0..l-1]) (g^{[l]})^{-1}, found from the transposed system
-    flat = [
-        [g.block(level + j, k)[r][c] for k in range(level) for c in range(n)]
-        for r in range(n)
+    n, backend = g.n, g.backend
+    # row = (h[l+j, 0..l-1]) (h^{[l]})^{-1}: column block l+j of the solution
+    coeffs = [
+        [[-x for x in row] for row in _solution_block(g, level, dual, k, level + j)]
+        for k in range(level)
     ]
-    sol = _solve_leading(g, level, mat_transpose(flat))
-    row = mat_transpose(sol)  # n x (level*n)
-    coeffs = []
-    for k in range(level):
-        blk = [[-row[r][k * n + c] for c in range(n)] for r in range(n)]
-        coeffs.append(blk)
-    coeffs.extend(mat_zeros(n, n) for _ in range(level, level + j))
-    coeffs.append(mat_eye(n))
-    return MatrixPolynomial.of(n, coeffs)
+    return MatrixPolynomial.of(n, coeffs + [mat_zeros(n, n, backend)] * j + [mat_eye(n, backend)])
 
 
-def _minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+def _minus(g: BlockMatrix, level: int, j: int, dual: bool = False) -> MatrixPolynomial:
     if j < 0 or j > level:
         raise ValueError("minus-family index j must satisfy 0 <= j <= l")
     if level + 1 > g.nrows:
         raise ValueError("need l + 1 <= truncation")
-    n = g.n
-    rhs = [[0] * n for _ in range((level + 1) * n)]
-    for c in range(n):
-        rhs[(level - j) * n + c][c] = 1
-    row = mat_transpose(_solve_leading(g, level + 1, rhs))
-    coeffs = [
-        [[row[r][k * n + c] for c in range(n)] for r in range(n)] for k in range(level + 1)
-    ]
-    return MatrixPolynomial.of(n, coeffs)
+    return MatrixPolynomial.of(
+        g.n, [_solution_block(g, level + 1, dual, k, level - j) for k in range(level + 1)]
+    )
 
 
 def associated_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
@@ -248,7 +237,7 @@ def dual_associated_plus(g: BlockMatrix, level: int, j: int) -> LinearForm:
 
     It is the plus family of the transposed problem g^T, blockwise transposed.
     """
-    return _transpose(_plus(_transposed_lead(g, level + j + 1), level, j))
+    return _plus(g, level, j, dual=True)
 
 
 def dual_associated_minus(g: BlockMatrix, level: int, j: int) -> LinearForm:
@@ -257,7 +246,7 @@ def dual_associated_minus(g: BlockMatrix, level: int, j: int) -> LinearForm:
 
     It is the minus family of the transposed problem g^T, blockwise transposed.
     """
-    return _transpose(_minus(_transposed_lead(g, level + 1), level, j))
+    return _minus(g, level, j, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +259,7 @@ def check_biorthogonality(
 ) -> CheckOutcome:
     """Pairings of the two families against the identity, blockwise."""
     product = factors.lower.matmul(g).matmul(factors.upper_inv)
-    ident = BlockMatrix.identity(g.n, g.nrows)
+    ident = BlockMatrix.identity(g.n, g.nrows, g.backend)
     scale = g.maxnorm()
     tracker = ResidualTracker(tol)
     for i in range(g.nrows):
@@ -351,7 +340,7 @@ def check_modified_orthogonality(
     families pair to the identity exactly at index level-j and to zero at
     the other indices up to level.
     """
-    n = g.n
+    n, backend = g.n, g.backend
     scale = g.maxnorm()
     tracker = ResidualTracker(tol)
 
@@ -368,7 +357,7 @@ def check_modified_orthogonality(
     minus = associated_minus(g, level, j)
     dual_minus = dual_associated_minus(g, level, j)
     for k in range(level + 1):
-        target = mat_eye(n) if k == level - j else mat_zeros(n, n)
+        target = mat_eye(n, backend) if k == level - j else mat_zeros(n, n, backend)
         r = matrix_residual_norm(mat_sub(poly_against_weight(g, minus, k), target))
         tracker.record(r, scale, "minus vs weight %d" % k)
         r = matrix_residual_norm(mat_sub(form_against_monomial(g, k, dual_minus), target))

@@ -174,12 +174,14 @@ def _integer(value) -> int:
 
 
 def validate_checks(checks) -> tuple:
-    """Every requested check must be in the registry."""
+    """At least one check, each in the registry."""
     with _field("checks"):
         checks = tuple(checks)
         unknown = [c for c in checks if c not in CHECK_REGISTRY]
     if unknown:
         raise ConfigError("checks: unknown check %r" % unknown[0])
+    if not checks:
+        raise ConfigError("checks: no check selected")
     return checks
 
 

@@ -17,6 +17,7 @@ singular pivot block or leading block minor is reported through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,6 +110,21 @@ def scalar_str(x: Scalar) -> str:
     if is_exact(x):
         return "0" if x == 0 else repr(float(x))
     return repr(x)
+
+
+def memoized(method):
+    """Memoize a method, or a function of one object, per object in its `_memo`.
+
+    Values live as long as the object; a call that raises stores nothing."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method, args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .numerics import (
     Scalar,
     as_backend,
     gaussian_moment,
+    memoized,
     parse_rational,
 )
 
@@ -171,9 +172,10 @@ class FamilyValidation:
 class WeightFamily:
     """Seed weights plus the two shift multi-indices generating all rho_j.
 
-    Immutable after construction; evaluation and moments are pure.  The
-    seed table may be ragged or otherwise ill-formed at construction time;
-    `validate_family` is the reporting gate.
+    Immutable after construction; evaluation and moments are pure, and
+    each seed integral is computed once per family.  The seed table may be
+    ragged or otherwise ill-formed at construction time; `validate_family`
+    is the reporting gate.
     """
 
     def __init__(self, nvec, mvec, seeds, backend: str = EXACT):
@@ -190,6 +192,7 @@ class WeightFamily:
         )
         if len(self.seeds) != self.size or any(len(row) != self.size for row in self.seeds):
             raise ValueError("seed table must be %d x %d" % (self.size, self.size))
+        self._memo = {}
 
     def max_shift(self) -> int:
         return max(max(self.nvec), max(self.mvec))
@@ -215,6 +218,10 @@ class WeightFamily:
             out.append(row)
         return out
 
+    @memoized
+    def _seed_moment(self, a: int, b: int, r: int, order: int) -> Scalar:
+        return self.seeds[a][b][r].moment(order, self.backend)
+
     def moment(self, i: int, j: int) -> list:
         """Closed-form integral of x^i rho_j as an N x N matrix."""
         out = []
@@ -222,8 +229,7 @@ class WeightFamily:
             row = []
             for b in range(self.size):
                 q, r = self._split(j, b)
-                seed = self.seeds[a][b][r]
-                row.append(seed.moment(i + q * self.nvec[a], self.backend))
+                row.append(self._seed_moment(a, b, r, i + q * self.nvec[a]))
             out.append(row)
         return out
 

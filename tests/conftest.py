@@ -15,8 +15,10 @@ from mghankel.numerics import (
     mat_eye,
     mat_mul,
     mat_sub,
+    mat_transpose,
     mat_zeros,
     matrix_residual_norm,
+    solve_leading,
 )
 from mghankel.weights import BaseMeasure, SeedWeight, WeightFamily, hankel_family
 
@@ -77,9 +79,63 @@ def block_zeros(n: int, nrows: int, ncols: int, backend: str = EXACT) -> BlockMa
     return BlockMatrix(n, [[mat_zeros(n, n, backend) for _ in range(ncols)] for _ in range(nrows)])
 
 
-def level_zero_plus(n: int, j: int) -> MatrixPolynomial:
-    """Oracle for the plus family at level 0: nothing to annihilate, so x^j."""
-    return MatrixPolynomial.of(n, [mat_zeros(n, n)] * j + [mat_eye(n)])
+def level_zero_plus(n: int, j: int, backend: str = EXACT) -> MatrixPolynomial:
+    """Oracle for the plus family at level 0: nothing to annihilate, so x^j,
+    with the zeros and the identity of the run's backend."""
+    return MatrixPolynomial.of(n, [mat_zeros(n, n, backend)] * j + [mat_eye(n, backend)])
+
+
+# -- per-call associated solves: oracles for the batched solves -------------
+#
+# Each builder call eliminates its own leading minor against its own
+# right-hand side; the dual builders run the primal ones on the leading
+# blocks of g^T and transpose the coefficients back.
+
+
+def solve_leading_minor(g: BlockMatrix, level: int, rhs) -> list:
+    """Solve (g^{[level]})^T X = rhs against the leading block minor."""
+    head = range(level)
+    tiles = [[tuple(zip(*g.block(k, i))) for k in head] for i in head]  # g[k, i]^T
+    dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
+    return solve_leading(dense, rhs, level, "leading minor of order %d is singular" % level)
+
+
+def transposed_lead(g: BlockMatrix, order: int) -> BlockMatrix:
+    """Leading order x order blocks of g^T."""
+    head = range(order)
+    return BlockMatrix(g.n, [[mat_transpose(g.block(k, i)) for k in head] for i in head])
+
+
+def solved_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+    n = g.n
+    flat = [
+        [g.block(level + j, k)[r][c] for k in range(level) for c in range(n)] for r in range(n)
+    ]
+    row = mat_transpose(solve_leading_minor(g, level, mat_transpose(flat)))
+    coeffs = [[[-row[r][k * n + c] for c in range(n)] for r in range(n)] for k in range(level)]
+    return MatrixPolynomial.of(n, [*coeffs, *level_zero_plus(n, j, g.backend).coeffs])
+
+
+def solved_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+    n = g.n
+    rhs = [[0] * n for _ in range((level + 1) * n)]
+    for c in range(n):
+        rhs[(level - j) * n + c][c] = 1
+    row = mat_transpose(solve_leading_minor(g, level + 1, rhs))
+    coeffs = [[[row[r][k * n + c] for c in range(n)] for r in range(n)] for k in range(level + 1)]
+    return MatrixPolynomial.of(n, coeffs)
+
+
+def transposed_blocks(p: MatrixPolynomial) -> MatrixPolynomial:
+    return MatrixPolynomial.of(p.n, [mat_transpose(c) for c in p.coeffs])
+
+
+def solved_dual_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+    return transposed_blocks(solved_plus(transposed_lead(g, level + j + 1), level, j))
+
+
+def solved_dual_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
+    return transposed_blocks(solved_minus(transposed_lead(g, level + 1), level, j))
 
 
 def is_monic(p) -> bool:

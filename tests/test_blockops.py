@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mghankel import blockops
 from mghankel.blockops import (
     BlockMatrix,
     build_moment_matrix,
@@ -201,6 +202,15 @@ def test_maxnorm_is_cached_and_matches_a_fresh_matrix(mgn2_bundle):
     first = g.maxnorm()
     assert g.maxnorm() is first
     assert BlockMatrix(g.n, g.blocks).maxnorm() == first
+
+
+def test_backend_is_scanned_once_per_matrix(monkeypatch, mgn2_bundle):
+    _, g, _ = mgn2_bundle
+    exact = BlockMatrix(g.n, g.blocks)
+    scans = []
+    monkeypatch.setattr(blockops, "has_float", lambda *m: scans.append(m) or False)
+    assert [exact.backend for _ in range(3)] == ["exact"] * 3
+    assert len(scans) == 1
 
 
 @st.composite

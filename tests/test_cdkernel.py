@@ -147,6 +147,11 @@ def test_diag_power_mixes_components():
     assert d == [[F(1, 2), 0], [0, F(1, 8)]]
 
 
+def test_diag_power_takes_the_backend_of_the_point():
+    assert {type(v) for row in diag_power(0.5, (1, 3)) for v in row} == {float}
+    assert diag_power(F(1, 2), (2,)) == [[F(1, 4)]]
+
+
 def test_schur_form_matches_lhs(mg12_bundle, rational_grid):
     fam, g, factors = mg12_bundle
     for level in (1, 2, 3):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from mghankel.numerics import (
     as_backend,
     mat_add,
     mat_eye,
+    mat_sub,
     mat_transpose,
     mat_zeros,
 )
@@ -262,10 +264,47 @@ def test_plus_families_at_level_zero_match_the_oracle(backend):
     config = dataclasses.replace(builtin_config("multigraded-n2"), backend=backend)
     g = build_moment_matrix(config.family(), config.truncation)
     for j in range(4):
-        expected = level_zero_plus(g.n, j)
+        expected = level_zero_plus(g.n, j, backend)
         for build in (associated_plus, dual_associated_plus):
             got = build(g, 0, j)
             assert [typed(c) for c in got.coeffs] == [typed(c) for c in expected.coeffs]
+
+
+@pytest.mark.parametrize("case", ["legendre", "multigraded-n2"])
+def test_float_families_and_checks_hold_only_floats(monkeypatch, case):
+    """Padding, identities and targets take the run's backend: every block a
+    float check subtracts, and every associated coefficient, is all floats."""
+    config = dataclasses.replace(builtin_config(case), backend="float")
+    g = build_moment_matrix(config.family(), config.truncation)
+    factors = lu_factorize(g)
+    kinds = set()
+    entry_types = lambda m: {type(v) for row in m for v in row}
+    builders = (associated_plus, associated_minus, dual_associated_plus, dual_associated_minus)
+
+    def recorded(a, b):
+        kinds.update(entry_types(a) | entry_types(b))
+        return mat_sub(a, b)
+
+    monkeypatch.setattr(families, "mat_sub", recorded)
+    check_biorthogonality(g, factors)
+    for level in range(1, g.nrows - 3):
+        check_matrix_notation(g, factors, level)
+        for j in range(min(level, 3) + 1):
+            check_connection_formulas(g, factors, level, j)
+            check_modified_orthogonality(g, level, j)
+            for build in builders:
+                kinds.update(t for c in build(g, level, j).coeffs for t in entry_types(c))
+    assert kinds == {float}
+
+
+def test_poly_residual_pads_with_the_other_side_and_keeps_nan():
+    nan = float("nan")
+    one = MatrixPolynomial.of(1, [[[1.0]]])
+    assert poly_residual(MatrixPolynomial.of(1, [[[1.0]], [[-3.0]]]), one) == 3.0
+    assert poly_residual(one, MatrixPolynomial.of(1, [[[1.0]], [[0.0]], [[-2.5]]])) == 2.5
+    assert poly_residual(MatrixPolynomial.of(1, []), MatrixPolynomial.of(1, [])) == 0
+    for p in ([[[nan]], [[2.0]]], [[[1.0]], [[nan]]], [[[0.0]], [[5.0]], [[nan]]]):
+        assert math.isnan(poly_residual(MatrixPolynomial.of(1, p), one))
 
 
 def test_forms_share_the_polynomial_container():

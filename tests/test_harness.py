@@ -127,6 +127,25 @@ def test_cli_unknown_check_message(capsys):
     assert capsys.readouterr().err == "error: checks: unknown check 'nonsense'\n"
 
 
+@pytest.mark.parametrize("checks", [",", " , ,"])
+def test_cli_empty_check_list_exits_two(tmp_path, capsys, checks):
+    """A --checks list naming no check is a config error, not a vacuous pass."""
+    out = tmp_path / "err.json"
+    assert cli_main(["demo", "--case", "legendre", "--checks", checks, "--report", str(out)]) == 2
+    assert capsys.readouterr().err == "error: checks: no check selected\n"
+    assert json.loads(out.read_text()) == {
+        "status": "error",
+        "error": "config",
+        "message": "checks: no check selected",
+    }
+
+
+def test_empty_config_check_list_selects_every_check():
+    assert config_from_dict(dict(MINIMAL, checks=[])).checks == CHECK_NAMES
+    with pytest.raises(ConfigError, match="^checks: no check selected$"):
+        validate_checks(())
+
+
 def test_load_rejects_bad_seed_shape():
     with pytest.raises(ConfigError, match="seeds"):
         config_from_dict(dict(MINIMAL, seeds=[[]]))

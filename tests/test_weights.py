@@ -158,3 +158,36 @@ def test_hankel_specialization_matrix_weight():
                 for b in range(2):
                     expected = rho[b][a].moment(i + j, EXACT)
                     assert got[a][b] == expected
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_each_seed_integral_is_computed_once_per_family(monkeypatch, backend):
+    """Moments keep every seed integral, keyed by (a, b, r, order), for the
+    family's lifetime; the values are those of the seeds themselves."""
+    seeds = [
+        [[interval_seed(1), interval_seed(0, 1)], [interval_seed(1, 1)]],
+        [[interval_seed(1, 1), interval_seed(0, 0, 1)], [interval_seed(2, -1)]],
+    ]
+    nvec, mvec = (1, 2), (2, 1)
+    direct = SeedWeight.moment
+    calls = []
+
+    def counted(seed, k, b):
+        calls.append((seed, k))
+        return direct(seed, k, b)
+
+    monkeypatch.setattr(SeedWeight, "moment", counted)
+    fams = [WeightFamily(nvec, mvec, seeds, backend=backend) for _ in range(2)]
+    keys = set()
+    for fam in fams:
+        for i in range(6):
+            for j in range(6):
+                got = fam.moment(i, j)
+                for a in range(2):
+                    for b in range(2):
+                        q, r = divmod(j, mvec[b])
+                        keys.add((id(fam), a, b, r, i + q * nvec[a]))
+                        want = direct(seeds[a][b][r], i + q * nvec[a], backend)
+                        assert (type(got[a][b]), repr(got[a][b])) == (type(want), repr(want))
+    assert len(calls) == len(keys)
+
