@@ -14,6 +14,9 @@ equivalent shapes that the harness compares pointwise:
 The kernel sum, the reproducing sum, the projections and the associated
 form are block sums, each taken by one `numerics.mat_mul_sum`: one
 fraction-free product in exact runs, the terms added in order in float.
+One `PointTable` per run holds the level-free values, and the projections
+of members and monomials read their weights off it; a level solves its
+leading minor once per side for every grid coordinate.
 """
 
 from __future__ import annotations
@@ -92,12 +95,19 @@ class PointTable:
     forms and the form moments.  Each is computed on first use and kept
     for the table's lifetime; every level of a run reads one table.  The
     matrices returned are the memoized values themselves: read only.
+    `monomials[d]` is x^d I (int entries); `coords` holds the distinct x
+    and y of `grid`, the run's (x, y) pairs, that each level solves for.
     """
 
-    def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors):
+    def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors, grid=()):
         self.fam, self.g, self.factors = fam, g, factors
         self.polys = primary_family(factors)
         self.forms = dual_family(factors)
+        n = fam.size
+        eye = [[int(r == c) for c in range(n)] for r in range(n)]
+        zero = [[0] * n for _ in range(n)]
+        self.monomials = [MatrixPolynomial.of(n, [zero] * d + [eye]) for d in range(g.nrows)]
+        self.coords = {side: tuple(dict.fromkeys(c)) for side, c in zip("xy", zip(*grid))}
         self._memo = {}
 
     @memoized
@@ -129,13 +139,14 @@ class KernelEvaluator:
 
     Level-free values come from `table`, the `PointTable` that every level
     of a run shares; it must be built from these same family, moment
-    matrix and factors objects (without one, a private table).  Values
-    that depend on the level are memoized per evaluator: the
-    leading-minor solves and Schur factors at x and at y, the kernel sum
-    and associated form at (x, y), the pair-times-polynomial terms of the
-    reproducing sum at y, and the associated families; each sum over terms
-    is one block sum (see the module docstring).  Matrices handed to
-    callers are fresh copies.
+    matrix and factors objects (without one, a private table with no
+    grid).  Values that depend on the level are memoized per evaluator:
+    the leading-minor solves, one call per side for every grid coordinate
+    (a coordinate off the grid alone), the Schur factors at x and at y,
+    the kernel sum and associated form at (x, y), the pair-times-polynomial
+    terms of the reproducing sum at y, and the associated families; each
+    sum over terms is one block sum (see the module docstring).  Matrices
+    handed to callers are fresh copies.
     """
 
     def __init__(
@@ -181,15 +192,26 @@ class KernelEvaluator:
                 rows[r].extend(w[r])
         return rows
 
-    @memoized
+    def _solved(self, side: str, coord, minor, rhs) -> list:
+        """minor^{-1} rhs(coord), in one solve with every grid coordinate of the
+        side (alone off the grid).  Float pivots depend on the minor alone and
+        exact solutions are canonical: each block has the bits of its own solve."""
+        if (side, coord) not in self._memo:
+            n, grid = self.fam.size, self.table.coords.get(side, ())
+            batch = grid if coord in grid else (coord,)
+            solved = solve_leading(minor, [sum(r, []) for r in zip(*map(rhs, batch))], self.level)
+            for i, c in enumerate(batch):
+                self._memo[side, c] = [row[i * n : (i + 1) * n] for row in solved]
+        return self._memo[side, coord]
+
     def _right_piece(self, y) -> list:
         """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
-        return solve_leading(self._tl, self._chi1_col(self.level, y), self.level)
+        return self._solved("y", y, self._tl, lambda c: self._chi1_col(self.level, c))
 
     def _left_piece(self, x) -> list:
         """chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n."""
-        rhs = mat_transpose(self._chi2_row(self.level, x))
-        return mat_transpose(solve_leading(self._tl_t, rhs, self.level))
+        rhs = lambda c: mat_transpose(self._chi2_row(self.level, c))
+        return mat_transpose(self._solved("x", x, self._tl_t, rhs))
 
     @memoized
     def _schur_row(self, x) -> tuple:
@@ -320,29 +342,38 @@ class KernelEvaluator:
     #
     # Member k has k + 1 coefficients, so coefficient t of a projection sums
     # k = t..level-1, from an exact zero; level 0 gives one zero coefficient.
+    # The table's members and monomials (by identity) read their weights off it.
 
     def project_poly(self, p: MatrixPolynomial) -> MatrixPolynomial:
         """Projection onto the span of the first `level` polynomials."""
         n, polys, levels = self.fam.size, self.table.polys, range(self.level)
-        top = range(len(p.coeffs))
-        weights = [
-            pair_with_moments(p, [self.table.form_moment(k, t) for t in top]) for k in levels
-        ]
+        d, table = len(p.coeffs) - 1, self.table
+        if d < len(polys) and p is polys[d]:
+            weights = [table.pair(d, k) for k in levels]
+        elif d < len(table.monomials) and p is table.monomials[d]:
+            weights = [table.form_moment(k, d) for k in levels]
+        else:
+            top = range(len(p.coeffs))
+            weights = [pair_with_moments(p, [table.form_moment(k, t) for t in top]) for k in levels]
         coeffs = [
             block_sum(n, weights[t:], [polys[k].coeffs[t] for k in levels[t:]]) for t in levels
         ]
-        return MatrixPolynomial.of(n, coeffs or [mat_zeros(n, n)])
+        return MatrixPolynomial.of(n, coeffs or [mat_zeros(n, n, self.fam.backend)])
 
     def project_form(self, f: LinearForm) -> LinearForm:
         """Projection onto the span of the first `level` dual forms."""
         n, forms, levels = self.fam.size, self.table.forms, range(self.level)
-        # polys[k] has degree k, so it pairs with moments t <= k < level.
-        moments = [form_against_monomial(self.g, t, f) for t in levels]
-        weights = [pair_with_moments(self.table.polys[k], moments) for k in levels]
+        j = len(f.coeffs) - 1
+        if j < len(forms) and f is forms[j]:
+            weights = [self.table.pair(k, j) for k in levels]
+        else:
+            # polys[k] has degree k, so it pairs with moments t <= k < level.
+            moments = [form_against_monomial(self.g, t, f) for t in levels]
+            weights = [pair_with_moments(self.table.polys[k], moments) for k in levels]
         coeffs = [
             block_sum(n, [forms[k].coeffs[t] for k in levels[t:]], weights[t:]) for t in levels
         ]
-        return LinearForm.of(n, coeffs or [mat_zeros(n, n)])
+        return LinearForm.of(n, coeffs or [mat_zeros(n, n, self.fam.backend)])
 
     def reproducing_residual(self, x, y) -> Scalar:
         """Gap between the kernel and its self-convolution.

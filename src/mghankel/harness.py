@@ -460,12 +460,6 @@ def write_report(report: CheckReport, path, fmt: str = "json") -> None:
 # ---------------------------------------------------------------------------
 
 
-def _monomial(n: int, deg: int) -> MatrixPolynomial:
-    """x^deg times the n x n identity, with int entries."""
-    eye = [[int(r == c) for c in range(n)] for r in range(n)]
-    return MatrixPolynomial.of(n, [[[0] * n for _ in range(n)]] * deg + [eye])
-
-
 class _Runner:
     """One run's family, factors, point table and evaluators; every cache lives here."""
 
@@ -493,7 +487,7 @@ class _Runner:
         self.tol = config.tolerance
         self.g = build_moment_matrix(self.fam, config.truncation)
         self.factors = lu_factorize(self.g)
-        self.table = PointTable(self.fam, self.g, self.factors)
+        self.table = PointTable(self.fam, self.g, self.factors, self.points)
         self._memo = {}
 
     def _check_grid_support(self):
@@ -581,7 +575,7 @@ class _Runner:
                         "l=%d %s k=%d" % (level, kind, k),
                     )
             for deg in range(total):
-                once = ev.project_poly(_monomial(self.fam.size, deg))
+                once = ev.project_poly(self.table.monomials[deg])
                 twice = ev.project_poly(once)
                 acc.record(
                     poly_residual(once, twice),

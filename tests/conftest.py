@@ -6,9 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 from mghankel.blockops import BlockMatrix, build_moment_matrix
+from mghankel.cdkernel import KernelEvaluator
 from mghankel.factorize import lu_factorize
 from mghankel.families import MatrixPolynomial, pair_poly_form
-from mghankel.harness import builtin_config
+from mghankel.harness import RunConfig, builtin_config
 from mghankel.numerics import (
     EXACT,
     mat_add,
@@ -138,6 +139,41 @@ def solved_dual_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     return transposed_blocks(solved_minus(transposed_lead(g, level + 1), level, j))
 
 
+@st.composite
+def drawn_configs(draw, backend):
+    """Seeded families drawn as `mgbench/workloads.draw_family` draws them:
+    small-integer quadratic densities on [0, 1], m_b seeds per entry.  The
+    config names no levels; its moment matrix may be singular."""
+    size = draw(st.integers(1, 3))
+    nvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
+    mvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
+    truncation = draw(st.integers(3, 7 - size))
+    quadratic = st.tuples(st.integers(1, 4), st.integers(-2, 3), st.integers(-2, 3))
+    seeds = tuple(
+        tuple(
+            tuple(interval_seed(*draw(quadratic)) for _ in range(mvec[b])) for b in range(size)
+        )
+        for _ in range(size)
+    )
+    return RunConfig(nvec, mvec, seeds, truncation, (), backend=backend)
+
+
+# -- per-coordinate leading-minor solves: the oracle for the batched solves --
+
+
+class PerCoordinateEvaluator(KernelEvaluator):
+    """A kernel evaluator that solves its leading minor once per coordinate
+    and call, against that coordinate's column alone, and memoizes nothing
+    of the solves: the reference for the solves batched over the grid."""
+
+    def _right_piece(self, y) -> list:
+        return solve_leading(self._tl, self._chi1_col(self.level, y), self.level)
+
+    def _left_piece(self, x) -> list:
+        rhs = mat_transpose(self._chi2_row(self.level, x))
+        return mat_transpose(solve_leading(self._tl_t, rhs, self.level))
+
+
 def is_monic(p) -> bool:
     lead = p.coeffs[-1]
     return all(lead[r][c] == (1 if r == c else 0) for r in range(p.n) for c in range(p.n))
@@ -186,8 +222,9 @@ def term_associated(fam, plus_forms, minus_polys, minus_forms, plus_polys) -> li
 
 
 def term_project_poly(g, polys, forms, level, p) -> MatrixPolynomial:
+    """Projection of p, each product added to a zero of g's backend."""
     n = g.n
-    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
+    coeffs = [mat_zeros(n, n, g.backend) for _ in range(max(level, 1))]
     for k in range(level):
         weight = pair_poly_form(g, p, forms[k])
         for t, c in enumerate(polys[k].coeffs):
@@ -196,8 +233,9 @@ def term_project_poly(g, polys, forms, level, p) -> MatrixPolynomial:
 
 
 def term_project_form(g, polys, forms, level, f) -> MatrixPolynomial:
+    """Projection of f, each product added to a zero of g's backend."""
     n = g.n
-    coeffs = [mat_zeros(n, n) for _ in range(max(level, 1))]
+    coeffs = [mat_zeros(n, n, g.backend) for _ in range(max(level, 1))]
     for k in range(level):
         weight = pair_poly_form(g, polys[k], f)
         for u, d in enumerate(forms[k].coeffs):

@@ -485,9 +485,12 @@ def typed_poly(p) -> list:
 def test_block_sums_match_term_loops(loop_case):
     """Kernel sum, reproducing residual, associated form and both projections
     equal their per-term loops by type and repr, at every level of the budget
-    and every grid point."""
+    and every grid point.  The levels share one point table with the grid and
+    come out of order (even levels downwards, then odd levels), so no level
+    may read what another left on the table."""
     fam, g, factors, points = loop_case
-    polys, forms = primary_family(factors), dual_family(factors)
+    table = PointTable(fam, g, factors, points)
+    polys, forms = table.polys, table.forms
     levels = range(g.nrows - fam.max_shift())
     forms_at = {x: [eval_form(f, fam, x) for f in forms[: len(levels)]] for x, _ in points}
     polys_at = {y: [eval_poly(p, y) for p in polys[: len(levels)]] for _, y in points}
@@ -495,8 +498,8 @@ def test_block_sums_match_term_loops(loop_case):
     # the harness projects monomials, whose entries are ints
     eye = [[int(r == c) for c in range(fam.size)] for r in range(fam.size)]
     monomial = MatrixPolynomial.of(fam.size, [[[0] * fam.size] * fam.size, eye])
-    for level in levels:
-        ev = KernelEvaluator(fam, g, factors, level)
+    for level in sorted(levels, key=lambda level: (level % 2, -level)):
+        ev = KernelEvaluator(fam, g, factors, level, table=table)
         members = associated_members(fam, g, level) if level >= fam.max_shift() else None
         for x, y in points:
             fx, py = forms_at[x][:level], polys_at[y][:level]
@@ -507,7 +510,7 @@ def test_block_sums_match_term_loops(loop_case):
             if members is not None:
                 want = term_associated(fam, *associated_values(fam, members, x, y))
                 assert typed(ev.cd_rhs_associated(x, y)) == typed(want), (level, x, y)
-        for p in [*polys, monomial]:
+        for p in [*polys, *table.monomials, monomial]:
             want = term_project_poly(g, polys, forms, level, p)
             assert typed_poly(ev.project_poly(p)) == typed_poly(want), level
         for f in forms:

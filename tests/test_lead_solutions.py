@@ -22,11 +22,11 @@ from mghankel.families import (
     dual_associated_minus,
     dual_associated_plus,
 )
-from mghankel.harness import RunConfig, builtin_config, run
+from mghankel.harness import builtin_config, run
 from mghankel.numerics import SingularLeadingMinorError
 
 from conftest import (
-    interval_seed,
+    drawn_configs,
     solved_dual_minus,
     solved_dual_plus,
     solved_minus,
@@ -78,23 +78,8 @@ def test_builders_match_the_per_call_solves(case, backend):
     assert_builders_match_the_oracle(moments(case, backend))
 
 
-@st.composite
-def drawn_families(draw, backend):
-    """Seeded families drawn as `mgbench/workloads.draw_family` draws them:
-    small-integer quadratic densities on [0, 1], m_b seeds per entry."""
-    size = draw(st.integers(1, 3))
-    nvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
-    mvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
-    truncation = draw(st.integers(3, 7 - size))
-    quadratic = st.tuples(st.integers(1, 4), st.integers(-2, 3), st.integers(-2, 3))
-    seeds = tuple(
-        tuple(
-            tuple(interval_seed(*draw(quadratic)) for _ in range(mvec[b])) for b in range(size)
-        )
-        for _ in range(size)
-    )
-    config = RunConfig(nvec, mvec, seeds, truncation, (), backend=backend)
-    return build_moment_matrix(config.family(), truncation)
+def drawn_families(backend):
+    return drawn_configs(backend).map(lambda c: build_moment_matrix(c.family(), c.truncation))
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
