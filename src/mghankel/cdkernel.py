@@ -272,7 +272,7 @@ class KernelEvaluator:
         """Associated families feeding the bilinear form."""
         level = self.level
         fam = self.fam
-        if level < max(fam.nvec) or level < max(fam.mvec):
+        if level < fam.max_shift():
             raise ValueError(
                 "level %d is below every-shift dominance (max shift %d); "
                 "the associated-family form is undefined" % (level, fam.max_shift())

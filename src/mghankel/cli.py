@@ -26,8 +26,6 @@ from .harness import (
     builtin_config,
     load_config,
     run,
-    validate_checks,
-    validate_levels,
     write_report,
 )
 from .numerics import BACKENDS, SingularLeadingMinorError
@@ -46,19 +44,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
+    """The config with the command-line overrides; RunConfig checks the result."""
     updates = {}
     if args.backend:
         updates["backend"] = args.backend
     if args.checks:
-        names = (c.strip() for c in args.checks.split(",") if c.strip())
-        updates["checks"] = validate_checks(names)
+        updates["checks"] = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     if args.levels:
         try:
-            levels = tuple(int(v) for v in args.levels.split(","))
+            updates["levels"] = tuple(int(v) for v in args.levels.split(","))
         except ValueError as exc:
             raise ConfigError("levels: %s" % exc) from exc
-        updates["levels"] = validate_levels(levels, config.max_shift(), config.truncation)
-    return dataclasses.replace(config, **updates) if updates else config
+    return dataclasses.replace(config, **updates)
 
 
 def _emit(report, args) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockops import BlockMatrix
+from .blockops import BlockMatrix, _freeze
 from .factorize import GaussFactors
 from .numerics import (
     CheckOutcome,
@@ -41,10 +41,6 @@ from .numerics import (
     solve_leading,
 )
 from .weights import WeightFamily
-
-
-def _freeze(rows):
-    return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)

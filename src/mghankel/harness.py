@@ -50,8 +50,7 @@ from .numerics import (
 from .weights import (
     BaseMeasure,
     ConfigError,
-    GAUSSIAN,
-    LAGUERRE,
+    FINITE_INTERVAL,
     SeedWeight,
     WeightFamily,
     validate_family,
@@ -80,6 +79,9 @@ CHECK_REGISTRY = {
 
 CHECK_NAMES = tuple(CHECK_REGISTRY)
 
+# The checks that read no level: a config selecting no level runs only these.
+LEVEL_FREE_CHECKS = frozenset({"symmetry", "factorization", "biorthogonality", "classical"})
+
 DEFAULT_GRID_COORDS = (
     Fraction(1, 7),
     Fraction(2, 7),
@@ -95,16 +97,40 @@ STATUS_SKIPPED = "skipped"
 
 @dataclass
 class RunConfig:
+    """One run: the weight family, the truncation, the levels, the grid and the checks.
+
+    Every rule that needs only these fields is checked here, so a config read
+    from a file, built in code, changed by `dataclasses.replace` or by CLI
+    overrides obeys the same rules.  `levels=None` selects every level of the
+    budget.  Rules that need the family (seed counts, backend, grid support)
+    are checked when the run starts.
+    """
+
     nvec: tuple
     mvec: tuple
     seeds: tuple  # [a][b] -> tuple of SeedWeight (rational coefficients)
     truncation: int
-    levels: tuple
+    levels: tuple | None
     backend: str = EXACT
     tolerance: Tolerance = DEFAULT_TOLERANCE
     grid: tuple | None = None  # explicit rational (x, y) pairs, or None for the lattice
     checks: tuple = CHECK_NAMES
     name: str = "custom"
+
+    def __post_init__(self):
+        shift = self.max_shift()
+        levels = range(1, self.truncation - shift) if self.levels is None else self.levels
+        self.levels = validate_levels(levels, shift, self.truncation)
+        self.checks = validate_checks(self.checks)
+        if not self.levels and not LEVEL_FREE_CHECKS.issuperset(self.checks):
+            raise ConfigError("levels: no level selected")
+        if self.grid is not None and "corollary" in self.checks:
+            for idx, (x, y) in enumerate(self.grid):
+                if self._on_locus(x, y):
+                    raise ConfigError(
+                        "grid[%d]: (%s, %s) lies on the singular locus with corollary enabled"
+                        % (idx, x, y)
+                    )
 
     @property
     def size(self) -> int:
@@ -122,13 +148,12 @@ class RunConfig:
             return list(self.grid)
         return [(x, y) for x in DEFAULT_GRID_COORDS for y in DEFAULT_GRID_COORDS]
 
+    def _on_locus(self, x, y) -> bool:
+        return any(x**na == y**nb for na in self.nvec for nb in self.nvec)
+
     def off_locus_pairs(self) -> list:
         """Grid pairs avoiding x^{n_a} == y^{n_b} for all component pairs."""
-        return [
-            (x, y)
-            for x, y in self.grid_pairs()
-            if all(x**na != y**nb for na in self.nvec for nb in self.nvec)
-        ]
+        return [(x, y) for x, y in self.grid_pairs() if not self._on_locus(x, y)]
 
     def to_dict(self) -> dict:
         return {
@@ -193,7 +218,7 @@ def _parse_seed(entry, path: str) -> SeedWeight:
 
 
 def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
-    """Build and validate a RunConfig from parsed JSON."""
+    """Parse a RunConfig from JSON; the RunConfig checks its own rules."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     with _field("nvec/mvec"):
@@ -237,21 +262,16 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
     if backend not in BACKENDS:
         raise ConfigError("backend: must be one of %s" % (BACKENDS,))
 
-    max_shift = max(max(nvec), max(mvec))
-    if "levels" in data and data["levels"] is not None:
+    levels = None
+    if data.get("levels") is not None:
         with _field("levels"):
             levels = tuple(_integer(v) for v in data["levels"])
-    else:
-        levels = tuple(range(1, truncation - max_shift))
-    levels = validate_levels(levels, max_shift, truncation)
 
     tol = DEFAULT_TOLERANCE
     if "tolerance" in data and data["tolerance"] is not None:
         t = data["tolerance"]
         with _field("tolerance"):
             tol = Tolerance(float(t.get("abs", 1e-9)), float(t.get("rel", 1e-9)))
-
-    checks = validate_checks(data.get("checks") or CHECK_NAMES)
 
     grid = None
     if data.get("grid") is not None:
@@ -263,13 +283,6 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
                 x, y = (parse_rational(v) for v in pair)
             pairs.append((x, y))
         grid = tuple(pairs)
-        if "corollary" in checks:
-            for idx, (x, y) in enumerate(grid):
-                if any(x**na == y**nb for na in nvec for nb in nvec):
-                    raise ConfigError(
-                        "grid[%d]: (%s, %s) lies on the singular locus with corollary enabled"
-                        % (idx, x, y)
-                    )
 
     return RunConfig(
         nvec=nvec,
@@ -280,7 +293,7 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
         backend=backend,
         tolerance=tol,
         grid=grid,
-        checks=checks,
+        checks=data.get("checks") or CHECK_NAMES,
         name=str(data.get("name", name)),
     )
 
@@ -301,80 +314,41 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _interval_seed(*coeffs) -> SeedWeight:
-    return SeedWeight.of(list(coeffs), BaseMeasure.finite_interval(0, 1))
+_UNIT_INTERVAL = BaseMeasure.finite_interval(0, 1)
+
+# Built-in demo cases: name -> (nvec, mvec, measure, seed coefficients, L,
+# levels, backend).  Seed coefficients are [a][b] -> one ascending
+# coefficient list per seed; levels None is every level of the budget.
+# `singular` is deliberately rank-deficient: its duplicate seed columns make
+# the very first pivot block singular.
+_BUILTINS = {
+    "hermite": ((1,), (1,), BaseMeasure.gaussian(), [[[[1]]]], 10, range(1, 7), FLOAT),
+    "legendre": ((1,), (1,), _UNIT_INTERVAL, [[[[1]]]], 8, None, EXACT),
+    "multigraded-12": ((1,), (2,), _UNIT_INTERVAL, [[[[1], [0, 0, 0, 0, 0, 1]]]], 10, None, EXACT),
+    "multigraded-n2": (
+        (1, 2),
+        (2, 1),
+        _UNIT_INTERVAL,
+        [[[[1], [0, 1]], [[1, 1]]], [[[1, 1], [0, 0, 1]], [[2, -1]]]],
+        10,
+        None,
+        EXACT,
+    ),
+    "singular": ((1, 1), (1, 1), _UNIT_INTERVAL, [[[[1]], [[1]]], [[[1]], [[1]]]], 4, (1,), EXACT),
+}
+
+BUILTIN_CASES = tuple(_BUILTINS)
 
 
 def builtin_config(name: str) -> RunConfig:
-    """Built-in demo configurations.
-
-    The `singular` case is deliberately rank-deficient: its duplicate seed
-    columns make the very first pivot block singular.
-    """
-    if name == "legendre":
-        return RunConfig(
-            nvec=(1,),
-            mvec=(1,),
-            seeds=(((_interval_seed(1),),),),
-            truncation=8,
-            levels=tuple(range(1, 7)),
-            backend=EXACT,
-            name="legendre",
-        )
-    if name == "hermite":
-        return RunConfig(
-            nvec=(1,),
-            mvec=(1,),
-            seeds=(((SeedWeight.of([1], BaseMeasure.gaussian()),),),),
-            truncation=10,
-            levels=tuple(range(1, 7)),
-            backend=FLOAT,
-            name="hermite",
-        )
-    if name == "multigraded-12":
-        return RunConfig(
-            nvec=(1,),
-            mvec=(2,),
-            seeds=(((_interval_seed(1), _interval_seed(0, 0, 0, 0, 0, 1)),),),
-            truncation=10,
-            levels=tuple(range(1, 8)),
-            backend=EXACT,
-            name="multigraded-12",
-        )
-    if name == "multigraded-n2":
-        return RunConfig(
-            nvec=(1, 2),
-            mvec=(2, 1),
-            seeds=(
-                (
-                    (_interval_seed(1), _interval_seed(0, 1)),
-                    (_interval_seed(1, 1),),
-                ),
-                (
-                    (_interval_seed(1, 1), _interval_seed(0, 0, 1)),
-                    (_interval_seed(2, -1),),
-                ),
-            ),
-            truncation=10,
-            levels=tuple(range(1, 8)),
-            backend=EXACT,
-            name="multigraded-n2",
-        )
-    if name == "singular":
-        one = _interval_seed(1)
-        return RunConfig(
-            nvec=(1, 1),
-            mvec=(1, 1),
-            seeds=(((one,), (one,)), ((one,), (one,))),
-            truncation=4,
-            levels=(1,),
-            backend=EXACT,
-            name="singular",
-        )
-    raise ConfigError("unknown built-in case %r" % name)
-
-
-BUILTIN_CASES = ("hermite", "legendre", "multigraded-12", "multigraded-n2", "singular")
+    """The built-in demo configuration `name`, one of `BUILTIN_CASES`."""
+    if name not in _BUILTINS:
+        raise ConfigError("unknown built-in case %r" % name)
+    nvec, mvec, measure, coeffs, truncation, levels, backend = _BUILTINS[name]
+    seeds = tuple(
+        tuple(tuple(SeedWeight.of(c, measure) for c in entry) for entry in row) for row in coeffs
+    )
+    return RunConfig(nvec, mvec, seeds, truncation, levels, backend=backend, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -469,40 +443,29 @@ class _Runner:
         report = validate_family(self.fam, config.truncation)
         if not report.ok:
             raise ConfigError("family: %s" % report.first_problem())
-        self.pointwise_ok = not (
-            config.backend == EXACT
-            and any(
-                s.measure.kind in (GAUSSIAN, LAGUERRE)
-                for row in self.fam.seeds
-                for entry in row
-                for s in entry
-            )
-        )
-        if (
-            config.backend == EXACT
-            and self.pointwise_ok
-            and any(CHECK_REGISTRY.get(c) for c in config.checks)
-        ):
-            self._check_grid_support()
+        seeds = [
+            ((a, b, r), seed)
+            for a, row in enumerate(self.fam.seeds)
+            for b, entry in enumerate(row)
+            for r, seed in enumerate(entry)
+        ]
+        # Exact weights have values only on finite intervals, and only inside them.
+        exact = config.backend == EXACT
+        self.pointwise_ok = not exact or all(s.measure.kind == FINITE_INTERVAL for _, s in seeds)
+        if exact and self.pointwise_ok and any(CHECK_REGISTRY[c] for c in config.checks):
+            where = "grid[%d]" if config.grid is not None else "grid (default lattice, pair %d)"
+            for idx, (x, _) in enumerate(config.grid_pairs()):
+                for (a, b, r), seed in seeds:
+                    if not seed.measure.in_support(x):
+                        raise ConfigError(
+                            "%s: x=%s lies outside the support of seed %d of entry (%d,%d)"
+                            % (where % idx, x, r, a, b)
+                        )
         self.tol = config.tolerance
         self.g = build_moment_matrix(self.fam, config.truncation)
         self.factors = lu_factorize(self.g)
         self.table = PointTable(self.fam, self.g, self.factors, self.points)
         self._memo = {}
-
-    def _check_grid_support(self):
-        """Exact weights have no value outside their support, and the
-        pointwise checks take every seed weight at every grid x."""
-        where = "grid[%d]" if self.config.grid is not None else "grid (default lattice, pair %d)"
-        for idx, (x, _) in enumerate(self.config.grid_pairs()):
-            for a, row in enumerate(self.fam.seeds):
-                for b, entry in enumerate(row):
-                    for r, seed in enumerate(entry):
-                        if not seed.measure.in_support(x):
-                            raise ConfigError(
-                                "%s: x=%s lies outside the support of seed %d of entry (%d,%d)"
-                                % (where % idx, x, r, a, b)
-                            )
 
     @memoized
     def evaluator(self, level: int) -> KernelEvaluator:

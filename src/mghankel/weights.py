@@ -197,10 +197,6 @@ class WeightFamily:
     def max_shift(self) -> int:
         return max(max(self.nvec), max(self.mvec))
 
-    def _split(self, j: int, b: int) -> tuple:
-        q, r = divmod(j, self.mvec[b])
-        return q, r
-
     def eval_weight(self, j: int, x) -> list:
         """Value of rho_j at x as an N x N matrix (measure density included)."""
         x = as_backend(x, self.backend)
@@ -208,7 +204,7 @@ class WeightFamily:
         for a in range(self.size):
             row = []
             for b in range(self.size):
-                q, r = self._split(j, b)
+                q, r = divmod(j, self.mvec[b])
                 seed = self.seeds[a][b][r]
                 if self.backend == EXACT and not seed.measure.in_support(x):
                     raise SupportError(
@@ -228,7 +224,7 @@ class WeightFamily:
         for a in range(self.size):
             row = []
             for b in range(self.size):
-                q, r = self._split(j, b)
+                q, r = divmod(j, self.mvec[b])
                 row.append(self._seed_moment(a, b, r, i + q * self.nvec[a]))
             out.append(row)
         return out

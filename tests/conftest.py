@@ -143,7 +143,7 @@ def solved_dual_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
 def drawn_configs(draw, backend):
     """Seeded families drawn as `mgbench/workloads.draw_family` draws them:
     small-integer quadratic densities on [0, 1], m_b seeds per entry.  The
-    config names no levels; its moment matrix may be singular."""
+    config names level 0 alone; its moment matrix may be singular."""
     size = draw(st.integers(1, 3))
     nvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
     mvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
@@ -155,7 +155,7 @@ def drawn_configs(draw, backend):
         )
         for _ in range(size)
     )
-    return RunConfig(nvec, mvec, seeds, truncation, (), backend=backend)
+    return RunConfig(nvec, mvec, seeds, truncation, (0,), backend=backend)
 
 
 # -- per-coordinate leading-minor solves: the oracle for the batched solves --
