@@ -20,7 +20,6 @@ from .numerics import (
     mat_mul,
     mat_mul_sum,
     mat_sub,
-    mat_transpose,
     mat_zeros,
     mat_eye,
     matrix_residual_norm,
@@ -46,6 +45,14 @@ class BlockMatrix:
             for blk in row:
                 if len(blk) != n or any(len(r) != n for r in blk):
                     raise ValueError("every block must be %d x %d" % (n, n))
+
+    @classmethod
+    def _frozen(cls, n: int, blocks) -> "BlockMatrix":
+        """A BlockMatrix over rows of blocks that are already n x n tuples of
+        row tuples; nothing is copied or checked again."""
+        self = object.__new__(cls)
+        self.n, self.blocks, self._memo = n, tuple(tuple(row) for row in blocks), {}
+        return self
 
     @property
     def nrows(self) -> int:
@@ -87,25 +94,21 @@ class BlockMatrix:
     def sub(self, other: "BlockMatrix") -> "BlockMatrix":
         if (self.nrows, self.ncols, self.n) != (other.nrows, other.ncols, other.n):
             raise ValueError("incompatible block shapes")
-        return BlockMatrix(
+        return BlockMatrix._frozen(
             self.n,
             [
-                [mat_sub(self.blocks[i][j], other.blocks[i][j]) for j in range(self.ncols)]
-                for i in range(self.nrows)
+                [_freeze(mat_sub(p, q)) for p, q in zip(row_p, row_q)]
+                for row_p, row_q in zip(self.blocks, other.blocks)
             ],
         )
 
     def transpose(self) -> "BlockMatrix":
-        return BlockMatrix(
-            self.n,
-            [
-                [mat_transpose(self.blocks[i][j]) for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ],
+        return BlockMatrix._frozen(
+            self.n, [[tuple(zip(*blk)) for blk in col] for col in zip(*self.blocks)]
         )
 
     def slice(self, rows: range, cols: range) -> "BlockMatrix":
-        return BlockMatrix(self.n, [[self.blocks[i][j] for j in cols] for i in rows])
+        return BlockMatrix._frozen(self.n, [[self.blocks[i][j] for j in cols] for i in rows])
 
     def to_dense(self) -> list:
         dense = []

@@ -5,20 +5,31 @@ Splits g into a unit block-lower factor and a block-upper factor so that
 No pivoting takes place at the block level: a permuted factorization would
 scramble the triangular structure the biorthogonal families are read from.
 A singular pivot block is a reported failure, not a recoverable path.
+
+Exact matrices are factorized fraction-free: one Bareiss elimination of
+[g | I] gives ``upper`` and ``lower``, and one of [g^T | I] gives the two
+inverses, as the factors of g^T are the transposed factors of g (the dual
+family is the primal family of g^T).  Float matrices take block Doolittle
+elimination and invert both factors by block substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .blockops import BlockMatrix
+from .blockops import BlockMatrix, _freeze
 from .numerics import (
+    EXACT,
     _exceeds,
+    _integer_vectors,
+    bareiss_step,
     mat_eye,
     mat_mul,
     mat_mul_sum,
     mat_scale,
     mat_sub,
+    mat_transpose,
     mat_zeros,
     matrix_residual_norm,
     solve_leading,
@@ -53,14 +64,18 @@ class GaussFactors:
 
 
 def lu_factorize(g: BlockMatrix) -> GaussFactors:
-    """Block Doolittle elimination without block pivoting.
+    """Block Gaussian elimination without block pivoting.
 
-    Raises SingularLeadingMinorError(level) when the pivot block at an
-    elimination step cannot be inverted (exactly singular, or beyond the
-    relative threshold in float mode).
+    Exact matrices are eliminated fraction-free (`_exact_factors`), float
+    matrices by block Doolittle elimination.  Raises
+    SingularLeadingMinorError(level) when the pivot block at an elimination
+    step cannot be inverted (exactly singular, or beyond the relative
+    threshold in float mode).
     """
     if g.nrows != g.ncols:
         raise ValueError("factorization needs a square block matrix")
+    if g.backend == EXACT:
+        return _exact_factors(g)
     n, levels = g.n, g.nrows
     backend = g.backend
     low = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
@@ -84,6 +99,74 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
         lower_inv=lower_inv,
         upper=upper,
         upper_inv=invert_block_triangular(upper, UPPER),
+    )
+
+
+def _reduced_block_rows(dense, n: int):
+    """Bareiss elimination of [A | I] for a dense exact A, n rows at a time.
+
+    Each row of [A | I] starts scaled to integers by the lcm of the
+    denominators of its part in A.  When block i comes up, its rows,
+    divided by the last pivot times their starting lcm, are [S | R]: S is
+    block row i of ``upper`` (the Schur complement of the leading i blocks,
+    from block column i on) and R is block row i of ``lower`` (up to block
+    column i), where ``lower @ A == upper``.  Yields (S, R) as lists of
+    frozen n x n Fraction blocks, then eliminates the columns of block i,
+    pivoting only among its rows; the caller tests the pivot block first.
+    """
+    size = len(dense)
+    m, lcms = [], []
+    for r, (ints, lcm, _) in enumerate(_integer_vectors(dense)):
+        unit = [0] * size
+        unit[r] = lcm
+        m.append(ints + unit)
+        lcms.append(lcm)
+    prev = 1
+    for start in range(0, size, n):
+        stop = start + n
+        rows = [
+            [Fraction(v, prev * lcms[r]) for v in m[r][start : size + stop]]
+            for r in range(start, stop)
+        ]
+        blocks = [tuple(tuple(row[c : c + n]) for row in rows) for c in range(0, len(rows[0]), n)]
+        split = (size - start) // n
+        yield blocks[:split], blocks[split:]
+        for col in range(start, stop):
+            prev = bareiss_step(m, col, stop, prev)
+
+
+def _exact_factors(g: BlockMatrix) -> GaussFactors:
+    """The four factors of an exact g from two fraction-free eliminations.
+
+    The pass over g gives ``upper`` and ``lower`` block row by block row;
+    `solve_leading` inverts each pivot block U_ii to D_i before its columns
+    are eliminated.  The pass over g^T, whose pivot blocks are the U_ii^T,
+    gives the rows S' and R' of the same factors of g^T, which are the
+    transposed factors of g:
+    ``lower_inv[i][j] = S'(j, i)^T D_j`` and ``upper_inv[k][i] = R'(i, k)^T D_i``.
+    """
+    n, levels = g.n, g.nrows
+    eye, zero = _freeze(mat_eye(n)), _freeze(mat_zeros(n, n))
+    dense = g.to_dense()
+    upper, lower, pivot_invs = [], [], []
+    for i, (s, r) in enumerate(_reduced_block_rows(dense, n)):
+        pivot_invs.append(solve_leading(s[0], mat_eye(n), i))
+        upper.append([zero] * i + s)
+        lower.append(r + [zero] * (levels - i - 1))
+    lower_inv = [[eye if i == j else zero for j in range(levels)] for i in range(levels)]
+    upper_inv = [[zero] * levels for _ in range(levels)]
+    for i, (s, r) in enumerate(_reduced_block_rows(mat_transpose(dense), n)):
+        d = pivot_invs[i]
+        for j in range(i + 1, levels):
+            lower_inv[j][i] = _freeze(mat_mul(mat_transpose(s[j - i]), d))
+        for k in range(i):
+            upper_inv[k][i] = _freeze(mat_mul(mat_transpose(r[k]), d))
+        upper_inv[i][i] = _freeze(d)
+    return GaussFactors(
+        lower=BlockMatrix._frozen(n, lower),
+        lower_inv=BlockMatrix._frozen(n, lower_inv),
+        upper=BlockMatrix._frozen(n, upper),
+        upper_inv=BlockMatrix._frozen(n, upper_inv),
     )
 
 

@@ -101,9 +101,10 @@ class RunConfig:
 
     Every rule that needs only these fields is checked here, so a config read
     from a file, built in code, changed by `dataclasses.replace` or by CLI
-    overrides obeys the same rules.  `levels=None` selects every level of the
-    budget.  Rules that need the family (seed counts, backend, grid support)
-    are checked when the run starts.
+    overrides obeys the same rules.  The shape rules (multi-indices,
+    truncation, backend) come first.  `levels=None` selects every level of
+    the budget.  Rules that need the family (seed counts, seeds the backend
+    cannot integrate, grid support) are checked when the run starts.
     """
 
     nvec: tuple
@@ -118,6 +119,11 @@ class RunConfig:
     name: str = "custom"
 
     def __post_init__(self):
+        validate_multi_indices(self.nvec, self.mvec)
+        if self.truncation < 1:
+            raise ConfigError("L: must be >= 1")
+        if self.backend not in BACKENDS:
+            raise ConfigError("backend: must be one of %s" % (BACKENDS,))
         shift = self.max_shift()
         levels = range(1, self.truncation - shift) if self.levels is None else self.levels
         self.levels = validate_levels(levels, shift, self.truncation)
@@ -198,6 +204,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def validate_multi_indices(nvec, mvec) -> None:
+    """nvec and mvec nonempty, of equal length, with components >= 1."""
+    if len(nvec) != len(mvec) or not nvec:
+        raise ConfigError("nvec/mvec: must be nonempty and of equal length")
+    if any(v < 1 for v in (*nvec, *mvec)):
+        raise ConfigError("nvec/mvec: components must be >= 1")
+
+
 def validate_checks(checks) -> tuple:
     """At least one check, each in the registry."""
     with _field("checks"):
@@ -224,10 +238,7 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
     with _field("nvec/mvec"):
         nvec = tuple(_integer(v) for v in data["nvec"])
         mvec = tuple(_integer(v) for v in data["mvec"])
-    if len(nvec) != len(mvec) or not nvec:
-        raise ConfigError("nvec/mvec: must be nonempty and of equal length")
-    if any(v < 1 for v in nvec + mvec):
-        raise ConfigError("nvec/mvec: components must be >= 1")
+    validate_multi_indices(nvec, mvec)  # the seed table is read by its size
     size = len(nvec)
     with _field("N"):
         given = _integer(data.get("N", size))
@@ -255,12 +266,6 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
 
     with _field("L"):
         truncation = _integer(data["L"])
-    if truncation < 1:
-        raise ConfigError("L: must be >= 1")
-
-    backend = data.get("backend", EXACT)
-    if backend not in BACKENDS:
-        raise ConfigError("backend: must be one of %s" % (BACKENDS,))
 
     levels = None
     if data.get("levels") is not None:
@@ -290,7 +295,7 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
         seeds=seeds,
         truncation=truncation,
         levels=levels,
-        backend=backend,
+        backend=data.get("backend", EXACT),
         tolerance=tol,
         grid=grid,
         checks=data.get("checks") or CHECK_NAMES,

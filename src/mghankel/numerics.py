@@ -9,7 +9,9 @@ are backend-agnostic and never introduce a float into an exact
 computation.  Exact products and solves are fraction-free: `mat_mul` and
 `mat_mul_sum` take integer dot products of rows and columns scaled by the
 lcm of their denominators, `solve_dense` eliminates on integers
-(Bareiss), and both create `Fraction`s only for their output entries.  A
+(Bareiss), and both create `Fraction`s only for their output entries.
+`bareiss_step` is the one Bareiss row update; the exact block
+factorization eliminates with it too.  A
 float anywhere in an operand selects the float arithmetic instead.  Every
 singular pivot block or leading block minor is reported through
 `solve_leading`, as a `SingularLeadingMinorError` naming its level.
@@ -282,6 +284,31 @@ def _exceeds(residual, best) -> bool:
     return residual > best or (residual != residual and best == best)
 
 
+def bareiss_step(m, col: int, stop: int, prev: int) -> int:
+    """Eliminate column `col` of the integer rows `m` in place; return the pivot.
+
+    The pivot is the first row r in [col, stop) with m[r][col] != 0; it is
+    swapped into row col, and every later row becomes (p*v - f*w) // prev
+    past column col, where prev is the previous pivot (1 at the start).
+    The division is exact (Bareiss, Math. Comp. 22, 1968).  Entries at or
+    left of col in the later rows are left as they were.  Raises
+    SingularMatrixError when no row in [col, stop) has a pivot.
+    """
+    pivot_row = next((r for r in range(col, stop) if m[r][col]), None)
+    if pivot_row is None:
+        raise SingularMatrixError("singular matrix (no pivot in column %d)" % col)
+    m[col], m[pivot_row] = m[pivot_row], m[col]
+    p = m[col][col]
+    pivot_tail = m[col][col + 1 :]
+    for row in m[col + 1 :]:
+        f, tail = row[col], row[col + 1 :]
+        if f:
+            row[col + 1 :] = [(p * v - f * w) // prev for v, w in zip(tail, pivot_tail)]
+        else:
+            row[col + 1 :] = [p * v // prev for v in tail]
+    return p
+
+
 def _solve_fraction_free(a, b) -> list:
     """Exact solve by Bareiss elimination on integers (Math. Comp. 22, 1968).
 
@@ -300,19 +327,7 @@ def _solve_fraction_free(a, b) -> list:
         m.append([v.numerator * (lcm // v.denominator) for r in (ra, rb) for v in r])
     prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot_row is None:
-            raise SingularMatrixError("singular matrix (no pivot in column %d)" % col)
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        p = m[col][col]
-        pivot_tail = m[col][col + 1 :]
-        for row in m[col + 1 :]:
-            f, tail = row[col], row[col + 1 :]
-            if f:
-                row[col + 1 :] = [(p * v - f * w) // prev for v, w in zip(tail, pivot_tail)]
-            else:
-                row[col + 1 :] = [p * v // prev for v in tail]
-        prev = p
+        prev = bareiss_step(m, col, n, prev)
     det = prev
     scaled = [None] * n  # det * X, row by row
     for i in reversed(range(n)):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.cdkernel import KernelEvaluator
-from mghankel.factorize import lu_factorize
+from mghankel.factorize import LOWER, UPPER, GaussFactors, invert_block_triangular, lu_factorize
 from mghankel.families import MatrixPolynomial, pair_poly_form
 from mghankel.harness import RunConfig, builtin_config
 from mghankel.numerics import (
@@ -61,6 +61,37 @@ def blockwise_matmul(p: BlockMatrix, q: BlockMatrix) -> BlockMatrix:
     """Oracle block product, one `blockwise_sum` per output block."""
     cols = [[row[j] for row in q.blocks] for j in range(q.ncols)]
     return BlockMatrix(p.n, [[blockwise_sum(row, col) for col in cols] for row in p.blocks])
+
+
+def block_doolittle(g: BlockMatrix) -> GaussFactors:
+    """Oracle factorization: block Doolittle elimination, one Schur update
+    per block pair, then both triangular factors inverted by substitution."""
+    if g.nrows != g.ncols:
+        raise ValueError("factorization needs a square block matrix")
+    n, levels = g.n, g.nrows
+    backend = g.backend
+    low = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
+    up = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
+    pivot_invs = []
+    for i in range(levels):
+        for j in range(levels):
+            acc = [list(r) for r in g.block(i, j)]
+            for k in range(min(i, j)):
+                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j]))
+            if j < i:
+                low[i][j] = mat_mul(acc, pivot_invs[j])
+            else:
+                up[i][j] = acc
+        low[i][i] = mat_eye(n, backend)
+        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), i))
+    lower_inv = BlockMatrix(n, low)
+    upper = BlockMatrix(n, up)
+    return GaussFactors(
+        lower=invert_block_triangular(lower_inv, LOWER),
+        lower_inv=lower_inv,
+        upper=upper,
+        upper_inv=invert_block_triangular(upper, UPPER),
+    )
 
 
 def matrix_unit(n: int, a: int) -> list:
@@ -140,11 +171,12 @@ def solved_dual_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
 
 
 @st.composite
-def drawn_configs(draw, backend):
+def drawn_configs(draw, backend, sizes=st.integers(1, 3)):
     """Seeded families drawn as `mgbench/workloads.draw_family` draws them:
-    small-integer quadratic densities on [0, 1], m_b seeds per entry.  The
-    config names level 0 alone; its moment matrix may be singular."""
-    size = draw(st.integers(1, 3))
+    small-integer quadratic densities on [0, 1], m_b seeds per entry, block
+    size N from `sizes`.  The config names level 0 alone; its moment matrix
+    may be singular."""
+    size = draw(sizes)
     nvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
     mvec = tuple(draw(st.integers(1, 2)) for _ in range(size))
     truncation = draw(st.integers(3, 7 - size))

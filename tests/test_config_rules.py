@@ -58,14 +58,30 @@ CASES = {
         {"grid": ((Fraction(1, 2), Fraction(1, 2)),), "checks": ("corollary",)},
         "grid[0]: (1/2, 1/2) lies on the singular locus with corollary enabled",
     ),
+    "no multi-index": (
+        {"nvec": (), "mvec": ()},
+        "nvec/mvec: must be nonempty and of equal length",
+    ),
+    "unknown backend": ({"backend": "bogus"}, "backend: must be one of ('exact', 'float')"),
+    "empty matrix": (
+        {"truncation": 0, "levels": (), "checks": ("symmetry",)},
+        "L: must be >= 1",
+    ),
 }
+
+# RunConfig field -> config-file key, where they differ.
+FILE_KEYS = {"truncation": "L"}
 
 
 def file_form(config: RunConfig, changes: dict) -> dict:
     """The config-file form of `config` with `changes` applied."""
     data = config.to_dict()
     for key, value in changes.items():
-        data[key] = [[str(x), str(y)] for x, y in value] if key == "grid" else list(value)
+        if key == "grid":
+            value = [[str(x), str(y)] for x, y in value]
+        elif isinstance(value, tuple):
+            value = list(value)
+        data[FILE_KEYS.get(key, key)] = value
     return data
 
 
@@ -74,9 +90,9 @@ def from_file(changes, tmp_path, capsys):
 
 
 def from_cli(changes, tmp_path, capsys):
-    """`verify`: the file holds the grid and an empty level list; levels and
-    checks come as overrides, over a file whose own check is level-free."""
-    in_file = {k: v for k, v in changes.items() if k == "grid" or v == ()}
+    """`verify`: nonempty levels and checks come as overrides, everything
+    else from the file, whose own check is level-free."""
+    in_file = {k: v for k, v in changes.items() if k not in ("levels", "checks") or v == ()}
     in_file = dict(in_file, checks=("symmetry",))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(file_form(builtin_config("legendre"), in_file)))

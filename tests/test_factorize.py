@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mghankel import factorize
 from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.factorize import (
     LOWER,
@@ -15,7 +16,7 @@ from mghankel.factorize import (
     lu_factorize,
     nested_truncation_residual,
 )
-from mghankel.harness import builtin_config
+from mghankel.harness import BUILTIN_CASES, builtin_config
 from mghankel.numerics import (
     SingularLeadingMinorError,
     invert_dense,
@@ -25,7 +26,9 @@ from mghankel.numerics import (
 from mghankel.weights import WeightFamily
 
 from conftest import (
+    block_doolittle,
     blockwise_sum,
+    drawn_configs,
     exact_scalars,
     interval_seed,
     matrices,
@@ -272,3 +275,69 @@ def test_float_zero_pivot():
     with pytest.raises(SingularLeadingMinorError) as info:
         lu_factorize(g)
     assert info.value.level == 1
+
+
+# -- lu_factorize against block Doolittle elimination ------------------------
+
+
+def outcome(factor, g):
+    """The four factors with their entry types, or the singular pivot reported."""
+    try:
+        factors = factor(g)
+    except SingularLeadingMinorError as exc:
+        return exc.level, str(exc), repr(exc.__cause__)
+    return [
+        [[typed(b) for b in row] for row in matrix.blocks]
+        for matrix in (factors.lower, factors.lower_inv, factors.upper, factors.upper_inv)
+    ]
+
+
+BUILTIN_BACKENDS = [
+    (case, backend)
+    for case in BUILTIN_CASES
+    for backend in ("exact", "float")
+    if (case, backend) != ("hermite", "exact")  # gaussian moments are irrational
+]
+
+
+@pytest.mark.parametrize("case,backend", BUILTIN_BACKENDS)
+def test_builtin_factors_match_block_doolittle(case, backend):
+    config = dataclasses.replace(builtin_config(case), backend=backend)
+    g = build_moment_matrix(config.family(), config.truncation)
+    assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_drawn_factors_match_block_doolittle(size, data):
+    config = data.draw(drawn_configs("exact", st.just(size)))
+    g = build_moment_matrix(config.family(), config.truncation)
+    assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
+
+
+def test_pivot_rows_swap_inside_each_block():
+    """Both pivot blocks, [[0, 1], [1, 0]] and the Schur complement
+    [[0, 1], [1, 1/2]], need a row swap inside their block."""
+    g = BlockMatrix(
+        2,
+        [
+            [[[F(0), F(1)], [F(1), F(0)]], [[F(1), F(2)], [F(3), F(4)]]],
+            [[[F(1), F(0)], [F(0), F(1)]], [[F(3), F(5)], [F(2), F(5, 2)]]],
+        ],
+    )
+    factors = lu_factorize(g)
+    assert factors.upper.block(1, 1) == ((0, 1), (1, F(1, 2)))
+    assert factorization_residual(g, factors) == 0
+    assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
+
+
+def test_exact_factorization_inverts_no_triangle(monkeypatch, mgn2_bundle):
+    """The exact factors come from the two eliminations alone."""
+
+    def refuse(t, orientation):
+        raise AssertionError("invert_block_triangular called")
+
+    monkeypatch.setattr(factorize, "invert_block_triangular", refuse)
+    _, g, factors = mgn2_bundle
+    assert lu_factorize(g) == factors

@@ -46,6 +46,11 @@ def singular_builtin(_fam):
     return lambda: lu_factorize(g)
 
 
+def spec_family_at_depth(fam):
+    g = build_moment_matrix(fam, 10)
+    return lambda: lu_factorize(g)
+
+
 def float_zero_pivot(_fam):
     g = BlockMatrix(1, [[[[1.0]], [[1.0]]], [[[1.0]], [[1.0]]]])
     return lambda: lu_factorize(g)
@@ -86,6 +91,7 @@ ORDER_5 = "leading minor of order 5 is singular"
 SITES = {
     "lu_factorize singular built-in": (singular_builtin, 0, None),
     "lu_factorize float zero pivot": (float_zero_pivot, 1, None),
+    "lu_factorize exact at depth": (spec_family_at_depth, 4, None),
     "invert_block_triangular lower": (zero_diagonal_block(LOWER), 2, None),
     "invert_block_triangular upper": (zero_diagonal_block(UPPER), 2, None),
     "associated_plus": (associated(associated_plus, 5), 5, ORDER_5),
@@ -108,6 +114,13 @@ def test_singular_site_reports_level_message_and_cause(site, spec_mg_family):
     assert exc.level == level
     assert str(exc) == (message or "singular leading block minor at level %d" % level)
     assert type(exc.__cause__) is SingularMatrixError
+
+
+def test_exact_singular_pivot_at_depth_names_its_column(spec_mg_family):
+    """The level-4 pivot block, a 1 x 1 Schur complement, is zero."""
+    with pytest.raises(SingularLeadingMinorError) as info:
+        spec_family_at_depth(spec_mg_family)()
+    assert str(info.value.__cause__) == "singular matrix (no pivot in column 0)"
 
 
 def test_singular_leading_minor_is_raised_only_by_solve_leading():
