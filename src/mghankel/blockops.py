@@ -87,9 +87,11 @@ class BlockMatrix:
         if self.ncols != other.nrows or self.n != other.n:
             raise ValueError("incompatible block shapes")
         if self.backend == other.backend == EXACT:
-            return BlockMatrix.from_dense(self.n, mat_mul(self.to_dense(), other.to_dense()))
+            return BlockMatrix.from_dense(self.n, mat_mul(self.to_dense(), other.to_dense(), EXACT))
         cols = [[row[j] for row in other.blocks] for j in range(other.ncols)]
-        return BlockMatrix(self.n, [[mat_mul_sum(row, col) for col in cols] for row in self.blocks])
+        return BlockMatrix(
+            self.n, [[mat_mul_sum(row, col, FLOAT) for col in cols] for row in self.blocks]
+        )
 
     def sub(self, other: "BlockMatrix") -> "BlockMatrix":
         if (self.nrows, self.ncols, self.n) != (other.nrows, other.ncols, other.n):

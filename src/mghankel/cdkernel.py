@@ -12,11 +12,16 @@ equivalent shapes that the harness compares pointwise:
   * the per-entry quotient form away from the locus x^{n_a} == y^{n_b}.
 
 The kernel sum, the reproducing sum, the projections and the associated
-form are block sums, each taken by one `numerics.mat_mul_sum`: one
+form are block sums, each taken by one `numerics.block_sum`: one
 fraction-free product in exact runs, the terms added in order in float.
 One `PointTable` per run holds the level-free values, and the projections
-of members and monomials read their weights off it; a level solves its
-leading minor once per side for every grid coordinate.
+of members and monomials read their weights off it.  A level solves its
+leading minor once per side for every grid coordinate, and takes each
+pointwise product (the kernel sum, the inverse-minor kernel, both terms of
+the partition form, the associated form and the reproducing sum) once for
+the whole grid when the grid is the product of its x's and y's: one block
+sum of the left factors of every x, stacked by rows, and the right factors
+of every y, stacked by columns.  Every kernel runs in the family's backend.
 """
 
 from __future__ import annotations
@@ -96,7 +101,10 @@ class PointTable:
     for the table's lifetime; every level of a run reads one table.  The
     matrices returned are the memoized values themselves: read only.
     `monomials[d]` is x^d I (int entries); `coords` holds the distinct x
-    and y of `grid`, the run's (x, y) pairs, that each level solves for.
+    and y of `grid`, the run's (x, y) pairs, that each level solves for, and
+    `product` the distinct x's and y's whose every pair is a grid point (both
+    empty unless the grid is that product), that each level's pointwise
+    products are taken over.
     """
 
     def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors, grid=()):
@@ -108,6 +116,8 @@ class PointTable:
         zero = [[0] * n for _ in range(n)]
         self.monomials = [MatrixPolynomial.of(n, [zero] * d + [eye]) for d in range(g.nrows)]
         self.coords = {side: tuple(dict.fromkeys(c)) for side, c in zip("xy", zip(*grid))}
+        xs, ys = self.coords.get("x", ()), self.coords.get("y", ())
+        self.product = (xs, ys) if len(set(grid)) == len(xs) * len(ys) else ((), ())
         self._memo = {}
 
     @memoized
@@ -127,7 +137,8 @@ class PointTable:
     def pair(self, j: int, k: int) -> list:
         """Integral of polynomial j times dual form k (transposed): `pair_poly_form`
         from the memoized form moments."""
-        return pair_with_moments(self.polys[j], [self.form_moment(k, t) for t in range(j + 1)])
+        moments = [self.form_moment(k, t) for t in range(j + 1)]
+        return pair_with_moments(self.polys[j], moments, self.fam.backend)
 
     @memoized
     def form_moment(self, k: int, t: int) -> list:
@@ -142,11 +153,13 @@ class KernelEvaluator:
     matrix and factors objects (without one, a private table with no
     grid).  Values that depend on the level are memoized per evaluator:
     the leading-minor solves, one call per side for every grid coordinate
-    (a coordinate off the grid alone), the Schur factors at x and at y,
-    the kernel sum and associated form at (x, y), the pair-times-polynomial
-    terms of the reproducing sum at y, and the associated families; each
-    sum over terms is one block sum (see the module docstring).  Matrices
-    handed to callers are fresh copies.
+    (a coordinate off the grid alone); the Schur factors and associated
+    form factors at x and at y; the pair-times-polynomial terms of the
+    reproducing sum at y; the associated families; and the pointwise
+    products at (x, y), each one block sum per level for every pair of the
+    table's product grid (a pair off it, or any pair of a grid that is no
+    product, alone; see `_grid_sum`).  Matrices handed to callers are fresh
+    copies.
     """
 
     def __init__(
@@ -199,10 +212,39 @@ class KernelEvaluator:
         if (side, coord) not in self._memo:
             n, grid = self.fam.size, self.table.coords.get(side, ())
             batch = grid if coord in grid else (coord,)
-            solved = solve_leading(minor, [sum(r, []) for r in zip(*map(rhs, batch))], self.level)
+            columns = [sum(r, []) for r in zip(*map(rhs, batch))]
+            solved = solve_leading(minor, columns, self.fam.backend, self.level)
             for i, c in enumerate(batch):
                 self._memo[side, c] = [row[i * n : (i + 1) * n] for row in solved]
         return self._memo[side, coord]
+
+    def _grid_sum(self, name: str, x, y, lefts, rights) -> list:
+        """Sum over k of lefts(x)[k] @ rights(y)[k], memoized per (name, x, y).
+
+        One block sum serves every pair of the table's product grid (a pair
+        off it, or any pair at level 0, which sums nothing, alone): the left
+        factors of every x are stacked by rows and the right factors of every
+        y by columns.  Stacking keeps the float operations of each entry in
+        order, and exact values are canonical, so each block has the bits of
+        its own sum.  Read only."""
+        block = self._memo.get((name, x, y))
+        if block is None:
+            n, backend = self.fam.size, self.fam.backend
+            xs, ys = self.table.product
+            if not self.level or x not in xs or y not in ys:
+                xs, ys = (x,), (y,)
+            stacked_lefts = [[row for m in ms for row in m] for ms in zip(*map(lefts, xs))]
+            stacked_rights = [
+                [[v for m in ms for v in m[r]] for r in range(len(ms[0]))]
+                for ms in zip(*map(rights, ys))
+            ]
+            total = block_sum(n, stacked_lefts, stacked_rights, backend)
+            for i, a in enumerate(xs):
+                rows = total[i * n : (i + 1) * n]
+                for j, b in enumerate(ys):
+                    self._memo[name, a, b] = [row[j * n : (j + 1) * n] for row in rows]
+            block = self._memo[name, x, y]
+        return block
 
     def _right_piece(self, y) -> list:
         """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
@@ -216,10 +258,10 @@ class KernelEvaluator:
     @memoized
     def _schur_row(self, x) -> tuple:
         """x-side factors of the partition form: (A(x) Lambda_m^T, W(x) Lambda_n)."""
-        w = self._left_piece(x)
+        w, backend = self._left_piece(x), self.fam.backend
         tail = self.g.nrows - self.level
-        a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), mat_mul(w, self._tr))
-        return mat_mul(a_row, self._lam_m_t), mat_mul(w, self._lam_n)
+        a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), mat_mul(w, self._tr, backend))
+        return mat_mul(a_row, self._lam_m_t, backend), mat_mul(w, self._lam_n, backend)
 
     @memoized
     def _schur_col(self, y) -> list:
@@ -227,15 +269,14 @@ class KernelEvaluator:
         tail = self.g.nrows - self.level
         return mat_sub(
             self._chi1_col(tail, y, offset=self.level),
-            mat_mul(self._bl, self._right_piece(y)),
+            mat_mul(self._bl, self._right_piece(y), self.fam.backend),
         )
 
-    @memoized
     def _kernel(self, x, y) -> list:
         table, levels = self.table, range(self.level)
-        forms_x = [table.form_value(k, x) for k in levels]
-        polys_y = [table.poly_value(k, y) for k in levels]
-        return block_sum(self.fam.size, forms_x, polys_y, self.fam.backend)
+        forms = lambda c: [table.form_value(k, c) for k in levels]
+        polys = lambda c: [table.poly_value(k, c) for k in levels]
+        return self._grid_sum("kernel", x, y, forms, polys)
 
     # -- kernel values -----------------------------------------------------
 
@@ -248,23 +289,26 @@ class KernelEvaluator:
         n = self.fam.size
         if self.level == 0:
             return mat_zeros(n, n, self.fam.backend)
-        return mat_mul(self._chi2_row(self.level, x), self._right_piece(y))
+        chi2 = lambda c: [self._chi2_row(self.level, c)]
+        return _copy(self._grid_sum("abc", x, y, chi2, lambda c: [self._right_piece(c)]))
 
     # -- difference identities ----------------------------------------------
 
     def cd_lhs(self, x, y) -> list:
-        k = self._kernel(x, y)
-        nvec = self.fam.nvec
-        return mat_sub(mat_mul(diag_power(x, nvec), k), mat_mul(k, diag_power(y, nvec)))
+        k, nvec, backend = self._kernel(x, y), self.fam.nvec, self.fam.backend
+        return mat_sub(
+            mat_mul(diag_power(x, nvec), k, backend), mat_mul(k, diag_power(y, nvec), backend)
+        )
 
     def cd_rhs_schur(self, x, y) -> list:
         """Partition form of the difference identity, valid at every level."""
         n = self.fam.size
         if self.level == 0:
             return mat_zeros(n, n, self.fam.backend)
-        a_lam, w_lam = self._schur_row(x)
-        term1 = mat_mul(a_lam, self._right_piece(y))
-        term2 = mat_mul(w_lam, self._schur_col(y))
+        a_lam = lambda c: [self._schur_row(c)[0]]
+        w_lam = lambda c: [self._schur_row(c)[1]]
+        term1 = self._grid_sum("schur a", x, y, a_lam, lambda c: [self._right_piece(c)])
+        term2 = self._grid_sum("schur w", x, y, w_lam, lambda c: [self._schur_col(c)])
         return mat_sub(term1, term2)
 
     @memoized
@@ -286,40 +330,42 @@ class KernelEvaluator:
             "plus_polys": [associated_plus(self.g, level, j) for j in range(max(fam.nvec))],
         }
 
+    # One term of the associated form per (a, j): column a of a form value
+    # at x times row a of a polynomial value at y; the minus terms enter
+    # through negated rows.
+
     @memoized
-    def _assoc_forms(self, x) -> tuple:
-        assoc = self._associated()
+    def _assoc_left(self, x) -> list:
+        """x-side factor: per component a, column a of the plus forms, then
+        of the minus forms in reverse."""
+        assoc, fam = self._associated(), self.fam
         weight = lambda j: self.table.weight(j, x)
-        return (
-            [eval_form(f, self.fam, x, weight) for f in assoc["plus_forms"]],
-            [eval_form(f, self.fam, x, weight) for f in assoc["minus_forms"]],
-        )
-
-    @memoized
-    def _assoc_polys(self, y) -> tuple:
-        assoc = self._associated()
-        return (
-            [eval_poly(p, y) for p in assoc["minus_polys"]],
-            [eval_poly(p, y) for p in assoc["plus_polys"]],
-        )
-
-    @memoized
-    def _assoc_form(self, x, y) -> list:
-        plus_forms_x, minus_forms_x = self._assoc_forms(x)
-        minus_polys_y, plus_polys_y = self._assoc_polys(y)
-        fam = self.fam
-        # One term per (a, j): column a of a form value times row a of a
-        # polynomial value; the minus terms enter through negated rows.
-        cols, rows = [], []
+        plus = [eval_form(f, fam, x, weight) for f in assoc["plus_forms"]]
+        minus = [eval_form(f, fam, x, weight) for f in assoc["minus_forms"]]
+        cols = []
         for a in range(fam.size):
             ma, na = fam.mvec[a], fam.nvec[a]
-            for j in range(ma):
-                cols.append([v[a] for v in plus_forms_x[j]])
-                rows.append(minus_polys_y[ma - j - 1][a])
-            for j in range(na):
-                cols.append([v[a] for v in minus_forms_x[na - j - 1]])
-                rows.append([-v for v in plus_polys_y[j][a]])
-        return block_sum(fam.size, [mat_transpose(cols)], [rows], fam.backend)
+            cols += [[v[a] for v in plus[j]] for j in range(ma)]
+            cols += [[v[a] for v in minus[na - j - 1]] for j in range(na)]
+        return mat_transpose(cols)
+
+    @memoized
+    def _assoc_right(self, y) -> list:
+        """y-side factor: per component a, row a of the minus polynomials in
+        reverse, then of the negated plus polynomials."""
+        assoc, fam = self._associated(), self.fam
+        minus = [eval_poly(p, y) for p in assoc["minus_polys"]]
+        plus = [eval_poly(p, y) for p in assoc["plus_polys"]]
+        rows = []
+        for a in range(fam.size):
+            ma, na = fam.mvec[a], fam.nvec[a]
+            rows += [minus[ma - j - 1][a] for j in range(ma)]
+            rows += [[-v for v in plus[j][a]] for j in range(na)]
+        return rows
+
+    def _assoc_form(self, x, y) -> list:
+        left = lambda c: [self._assoc_left(c)]
+        return self._grid_sum("associated", x, y, left, lambda c: [self._assoc_right(c)])
 
     def cd_rhs_associated(self, x, y) -> list:
         """Bilinear associated-family form of the difference identity."""
@@ -347,33 +393,36 @@ class KernelEvaluator:
     def project_poly(self, p: MatrixPolynomial) -> MatrixPolynomial:
         """Projection onto the span of the first `level` polynomials."""
         n, polys, levels = self.fam.size, self.table.polys, range(self.level)
-        d, table = len(p.coeffs) - 1, self.table
+        d, table, backend = len(p.coeffs) - 1, self.table, self.fam.backend
         if d < len(polys) and p is polys[d]:
             weights = [table.pair(d, k) for k in levels]
         elif d < len(table.monomials) and p is table.monomials[d]:
             weights = [table.form_moment(k, d) for k in levels]
         else:
             top = range(len(p.coeffs))
-            weights = [pair_with_moments(p, [table.form_moment(k, t) for t in top]) for k in levels]
+            moments = [[table.form_moment(k, t) for t in top] for k in levels]
+            weights = [pair_with_moments(p, m, backend) for m in moments]
         coeffs = [
-            block_sum(n, weights[t:], [polys[k].coeffs[t] for k in levels[t:]]) for t in levels
+            block_sum(n, weights[t:], [polys[k].coeffs[t] for k in levels[t:]], backend)
+            for t in levels
         ]
-        return MatrixPolynomial.of(n, coeffs or [mat_zeros(n, n, self.fam.backend)])
+        return MatrixPolynomial.of(n, coeffs or [mat_zeros(n, n, backend)])
 
     def project_form(self, f: LinearForm) -> LinearForm:
         """Projection onto the span of the first `level` dual forms."""
         n, forms, levels = self.fam.size, self.table.forms, range(self.level)
-        j = len(f.coeffs) - 1
+        j, backend = len(f.coeffs) - 1, self.fam.backend
         if j < len(forms) and f is forms[j]:
             weights = [self.table.pair(k, j) for k in levels]
         else:
             # polys[k] has degree k, so it pairs with moments t <= k < level.
             moments = [form_against_monomial(self.g, t, f) for t in levels]
-            weights = [pair_with_moments(self.table.polys[k], moments) for k in levels]
+            weights = [pair_with_moments(self.table.polys[k], moments, backend) for k in levels]
         coeffs = [
-            block_sum(n, [forms[k].coeffs[t] for k in levels[t:]], weights[t:]) for t in levels
+            block_sum(n, [forms[k].coeffs[t] for k in levels[t:]], weights[t:], backend)
+            for t in levels
         ]
-        return LinearForm.of(n, coeffs or [mat_zeros(n, n, self.fam.backend)])
+        return LinearForm.of(n, coeffs or [mat_zeros(n, n, backend)])
 
     def reproducing_residual(self, x, y) -> Scalar:
         """Gap between the kernel and its self-convolution.
@@ -382,16 +431,20 @@ class KernelEvaluator:
         not assumed to be the identity.
         """
         levels = range(self.level)
-        forms_x = [self.table.form_value(j, x) for j in levels]
-        lefts = [forms_x[j] for j in levels for _ in levels]
-        acc = block_sum(self.fam.size, lefts, self._paired_polys(y), self.fam.backend)
+
+        def lefts(c):
+            forms = [self.table.form_value(j, c) for j in levels]
+            return [forms[j] for j in levels for _ in levels]
+
+        acc = self._grid_sum("reproducing", x, y, lefts, self._paired_polys)
         return matrix_residual_norm(mat_sub(acc, self._kernel(x, y)))
 
     @memoized
     def _paired_polys(self, y) -> list:
         """pair(j, k) @ (polynomial k at y) for j, k < level, j before k."""
-        table, levels = self.table, range(self.level)
-        return [mat_mul(table.pair(j, k), table.poly_value(k, y)) for j in levels for k in levels]
+        table, levels, backend = self.table, range(self.level), self.fam.backend
+        pairs = [(table.pair(j, k), table.poly_value(k, y)) for j in levels for k in levels]
+        return [mat_mul(p, v, backend) for p, v in pairs]
 
 
 def classical_cd(

@@ -85,13 +85,13 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
         for j in range(levels):
             acc = [list(r) for r in g.block(i, j)]
             for k in range(min(i, j)):
-                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j]))
+                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j], backend))
             if j < i:
-                low[i][j] = mat_mul(acc, pivot_invs[j])
+                low[i][j] = mat_mul(acc, pivot_invs[j], backend)
             else:
                 up[i][j] = acc
         low[i][i] = mat_eye(n, backend)
-        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), i))
+        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), backend, i))
     lower_inv = BlockMatrix(n, low)
     upper = BlockMatrix(n, up)
     return GaussFactors(
@@ -150,7 +150,7 @@ def _exact_factors(g: BlockMatrix) -> GaussFactors:
     dense = g.to_dense()
     upper, lower, pivot_invs = [], [], []
     for i, (s, r) in enumerate(_reduced_block_rows(dense, n)):
-        pivot_invs.append(solve_leading(s[0], mat_eye(n), i))
+        pivot_invs.append(solve_leading(s[0], mat_eye(n), EXACT, i))
         upper.append([zero] * i + s)
         lower.append(r + [zero] * (levels - i - 1))
     lower_inv = [[eye if i == j else zero for j in range(levels)] for i in range(levels)]
@@ -158,9 +158,9 @@ def _exact_factors(g: BlockMatrix) -> GaussFactors:
     for i, (s, r) in enumerate(_reduced_block_rows(mat_transpose(dense), n)):
         d = pivot_invs[i]
         for j in range(i + 1, levels):
-            lower_inv[j][i] = _freeze(mat_mul(mat_transpose(s[j - i]), d))
+            lower_inv[j][i] = _freeze(mat_mul(mat_transpose(s[j - i]), d, EXACT))
         for k in range(i):
-            upper_inv[k][i] = _freeze(mat_mul(mat_transpose(r[k]), d))
+            upper_inv[k][i] = _freeze(mat_mul(mat_transpose(r[k]), d, EXACT))
         upper_inv[i][i] = _freeze(d)
     return GaussFactors(
         lower=BlockMatrix._frozen(n, lower),
@@ -185,11 +185,11 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
     n, levels, backend = t.n, t.nrows, t.backend
     inv = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
     for i in range(levels):
-        inv[i][i] = solve_leading(t.block(i, i), mat_eye(n, backend), i)
+        inv[i][i] = solve_leading(t.block(i, i), mat_eye(n, backend), backend, i)
         for j in range(i - 1, -1, -1):
             ks = range(j, i)
-            acc = mat_mul_sum([t.block(i, k) for k in ks], [inv[k][j] for k in ks])
-            inv[i][j] = mat_mul(mat_scale(-1, inv[i][i]), acc)
+            acc = mat_mul_sum([t.block(i, k) for k in ks], [inv[k][j] for k in ks], backend)
+            inv[i][j] = mat_mul(mat_scale(-1, inv[i][i]), acc, backend)
     return BlockMatrix(n, inv)
 
 

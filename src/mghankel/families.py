@@ -137,27 +137,28 @@ def dual_family(factors: GaussFactors) -> list:
 
 def poly_against_weight(g: BlockMatrix, p: MatrixPolynomial, k: int) -> list:
     """Integral of p(x) rho_k(x): sum_t coeffs[t] g[t, k]."""
-    return block_sum(p.n, p.coeffs, [g.block(t, k) for t in range(len(p.coeffs))])
+    return block_sum(p.n, p.coeffs, [g.block(t, k) for t in range(len(p.coeffs))], g.backend)
 
 
 def form_against_monomial(g: BlockMatrix, k: int, f: LinearForm) -> list:
     """Integral of x^k f(x)^T: sum_s g[k, s] coeffs[s]."""
-    return block_sum(f.n, [g.block(k, s) for s in range(len(f.coeffs))], f.coeffs)
+    return block_sum(f.n, [g.block(k, s) for s in range(len(f.coeffs))], f.coeffs, g.backend)
 
 
-def pair_with_moments(p: MatrixPolynomial, moments) -> list:
+def pair_with_moments(p: MatrixPolynomial, moments, backend: str) -> list:
     """sum_t coeffs[t] moments[t], where moments[t] = form_against_monomial(g, t, f).
 
     This is pair_poly_form(g, p, f) with the inner sums supplied, so callers
     pairing many polynomials against one form build them once.
     """
     count = min(len(p.coeffs), len(moments))
-    return block_sum(p.n, p.coeffs[:count], moments[:count])
+    return block_sum(p.n, p.coeffs[:count], moments[:count], backend)
 
 
 def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
     """Integral of p(x) f(x)^T: sum_{t,s} coeffs[t] g[t, s] dcoeffs[s]."""
-    return pair_with_moments(p, [form_against_monomial(g, t, f) for t in range(len(p.coeffs))])
+    moments = [form_against_monomial(g, t, f) for t in range(len(p.coeffs))]
+    return pair_with_moments(p, moments, g.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,8 @@ def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> list:
     rows = (g.to_dense() if dual else mat_transpose(g.to_dense()))[:width]
     dense = [row[:width] for row in rows]
     rhs = [[int(c == r) for c in range(width)] + row[width:] for r, row in enumerate(rows)]
-    return solve_leading(dense, rhs, order, "leading minor of order %d is singular" % order)
+    message = "leading minor of order %d is singular" % order
+    return solve_leading(dense, rhs, g.backend, order, message)
 
 
 def _solution_block(g: BlockMatrix, order: int, dual: bool, k: int, i: int) -> list:
@@ -265,7 +267,7 @@ def check_biorthogonality(
     return tracker.result()
 
 
-def _combine(terms) -> MatrixPolynomial:
+def _combine(terms, backend: str) -> MatrixPolynomial:
     """Sum of left-coefficient-times-polynomial terms.
 
     For forms, combine their transposes: left-multiplying a form by A maps
@@ -276,7 +278,7 @@ def _combine(terms) -> MatrixPolynomial:
     top = max(len(p.coeffs) for _, p in terms)
     # Coefficient k sums the terms that have one, in order: one block sum.
     coeffs = [
-        block_sum(n, *zip(*[(m, p.coeffs[k]) for m, p in terms if k < len(p.coeffs)]))
+        block_sum(n, *zip(*[(m, p.coeffs[k]) for m, p in terms if k < len(p.coeffs)]), backend)
         for k in range(top)
     ]
     return MatrixPolynomial.of(n, coeffs)
@@ -300,16 +302,17 @@ def check_connection_formulas(
     forms = dual_family(factors)
     plus_terms = range(level, level + j + 1)
     minus_terms = range(level - j, level + 1)
-    via_plus = _combine((factors.lower_inv.block(level + j, k), polys[k]) for k in plus_terms)
-    via_minus = _combine((factors.upper_inv.block(level - j, k), polys[k]) for k in minus_terms)
+    combine = lambda terms: _combine(terms, g.backend)
+    via_plus = combine((factors.lower_inv.block(level + j, k), polys[k]) for k in plus_terms)
+    via_minus = combine((factors.upper_inv.block(level - j, k), polys[k]) for k in minus_terms)
     via_dual_plus = _transpose(
-        _combine(
+        combine(
             (mat_transpose(factors.upper.block(k, level + j)), _transpose(forms[k]))
             for k in plus_terms
         )
     )
     via_dual_minus = _transpose(
-        _combine(
+        combine(
             (mat_transpose(factors.lower.block(k, level - j)), _transpose(forms[k]))
             for k in minus_terms
         )
@@ -375,13 +378,15 @@ def check_matrix_notation(
     forms = dual_family(factors)
     norm = factors.normalization(level)
     # Right-multiplying a stored form by N is left-multiplying its transpose by N^T.
-    scaled_form = _transpose(_combine([(mat_transpose(norm), _transpose(forms[level]))]))
+    scaled_form = _transpose(
+        _combine([(mat_transpose(norm), _transpose(forms[level]))], g.backend)
+    )
     routes = (
         ("polynomial vs annihilating form", polys[level], associated_plus(g, level, 0)),
         (
             "polynomial vs scaled inverse-row form",
             polys[level],
-            _combine([(norm, associated_minus(g, level, 0))]),
+            _combine([(norm, associated_minus(g, level, 0))], g.backend),
         ),
         ("dual vs inverse-column form", forms[level], dual_associated_minus(g, level, 0)),
         ("dual vs annihilating form", scaled_form, dual_associated_plus(g, level, 0)),

@@ -4,15 +4,18 @@ Two backends, selected per run and never mixed inside one computation:
 exact rationals (`fractions.Fraction`) and 64-bit floats.  Exact values are
 compared bit-exactly; every float comparison goes through `Tolerance`.
 
-Dense matrices are plain nested sequences of scalars.  The helpers below
-are backend-agnostic and never introduce a float into an exact
-computation.  Exact products and solves are fraction-free: `mat_mul` and
-`mat_mul_sum` take integer dot products of rows and columns scaled by the
-lcm of their denominators, `solve_dense` eliminates on integers
-(Bareiss), and both create `Fraction`s only for their output entries.
+Dense matrices are plain nested sequences of scalars.  A run's backend is
+fixed, so the dense kernels (`mat_mul`, `mat_mul_sum`, `block_sum`,
+`solve_dense`, `solve_leading`) take it as an argument from the caller,
+which holds it already (`WeightFamily.backend`, `BlockMatrix.backend`),
+and never scan their operands for it.  Exact products and solves are
+fraction-free: `mat_mul` and `mat_mul_sum` take integer dot products of
+rows and columns scaled by the lcm of their denominators, `solve_dense`
+eliminates on integers (Bareiss), and both create `Fraction`s only for
+their output entries; a float met on that path raises TypeError.
 `bareiss_step` is the one Bareiss row update; the exact block
-factorization eliminates with it too.  A
-float anywhere in an operand selects the float arithmetic instead.  Every
+factorization eliminates with it too.  Float products add their scalar
+products in order, and float solves pivot on the largest magnitude.  Every
 singular pivot block or leading block minor is reported through
 `solve_leading`, as a `SingularLeadingMinorError` naming its level.
 """
@@ -172,13 +175,19 @@ def has_float(*mats) -> bool:
 
 
 def _integer_vectors(vectors) -> list:
-    """(integers, lcm of denominators, all-int flag) for each exact vector."""
+    """(integers, lcm of denominators, all-int flag) for each exact vector.
+
+    Scalars are split by `numerator` and `denominator`, which a float lacks:
+    a float in an exact computation raises TypeError."""
     out = []
-    for v in vectors:
-        ratios = [x.as_integer_ratio() for x in v]
-        den = math.lcm(*[d for _, d in ratios])
-        ints = [n * (den // d) for n, d in ratios]
-        out.append((ints, den, den == 1 and all(type(x) is int for x in v)))
+    try:
+        for v in vectors:
+            dens = [x.denominator for x in v]
+            den = math.lcm(*dens)
+            ints = [x.numerator * (den // d) for x, d in zip(v, dens)]
+            out.append((ints, den, den == 1 and all(type(x) is int for x in v)))
+    except AttributeError:
+        raise TypeError("exact arithmetic met a float") from None
     return out
 
 
@@ -201,61 +210,50 @@ def _mul_fraction_free(a, cols) -> list:
     ]
 
 
-def mat_mul(a, b) -> list:
-    """A @ B.
+def mat_mul(a, b, backend: str) -> list:
+    """A @ B in `backend`.
 
-    Exact operands (Fraction or int entries) with an inner dimension above
-    one multiply fraction-free on integers; an entry is a Fraction unless
-    its row of A and column of B hold only ints.  Otherwise each entry is
-    the plain sum of its scalar products: floats, and a single product,
-    which needs no common denominator.
+    Exact operands with an inner dimension above one multiply fraction-free
+    on integers; an entry is a Fraction unless its row of A and column of B
+    hold only ints.  Otherwise each entry is the plain sum of its scalar
+    products: floats, and a single product, which needs no common
+    denominator.
     """
     cols = list(zip(*b))
-    if (
-        len(b) > 1
-        and cols
-        and a
-        and not isinstance(a[0][0], float)
-        and not isinstance(b[0][0], float)
-        and not has_float(a, b)
-    ):
+    if backend == EXACT and len(b) > 1 and cols and a:
         return _mul_fraction_free(a, cols)
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def mat_mul_sum(lefts, rights) -> list:
-    """Sum of lefts[k] @ rights[k] over k, for at least one pair.
+def mat_mul_sum(lefts, rights, backend: str) -> list:
+    """Sum of lefts[k] @ rights[k] over k in `backend`, for at least one pair.
 
     Exact operands take one product of the block row [lefts[0] lefts[1] ...]
     and the block column [rights[0]; rights[1]; ...], by the rules of
-    `mat_mul`; the one scan for floats here serves it.  Floats add the
-    products left to right with `mat_add`.
+    `mat_mul`.  Floats add the products left to right with `mat_add`.
     """
-    if has_float(*lefts, *rights):
-        acc = mat_mul(lefts[0], rights[0])
+    if backend != EXACT:
+        acc = mat_mul(lefts[0], rights[0], backend)
         for a, b in zip(lefts[1:], rights[1:]):
-            acc = mat_add(acc, mat_mul(a, b))
+            acc = mat_add(acc, mat_mul(a, b, backend))
         return acc
     row = [[x for m in lefts for x in m[r]] for r in range(len(lefts[0]))]
-    col = [r for m in rights for r in m]
-    if len(col) > 1:
-        return _mul_fraction_free(row, list(zip(*col)))
-    return mat_mul(row, col)
+    return mat_mul(row, [r for m in rights for r in m], EXACT)
 
 
-def block_sum(n: int, lefts, rights, backend: str = EXACT) -> list:
-    """Sum of lefts[k] @ rights[k] (`mat_mul_sum`), started from an n x n zero.
+def block_sum(n: int, lefts, rights, backend: str) -> list:
+    """Sum of lefts[k] @ rights[k] (`mat_mul_sum`), started from a zero.
 
-    With no pairs the sum is the zero of `backend`.  Otherwise the zero
-    start only turns exact int entries into Fractions: the operands of a
-    float run hold floats, and a float sum of products is never -0.0, so
-    adding 0.0 to it changes nothing.
+    With no pairs the sum is the n x n zero of `backend`.  Otherwise the
+    zero start only turns exact int entries into Fractions: the operands
+    of a float run hold floats, and a float sum of products is never -0.0,
+    so adding 0.0 to it changes nothing.
     """
     if not lefts:
         return mat_zeros(n, n, backend)
     return [
         [Fraction(v) if isinstance(v, int) else v for v in row]
-        for row in mat_mul_sum(lefts, rights)
+        for row in mat_mul_sum(lefts, rights, backend)
     ]
 
 
@@ -313,18 +311,16 @@ def _solve_fraction_free(a, b) -> list:
     """Exact solve by Bareiss elimination on integers (Math. Comp. 22, 1968).
 
     Each row of [A | B] is scaled to integers by the lcm of its
-    denominators, which leaves the solution unchanged.  Step k replaces
-    every row below the pivot by (p*v - f*w) // prev; the division is exact
-    and every entry stays a nonzero multiple of its Gauss-Jordan
-    counterpart, so the first-nonzero pivot rule picks the same rows and
-    fails in the same column.  Back-substitution yields det * X on
-    integers (exact by Cramer's rule); Fractions are created only there.
+    denominators (`_integer_vectors`), which leaves the solution unchanged.
+    Step k replaces every row below the pivot by (p*v - f*w) // prev; the
+    division is exact and every entry stays a nonzero multiple of its
+    Gauss-Jordan counterpart, so the first-nonzero pivot rule picks the
+    same rows and fails in the same column.  Back-substitution yields
+    det * X on integers (exact by Cramer's rule); Fractions are created
+    only there.
     """
     n = len(a)
-    m = []
-    for ra, rb in zip(a, b):
-        lcm = math.lcm(*(v.denominator for v in ra), *(v.denominator for v in rb))
-        m.append([v.numerator * (lcm // v.denominator) for r in (ra, rb) for v in r])
+    m = [ints for ints, _, _ in _integer_vectors([*ra, *rb] for ra, rb in zip(a, b))]
     prev = 1
     for col in range(n):
         prev = bareiss_step(m, col, n, prev)
@@ -341,8 +337,8 @@ def _solve_fraction_free(a, b) -> list:
     return [[Fraction(v, det) for v in row] for row in scaled]
 
 
-def solve_dense(a, b) -> list:
-    """Solve A X = B for dense square A.
+def solve_dense(a, b, backend: str) -> list:
+    """Solve A X = B for dense square A in `backend`.
 
     Exact inputs (Fraction or int) are solved fraction-free by Bareiss
     elimination on integers, pivoting on the first nonzero entry; the
@@ -356,7 +352,7 @@ def solve_dense(a, b) -> list:
         raise ValueError("matrix is not square")
     if len(b) != n:
         raise ValueError("right-hand side has %d rows, expected %d" % (len(b), n))
-    if not has_float(a, b):
+    if backend == EXACT:
         return _solve_fraction_free(a, b)
     m = [[float(v) for v in row] for row in a]
     rhs = [[float(v) for v in row] for row in b]
@@ -383,13 +379,15 @@ def solve_dense(a, b) -> list:
 
 
 def invert_dense(a) -> list:
-    return solve_dense(a, mat_eye(len(a), FLOAT if has_float(a) else EXACT))
+    backend = FLOAT if has_float(a) else EXACT
+    return solve_dense(a, mat_eye(len(a), backend), backend)
 
 
-def solve_leading(a, b, level: int, message: str | None = None) -> list:
-    """`solve_dense(a, b)`; a singular `a` raises SingularLeadingMinorError(level, message)."""
+def solve_leading(a, b, backend: str, level: int, message: str | None = None) -> list:
+    """`solve_dense(a, b, backend)`; a singular `a` raises
+    SingularLeadingMinorError(level, message)."""
     try:
-        return solve_dense(a, b)
+        return solve_dense(a, b, backend)
     except SingularMatrixError as exc:
         raise SingularLeadingMinorError(level, message) from exc
 
@@ -428,9 +426,12 @@ class ResidualTracker:
             self.passed = False
 
     def record_gap(self, lhs, rhs, where: str) -> None:
-        """Record the gap between two sides, scaled by the larger side."""
-        scale = max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
-        self.record(matrix_residual_norm(mat_sub(lhs, rhs)), scale, where)
+        """Record the gap between two sides, scaled by the larger side.
+
+        `approx_zero` ignores the scale of an exact gap, so none is taken."""
+        gap = matrix_residual_norm(mat_sub(lhs, rhs))
+        scale = 0 if is_exact(gap) else max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
+        self.record(gap, scale, where)
 
     def merge(self, outcome: CheckOutcome, where: str) -> None:
         """Fold in a sub-check, prefixing its location with `where`."""

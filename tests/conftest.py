@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.cdkernel import KernelEvaluator
 from mghankel.factorize import LOWER, UPPER, GaussFactors, invert_block_triangular, lu_factorize
-from mghankel.families import MatrixPolynomial, pair_poly_form
+from mghankel.families import MatrixPolynomial, eval_form, eval_poly, pair_poly_form
 from mghankel.harness import RunConfig, builtin_config
 from mghankel.numerics import (
     EXACT,
+    block_sum,
     mat_add,
     mat_eye,
     mat_mul,
@@ -77,13 +78,13 @@ def block_doolittle(g: BlockMatrix) -> GaussFactors:
         for j in range(levels):
             acc = [list(r) for r in g.block(i, j)]
             for k in range(min(i, j)):
-                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j]))
+                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j], backend))
             if j < i:
-                low[i][j] = mat_mul(acc, pivot_invs[j])
+                low[i][j] = mat_mul(acc, pivot_invs[j], backend)
             else:
                 up[i][j] = acc
         low[i][i] = mat_eye(n, backend)
-        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), i))
+        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), backend, i))
     lower_inv = BlockMatrix(n, low)
     upper = BlockMatrix(n, up)
     return GaussFactors(
@@ -129,7 +130,8 @@ def solve_leading_minor(g: BlockMatrix, level: int, rhs) -> list:
     head = range(level)
     tiles = [[tuple(zip(*g.block(k, i))) for k in head] for i in head]  # g[k, i]^T
     dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
-    return solve_leading(dense, rhs, level, "leading minor of order %d is singular" % level)
+    message = "leading minor of order %d is singular" % level
+    return solve_leading(dense, rhs, g.backend, level, message)
 
 
 def transposed_lead(g: BlockMatrix, order: int) -> BlockMatrix:
@@ -199,11 +201,67 @@ class PerCoordinateEvaluator(KernelEvaluator):
     of the solves: the reference for the solves batched over the grid."""
 
     def _right_piece(self, y) -> list:
-        return solve_leading(self._tl, self._chi1_col(self.level, y), self.level)
+        return solve_leading(self._tl, self._chi1_col(self.level, y), self.fam.backend, self.level)
 
     def _left_piece(self, x) -> list:
         rhs = mat_transpose(self._chi2_row(self.level, x))
-        return mat_transpose(solve_leading(self._tl_t, rhs, self.level))
+        return mat_transpose(solve_leading(self._tl_t, rhs, self.fam.backend, self.level))
+
+
+# -- per-point products: the oracle for the products taken over the grid ----
+
+
+class PerPointEvaluator(KernelEvaluator):
+    """A kernel evaluator that takes every pointwise product at its own
+    (x, y), by the per-point bodies the evaluator had before it took each
+    product once over the grid, and memoizes none of them: the reference
+    for the grid products."""
+
+    def _kernel(self, x, y) -> list:
+        table, levels = self.table, range(self.level)
+        forms_x = [table.form_value(k, x) for k in levels]
+        polys_y = [table.poly_value(k, y) for k in levels]
+        return block_sum(self.fam.size, forms_x, polys_y, self.fam.backend)
+
+    def kernel_abc(self, x, y) -> list:
+        n = self.fam.size
+        if self.level == 0:
+            return mat_zeros(n, n, self.fam.backend)
+        return mat_mul(self._chi2_row(self.level, x), self._right_piece(y), self.fam.backend)
+
+    def cd_rhs_schur(self, x, y) -> list:
+        n, backend = self.fam.size, self.fam.backend
+        if self.level == 0:
+            return mat_zeros(n, n, backend)
+        a_lam, w_lam = self._schur_row(x)
+        term1 = mat_mul(a_lam, self._right_piece(y), backend)
+        term2 = mat_mul(w_lam, self._schur_col(y), backend)
+        return mat_sub(term1, term2)
+
+    def _assoc_form(self, x, y) -> list:
+        assoc, fam = self._associated(), self.fam
+        weight = lambda j: self.table.weight(j, x)
+        plus_forms_x = [eval_form(f, fam, x, weight) for f in assoc["plus_forms"]]
+        minus_forms_x = [eval_form(f, fam, x, weight) for f in assoc["minus_forms"]]
+        minus_polys_y = [eval_poly(p, y) for p in assoc["minus_polys"]]
+        plus_polys_y = [eval_poly(p, y) for p in assoc["plus_polys"]]
+        cols, rows = [], []
+        for a in range(fam.size):
+            ma, na = fam.mvec[a], fam.nvec[a]
+            for j in range(ma):
+                cols.append([v[a] for v in plus_forms_x[j]])
+                rows.append(minus_polys_y[ma - j - 1][a])
+            for j in range(na):
+                cols.append([v[a] for v in minus_forms_x[na - j - 1]])
+                rows.append([-v for v in plus_polys_y[j][a]])
+        return block_sum(fam.size, [mat_transpose(cols)], [rows], fam.backend)
+
+    def reproducing_residual(self, x, y):
+        levels = range(self.level)
+        forms_x = [self.table.form_value(j, x) for j in levels]
+        lefts = [forms_x[j] for j in levels for _ in levels]
+        acc = block_sum(self.fam.size, lefts, self._paired_polys(y), self.fam.backend)
+        return matrix_residual_norm(mat_sub(acc, self._kernel(x, y)))
 
 
 def is_monic(p) -> bool:
@@ -221,7 +279,7 @@ def term_kernel(fam, forms_x, polys_y) -> list:
     """Sum of forms_x[k] @ polys_y[k] from a zero of the family's backend."""
     acc = mat_zeros(fam.size, fam.size, fam.backend)
     for f, p in zip(forms_x, polys_y):
-        acc = mat_add(acc, mat_mul(f, p))
+        acc = mat_add(acc, mat_mul(f, p, fam.backend))
     return acc
 
 
@@ -232,7 +290,8 @@ def term_reproducing(fam, forms_x, polys_y, pairs):
     acc = mat_zeros(fam.size, fam.size, fam.backend)
     for j in levels:
         for k in levels:
-            acc = mat_add(acc, mat_mul(forms_x[j], mat_mul(pairs[j][k], polys_y[k])))
+            product = mat_mul(pairs[j][k], polys_y[k], fam.backend)
+            acc = mat_add(acc, mat_mul(forms_x[j], product, fam.backend))
     return matrix_residual_norm(mat_sub(acc, term_kernel(fam, forms_x, polys_y)))
 
 
@@ -260,7 +319,7 @@ def term_project_poly(g, polys, forms, level, p) -> MatrixPolynomial:
     for k in range(level):
         weight = pair_poly_form(g, p, forms[k])
         for t, c in enumerate(polys[k].coeffs):
-            coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c))
+            coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c, g.backend))
     return MatrixPolynomial.of(n, coeffs)
 
 
@@ -271,11 +330,11 @@ def term_project_form(g, polys, forms, level, f) -> MatrixPolynomial:
     for k in range(level):
         weight = pair_poly_form(g, polys[k], f)
         for u, d in enumerate(forms[k].coeffs):
-            coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight))
+            coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight, g.backend))
     return MatrixPolynomial.of(n, coeffs)
 
 
-def term_combine(terms) -> MatrixPolynomial:
+def term_combine(terms, backend) -> MatrixPolynomial:
     """Sum of left-coefficient-times-polynomial terms, each product added to
     its coefficient's exact zero, term by term (`families._combine`)."""
     terms = list(terms)
@@ -283,7 +342,7 @@ def term_combine(terms) -> MatrixPolynomial:
     coeffs = [mat_zeros(n, n) for _ in range(max(len(p.coeffs) for _, p in terms))]
     for m, p in terms:
         for k, c in enumerate(p.coeffs):
-            coeffs[k] = mat_add(coeffs[k], mat_mul(m, c))
+            coeffs[k] = mat_add(coeffs[k], mat_mul(m, c, backend))
     return MatrixPolynomial.of(n, coeffs)
 
 

@@ -12,7 +12,7 @@ from mghankel.blockops import (
     partition,
     shift_power,
 )
-from mghankel.numerics import mat_eye, mat_mul, mat_zeros
+from mghankel.numerics import EXACT, mat_eye, mat_mul, mat_zeros
 from mghankel.weights import WeightFamily
 
 from conftest import (
@@ -133,8 +133,8 @@ def test_unit_vectors():
     e0 = unit_column(2, 3, 0)
     assert e0.transpose().matmul(e1) == block_zeros(2, 1, 1)
     e_aa = matrix_unit(2, 1)
-    assert mat_mul(e_aa, e_aa) == [[0, 0], [0, 1]]
-    assert mat_mul(matrix_unit(2, 0), e_aa) == [[0, 0], [0, 0]]
+    assert mat_mul(e_aa, e_aa, EXACT) == [[0, 0], [0, 1]]
+    assert mat_mul(matrix_unit(2, 0), e_aa, EXACT) == [[0, 0], [0, 0]]
 
 
 def chi1_blocks(x, count, size=1):

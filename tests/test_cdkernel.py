@@ -354,7 +354,10 @@ def test_tables_match_direct_composition(table_case):
         for x, y in points:
             kernel = direct_kernel(fam, polys, forms, TABLE_LEVEL, x, y)
             assoc = term_associated(fam, *associated_values(fam, members, x, y))
-            lhs = mat_sub(mat_mul(diag_power(x, nvec), kernel), mat_mul(kernel, diag_power(y, nvec)))
+            lhs = mat_sub(
+                mat_mul(diag_power(x, nvec), kernel, fam.backend),
+                mat_mul(kernel, diag_power(y, nvec), fam.backend),
+            )
             assert ev.kernel_sum(x, y) == kernel
             assert ev.cd_lhs(x, y) == lhs
             assert ev.cd_rhs_associated(x, y) == assoc

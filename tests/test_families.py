@@ -379,7 +379,7 @@ def test_moment_pairings_match_the_running_sum(case, backend):
         moments = [form_against_monomial(g, t, f) for t in range(g.nrows)]
         for q in polys:
             want = running_pairing(g.n, q.coeffs, moments)
-            assert typed(pair_with_moments(q, moments)) == typed(want)
+            assert typed(pair_with_moments(q, moments, g.backend)) == typed(want)
 
 
 @pytest.mark.parametrize("case", ["legendre", "multigraded-12", "multigraded-n2"])
@@ -420,9 +420,9 @@ def test_combined_routes_match_the_per_term_loop(monkeypatch, case, backend):
     have it, in order: by type and repr, the per-term loop's value."""
     combined = []
 
-    def recorded(terms, _fn=families._combine):
+    def recorded(terms, backend, _fn=families._combine):
         terms = list(terms)
-        combined.append((_fn(terms), term_combine(terms)))
+        combined.append((_fn(terms, backend), term_combine(terms, backend)))
         return combined[-1][0]
 
     monkeypatch.setattr(families, "_combine", recorded)

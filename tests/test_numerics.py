@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, strategies as st
 from mghankel import numerics
 from mghankel.numerics import (
     DEFAULT_TOLERANCE,
+    EXACT,
+    FLOAT,
     CheckOutcome,
     ResidualTracker,
     SingularMatrixError,
@@ -23,6 +27,7 @@ from mghankel.numerics import (
     parse_rational,
     scalar_str,
     solve_dense,
+    solve_leading,
 )
 
 from conftest import blockwise_sum, matrices, sum_of_products, typed
@@ -102,24 +107,24 @@ def test_scalar_str_exact_zero():
 def test_solve_dense_exact_hilbert():
     hilbert = [[Fraction(1, i + j + 1) for j in range(4)] for i in range(4)]
     inv = invert_dense(hilbert)
-    assert mat_mul(hilbert, inv) == mat_eye(4)
+    assert mat_mul(hilbert, inv, EXACT) == mat_eye(4)
 
 
 def test_solve_dense_requires_pivot():
     with pytest.raises(SingularMatrixError):
-        solve_dense([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], mat_eye(2))
+        solve_dense([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], mat_eye(2), EXACT)
 
 
 def test_solve_dense_float_relative_threshold():
     # After eliminating the first row the trailing pivot is ~1e-13 of the
     # matrix scale, which the policy treats as singular.
     with pytest.raises(SingularMatrixError):
-        solve_dense([[1.0, 1.0], [1.0, 1.0 + 1e-13]], mat_eye(2, "float"))
+        solve_dense([[1.0, 1.0], [1.0, 1.0 + 1e-13]], mat_eye(2, FLOAT), FLOAT)
 
 
 def test_solve_dense_zero_off_pivot_stays_exact():
     # Identity systems must not leak floats into exact results.
-    sol = solve_dense(mat_eye(2), [[Fraction(1, 3)], [Fraction(2, 5)]])
+    sol = solve_dense(mat_eye(2), [[Fraction(1, 3)], [Fraction(2, 5)]], EXACT)
     assert all(isinstance(v, Fraction) for row in sol for v in row)
 
 
@@ -167,6 +172,21 @@ def test_tracker_record_gap_scales_by_the_larger_side():
     assert tracker.passed and tracker.residual == 0.5
     tracker.record_gap([[1.0]], [[1.5]], "far")
     assert not tracker.passed and tracker.worst == "close"
+
+
+def test_tracker_record_gap_takes_no_scale_of_an_exact_gap(monkeypatch):
+    norms = []
+
+    def counted(a, _fn=numerics.matrix_residual_norm):
+        norms.append(a)
+        return _fn(a)
+
+    monkeypatch.setattr(numerics, "matrix_residual_norm", counted)
+    tracker = ResidualTracker()
+    tracker.record_gap([[Fraction(10**9)]], [[Fraction(10**9) + Fraction(1, 10**9)]], "exact")
+    assert len(norms) == 1 and not tracker.passed
+    tracker.record_gap([[1.0]], [[1.0 + 1e-12]], "float")
+    assert len(norms) == 4 and not tracker.passed and tracker.worst == "exact"
 
 
 def test_residual_norm_propagates_nan():
@@ -268,7 +288,7 @@ def _outcome(solve, a, b):
 
 @given(exact_systems())
 def test_fraction_free_solve_matches_gauss_jordan(system):
-    got = _outcome(solve_dense, *system)
+    got = _outcome(lambda a, b: solve_dense(a, b, EXACT), *system)
     assert got == _outcome(gauss_jordan_exact, *system)
     if isinstance(got, list):
         assert all(type(v) is Fraction for row in got for v in row)
@@ -280,18 +300,18 @@ def test_fraction_free_solve_matches_gauss_jordan_on_rank_deficient(system):
     with pytest.raises(SingularMatrixError) as caught:
         gauss_jordan_exact(a, b)
     with pytest.raises(SingularMatrixError) as got:
-        solve_dense(a, b)
+        solve_dense(a, b, EXACT)
     assert str(got.value) == str(caught.value)
 
 
 def test_fraction_free_solve_edge_shapes():
-    assert solve_dense([], []) == []
-    assert solve_dense([[Fraction(2)]], [[]]) == [[]]
-    sol = solve_dense([[0, 1], [2, 0]], [[1], [1]])
+    assert solve_dense([], [], EXACT) == []
+    assert solve_dense([[Fraction(2)]], [[]], EXACT) == [[]]
+    sol = solve_dense([[0, 1], [2, 0]], [[1], [1]], EXACT)
     assert sol == [[Fraction(1, 2)], [Fraction(1)]]
     assert all(type(v) is Fraction for row in sol for v in row)
     with pytest.raises(SingularMatrixError, match=r"no pivot in column 1"):
-        solve_dense([[1, 2, 3], [2, 4, 5], [0, 0, 1]], [[]] * 3)
+        solve_dense([[1, 2, 3], [2, 4, 5], [0, 0, 1]], [[]] * 3, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +330,12 @@ def products(draw, scalars=small_rationals):
 
 @given(products())
 def test_fraction_free_product_matches_sum_of_products(operands):
-    assert typed(mat_mul(*operands)) == typed(sum_of_products(*operands))
+    assert typed(mat_mul(*operands, EXACT)) == typed(sum_of_products(*operands))
 
 
 @given(products(small_rationals | st.floats(-100, 100)))
 def test_product_with_a_float_anywhere_is_the_plain_sum(operands):
-    assert typed(mat_mul(*operands)) == typed(sum_of_products(*operands))
+    assert typed(mat_mul(*operands, FLOAT)) == typed(sum_of_products(*operands))
 
 
 @st.composite
@@ -330,57 +350,110 @@ def block_sums(draw, scalars=small_rationals):
 
 @given(block_sums())
 def test_exact_block_sum_matches_blockwise_oracle(operands):
-    assert typed(mat_mul_sum(*operands)) == typed(blockwise_sum(*operands))
+    assert typed(mat_mul_sum(*operands, EXACT)) == typed(blockwise_sum(*operands))
 
 
 @given(block_sums(small_rationals | st.floats(-100, 100)))
 def test_block_sum_with_a_float_anywhere_keeps_the_blockwise_order(operands):
-    assert typed(mat_mul_sum(*operands)) == typed(blockwise_sum(*operands))
+    assert typed(mat_mul_sum(*operands, FLOAT)) == typed(blockwise_sum(*operands))
 
 
 def test_int_operands_keep_int_products():
     shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     unit = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
-    got = mat_mul(shift, unit)
+    got = mat_mul(shift, unit, EXACT)
     assert got == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
     assert all(type(v) is int for row in got for v in row)
 
 
 def test_product_edge_shapes():
     two = [[Fraction(1, 2), 1], [3, Fraction(-1, 3)]]
-    assert mat_mul([], two) == []
-    assert mat_mul(two, []) == [[], []]
-    assert mat_mul(two, [[], []]) == [[], []]
-    assert mat_mul([[], []], []) == [[], []]
+    for backend in (EXACT, FLOAT):
+        assert mat_mul([], two, backend) == []
+        assert mat_mul(two, [], backend) == [[], []]
+        assert mat_mul(two, [[], []], backend) == [[], []]
+        assert mat_mul([[], []], [], backend) == [[], []]
 
 
 def test_fraction_block_with_a_late_float_takes_the_float_path():
     a = [[Fraction(1, 3), Fraction(2, 7)], [Fraction(1), 0.25]]
     b = [[Fraction(5, 2), 1], [Fraction(-1, 9), Fraction(3)]]
-    assert typed(mat_mul(a, b)) == typed(sum_of_products(a, b))
-    assert typed(mat_mul_sum([a, b], [b, a])) == typed(blockwise_sum([a, b], [b, a]))
+    assert typed(mat_mul(a, b, FLOAT)) == typed(sum_of_products(a, b))
+    assert typed(mat_mul_sum([a, b], [b, a], FLOAT)) == typed(blockwise_sum([a, b], [b, a]))
 
 
-def test_exact_block_sum_scans_its_operands_once(monkeypatch):
-    scans = []
+def test_a_float_in_an_exact_kernel_raises_type_error():
+    """The exact path splits scalars by numerator and denominator, which a
+    float lacks, so a late float fails instead of being rationalized."""
+    a = [[Fraction(1, 3), Fraction(2, 7)], [Fraction(1), 0.25]]
+    b = [[Fraction(5, 2), 1], [Fraction(-1, 9), Fraction(3)]]
+    with pytest.raises(TypeError, match="float"):
+        mat_mul(a, b, EXACT)
+    with pytest.raises(TypeError, match="float"):
+        mat_mul(b, a, EXACT)
+    with pytest.raises(TypeError, match="float"):
+        block_sum(2, [b, a], [b, b], EXACT)
+    with pytest.raises(TypeError, match="float"):
+        solve_dense(b, a, EXACT)
+    with pytest.raises(TypeError, match="float"):
+        solve_dense(a, b, EXACT)
 
-    def counted(*mats, _fn=numerics.has_float):
-        scans.append(len(mats))
-        return _fn(*mats)
 
-    monkeypatch.setattr(numerics, "has_float", counted)
+def test_dense_kernels_never_scan_their_operands(monkeypatch):
+    """The backend is the caller's: no product or solve looks for floats."""
+
+    def scan(*mats):
+        raise AssertionError("a dense kernel scanned its operands")
+
+    monkeypatch.setattr(numerics, "has_float", scan)
     lefts = [[[Fraction(1, 2), 3]], [[Fraction(-2, 7), 1]]]
     rights = [[[1], [Fraction(1, 3)]], [[Fraction(5, 4)], [2]]]
-    assert mat_mul_sum(lefts, rights) == blockwise_sum(lefts, rights)
-    assert scans == [4]
+    square = [[Fraction(2), Fraction(1, 3)], [Fraction(-1), 5]]
+    for backend, cast in ((EXACT, Fraction), (FLOAT, float)):
+        ls = [[[cast(v) for v in row] for row in m] for m in lefts]
+        rs = [[[cast(v) for v in row] for row in m] for m in rights]
+        a = [[cast(v) for v in row] for row in square]
+        assert mat_mul_sum(ls, rs, backend) == blockwise_sum(ls, rs)
+        assert block_sum(1, ls, rs, backend) == blockwise_sum(ls, rs)
+        assert mat_mul(ls[0], rs[0], backend) == sum_of_products(ls[0], rs[0])
+        solved = solve_dense(a, mat_eye(2, backend), backend)
+        assert solve_leading(a, mat_eye(2, backend), backend, 0) == solved
+
+
+def test_only_a_matrix_backend_and_invert_dense_scan_for_floats():
+    """The backend is decided once per run: `has_float` is referenced only
+    in `BlockMatrix.backend` and in `invert_dense`, which has no caller."""
+
+    def references(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", None)) == "has_float"
+        ]
+
+    users, stray = set(), {}
+    for path in sorted(pathlib.Path(numerics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        seen = set()
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = references(func)
+                if found:
+                    users.add((path.stem, func.name))
+                    seen.update(found)
+        outside = [node.lineno for node in references(tree) if node not in seen]
+        if outside:
+            stray[path.stem] = outside
+    assert users == {("blockops", "backend"), ("numerics", "invert_dense")} and stray == {}
 
 
 def test_block_sum_starts_from_a_zero_of_the_backend():
-    assert typed(block_sum(2, [], [], "float")) == typed([[0.0, 0.0], [0.0, 0.0]])
-    assert typed(block_sum(1, [], [])) == typed([[Fraction(0)]])
+    assert typed(block_sum(2, [], [], FLOAT)) == typed([[0.0, 0.0], [0.0, 0.0]])
+    assert typed(block_sum(1, [], [], EXACT)) == typed([[Fraction(0)]])
     # int products become Fractions; a float sum of products is never -0.0
-    assert typed(block_sum(1, [[[2]], [[1]]], [[[3]], [[1]]])) == typed([[Fraction(7)]])
-    assert typed(block_sum(1, [[[-0.0]]], [[[1]]], "float")) == typed([[0.0]])
+    assert typed(block_sum(1, [[[2]], [[1]]], [[[3]], [[1]]], EXACT)) == typed([[Fraction(7)]])
+    assert typed(block_sum(1, [[[-0.0]]], [[[1]]], FLOAT)) == typed([[0.0]])
 
 
 def test_has_float_finds_a_float_anywhere():

@@ -1,8 +1,10 @@
 """Kernel work shared across levels and grid points.
 
 Each level solves its leading minor once per side, for every grid
-coordinate the run's point table names; the per-coordinate route survives
-in `conftest` as the oracle.  Every level reads the one point table of its
+coordinate the run's point table names, and takes each pointwise product
+once for every pair of a product grid; the per-coordinate solves and the
+per-point products survive in `conftest` as oracles.  Every level reads
+the one point table of its
 run, and the projections of family members and monomials read their
 weights off it, so a run's residuals must not depend on the order its
 levels come in.  Every comparison is by type and repr, in both backends.
@@ -11,6 +13,7 @@ levels come in.  Every comparison is by type and repr, in both backends.
 import dataclasses
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -23,7 +26,7 @@ from mghankel.families import pair_with_moments
 from mghankel.harness import DEFAULT_GRID_COORDS, builtin_config, run
 from mghankel.numerics import ResidualTracker, SingularLeadingMinorError, as_backend
 
-from conftest import PerCoordinateEvaluator, drawn_configs, typed
+from conftest import PerCoordinateEvaluator, PerPointEvaluator, drawn_configs, typed
 
 BACKENDS = ("exact", "float")
 
@@ -93,14 +96,79 @@ def test_batched_solves_match_on_drawn_families(backend, data):
     assert_batched_solves_match(fam, g, factors, points, levels)
 
 
+POINTWISE = (
+    "kernel_sum",
+    "kernel_abc",
+    "cd_lhs",
+    "cd_rhs_schur",
+    "cd_rhs_associated",
+    "reproducing_residual",
+)
+# Three pairs over three x's and two y's: a grid that is no product.
+SCATTERED = ((Fraction(1, 7), Fraction(2, 9)), (Fraction(3, 7), Fraction(5, 9)), (Fraction(6, 7), Fraction(2, 9)))
+OFF_GRID = (Fraction(1, 11), Fraction(4, 13))
+
+
+def pointwise(ev, name, x, y):
+    """The value by type and repr, and itself where exact; or the refusal."""
+    try:
+        value = getattr(ev, name)(x, y)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    typed_value = typed(value) if isinstance(value, list) else (type(value), repr(value))
+    return typed_value, value if ev.fam.backend == "exact" else None
+
+
+@pytest.mark.parametrize(
+    "case,backend",
+    [(c, b) for c in ("legendre", "multigraded-12", "multigraded-n2") for b in BACKENDS]
+    + [("hermite", "float")],
+)
+def test_grid_products_match_per_point_products(monkeypatch, case, backend):
+    """The kernel sum, the inverse-minor kernel, both partition terms, the
+    associated form and the reproducing sum, taken once over the grid, equal
+    the per-point products: exact values by == and type, floats by repr, at
+    level 0 and every level of the config.  On the default lattice a level
+    takes each with one block sum for all 25 pairs; a grid that is no
+    product, and a point off the grid, fall back to a block sum per pair."""
+    config = dataclasses.replace(builtin_config(case), backend=backend)
+    fam, g, factors = problem(config)
+    batches = []
+
+    def spy(n, lefts, rights, backend, _fn=cdkernel.block_sum):
+        if lefts:
+            batches.append((len(lefts[0]) // n, len(rights[0][0]) // n))
+        return _fn(n, lefts, rights, backend)
+
+    monkeypatch.setattr(cdkernel, "block_sum", spy)
+    scattered = [tuple(as_backend(c, backend) for c in pair) for pair in SCATTERED]
+    off_grid = tuple(as_backend(c, backend) for c in OFF_GRID)
+    for grid, batch in ((lattice(backend), (5, 5)), (scattered, (1, 1))):
+        table = PointTable(fam, g, factors, grid)
+        for level in (0, *config.levels):
+            ev = KernelEvaluator(fam, g, factors, level, table=table)
+            oracle = PerPointEvaluator(fam, g, factors, level, table=table)
+            del batches[:]
+            for x, y in grid:
+                for name in POINTWISE:
+                    want = pointwise(oracle, name, x, y)
+                    assert pointwise(ev, name, x, y) == want, (level, name, x, y)
+            assert set(batches) <= {batch} and bool(batches) == (level > 0), level
+            del batches[:]
+            for name in POINTWISE:
+                want = pointwise(oracle, name, *off_grid)
+                assert pointwise(ev, name, *off_grid) == want, (level, name)
+            assert set(batches) <= {(1, 1)} and bool(batches) == (level > 0), level
+
+
 def test_a_run_solves_once_per_level_and_side(monkeypatch):
     """Exact multigraded-n2 with every check: the evaluators call
     `solve_leading` once per (level, side), for all five grid coordinates."""
     calls = []
 
-    def counted(a, b, level, *args, _fn=cdkernel.solve_leading):
+    def counted(a, b, backend, level, *args, _fn=cdkernel.solve_leading):
         calls.append((level, id(a), len(b[0])))
-        return _fn(a, b, level, *args)
+        return _fn(a, b, backend, level, *args)
 
     monkeypatch.setattr(cdkernel, "solve_leading", counted)
     config = builtin_config("multigraded-n2")
@@ -179,4 +247,4 @@ def test_monomial_weights_are_the_form_moments(case, backend):
         for d, monomial in enumerate(table.monomials):
             moments = [table.form_moment(k, t) for t in range(d + 1)]
             want = typed(table.form_moment(k, d))
-            assert typed(pair_with_moments(monomial, moments)) == want, (k, d)
+            assert typed(pair_with_moments(monomial, moments, backend)) == want, (k, d)
