@@ -16,9 +16,9 @@ from .numerics import (
     FLOAT,
     ResidualTracker,
     Tolerance,
+    block_sum,
     has_float,
     mat_mul,
-    mat_mul_sum,
     mat_sub,
     mat_zeros,
     mat_eye,
@@ -90,7 +90,7 @@ class BlockMatrix:
             return BlockMatrix.from_dense(self.n, mat_mul(self.to_dense(), other.to_dense(), EXACT))
         cols = [[row[j] for row in other.blocks] for j in range(other.ncols)]
         return BlockMatrix(
-            self.n, [[mat_mul_sum(row, col, FLOAT) for col in cols] for row in self.blocks]
+            self.n, [[block_sum(self.n, row, col, FLOAT) for col in cols] for row in self.blocks]
         )
 
     def sub(self, other: "BlockMatrix") -> "BlockMatrix":

@@ -158,8 +158,8 @@ class KernelEvaluator:
     reproducing sum at y; the associated families; and the pointwise
     products at (x, y), each one block sum per level for every pair of the
     table's product grid (a pair off it, or any pair of a grid that is no
-    product, alone; see `_grid_sum`).  Matrices handed to callers are fresh
-    copies.
+    product, alone; see `_grid_sum`), and the left side of the difference
+    identities at (x, y).  Matrices handed to callers are fresh copies.
     """
 
     def __init__(
@@ -295,6 +295,11 @@ class KernelEvaluator:
     # -- difference identities ----------------------------------------------
 
     def cd_lhs(self, x, y) -> list:
+        """x^n K(x, y) - K(x, y) y^n, the left side of both difference identities."""
+        return _copy(self._cd_lhs(x, y))
+
+    @memoized
+    def _cd_lhs(self, x, y) -> list:
         k, nvec, backend = self._kernel(x, y), self.fam.nvec, self.fam.backend
         return mat_sub(
             mat_mul(diag_power(x, nvec), k, backend), mat_mul(k, diag_power(y, nvec), backend)

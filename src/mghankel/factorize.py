@@ -24,9 +24,9 @@ from .numerics import (
     _exceeds,
     _integer_vectors,
     bareiss_step,
+    block_sum,
     mat_eye,
     mat_mul,
-    mat_mul_sum,
     mat_scale,
     mat_sub,
     mat_transpose,
@@ -116,7 +116,7 @@ def _reduced_block_rows(dense, n: int):
     """
     size = len(dense)
     m, lcms = [], []
-    for r, (ints, lcm, _) in enumerate(_integer_vectors(dense)):
+    for r, (ints, lcm) in enumerate(_integer_vectors(dense)):
         unit = [0] * size
         unit[r] = lcm
         m.append(ints + unit)
@@ -188,7 +188,7 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
         inv[i][i] = solve_leading(t.block(i, i), mat_eye(n, backend), backend, i)
         for j in range(i - 1, -1, -1):
             ks = range(j, i)
-            acc = mat_mul_sum([t.block(i, k) for k in ks], [inv[k][j] for k in ks], backend)
+            acc = block_sum(n, [t.block(i, k) for k in ks], [inv[k][j] for k in ks], backend)
             inv[i][j] = mat_mul(mat_scale(-1, inv[i][i]), acc, backend)
     return BlockMatrix(n, inv)
 

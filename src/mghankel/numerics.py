@@ -5,19 +5,20 @@ exact rationals (`fractions.Fraction`) and 64-bit floats.  Exact values are
 compared bit-exactly; every float comparison goes through `Tolerance`.
 
 Dense matrices are plain nested sequences of scalars.  A run's backend is
-fixed, so the dense kernels (`mat_mul`, `mat_mul_sum`, `block_sum`,
-`solve_dense`, `solve_leading`) take it as an argument from the caller,
-which holds it already (`WeightFamily.backend`, `BlockMatrix.backend`),
-and never scan their operands for it.  Exact products and solves are
-fraction-free: `mat_mul` and `mat_mul_sum` take integer dot products of
-rows and columns scaled by the lcm of their denominators, `solve_dense`
-eliminates on integers (Bareiss), and both create `Fraction`s only for
-their output entries; a float met on that path raises TypeError.
-`bareiss_step` is the one Bareiss row update; the exact block
-factorization eliminates with it too.  Float products add their scalar
-products in order, and float solves pivot on the largest magnitude.  Every
-singular pivot block or leading block minor is reported through
-`solve_leading`, as a `SingularLeadingMinorError` naming its level.
+fixed, so the dense kernels (`mat_mul`, `block_sum`, `solve_dense`,
+`solve_leading`) take it as an argument from the caller, which holds it
+already (`WeightFamily.backend`, `BlockMatrix.backend`), and never scan
+their operands for it.  Exact products return `Fraction`s and refuse a
+float at every shape, and float products add in order.  `block_sum` is the
+one sum of products; in exact runs it is a single `mat_mul` of a block row
+and a block column.  Exact products and solves are fraction-free: `mat_mul`
+takes integer dot products of rows and columns scaled by the lcm of their
+denominators, `solve_dense` eliminates on integers (Bareiss), and both
+create `Fraction`s only for their output entries.  `bareiss_step` is the
+one Bareiss row update; the exact block factorization eliminates with it
+too.  Float solves pivot on the largest magnitude.  Every singular pivot
+block or leading block minor is reported through `solve_leading`, as a
+`SingularLeadingMinorError` naming its level.
 """
 
 from __future__ import annotations
@@ -163,19 +164,12 @@ def mat_scale(c: Scalar, a) -> list:
 
 
 def has_float(*mats) -> bool:
-    """True when some entry of the dense matrices is a float.
-
-    The first entry of every matrix is tested before any full scan, so a
-    float operand is recognised in O(1).
-    """
-    for m in mats:
-        if m and m[0] and isinstance(m[0][0], float):
-            return True
+    """True when some entry of the dense matrices is a float."""
     return any(isinstance(v, float) for m in mats for row in m for v in row)
 
 
 def _integer_vectors(vectors) -> list:
-    """(integers, lcm of denominators, all-int flag) for each exact vector.
+    """(integers, lcm of denominators) for each exact vector.
 
     Scalars are split by `numerator` and `denominator`, which a float lacks:
     a float in an exact computation raises TypeError."""
@@ -184,77 +178,48 @@ def _integer_vectors(vectors) -> list:
         for v in vectors:
             dens = [x.denominator for x in v]
             den = math.lcm(*dens)
-            ints = [x.numerator * (den // d) for x, d in zip(v, dens)]
-            out.append((ints, den, den == 1 and all(type(x) is int for x in v)))
+            out.append(([x.numerator * (den // d) for x, d in zip(v, dens)], den))
     except AttributeError:
         raise TypeError("exact arithmetic met a float") from None
     return out
 
 
-def _mul_fraction_free(a, cols) -> list:
-    """Exact A @ B from the rows of A and the columns of B.
-
-    Every row and column is scaled to integers by the lcm of its
-    denominators, so each entry is one integer dot product over the
-    product of two lcms: one Fraction per entry, canonical and therefore
-    equal to the sum of Fraction products.  Where the row and the column
-    hold only ints, the entry stays an int.
-    """
-    cols = _integer_vectors(cols)
-    return [
-        [
-            sum(map(mul, r, c)) if r_int and c_int else Fraction(sum(map(mul, r, c)), r_den * c_den)
-            for c, c_den, c_int in cols
-        ]
-        for r, r_den, r_int in _integer_vectors(a)
-    ]
-
-
 def mat_mul(a, b, backend: str) -> list:
     """A @ B in `backend`.
 
-    Exact operands with an inner dimension above one multiply fraction-free
-    on integers; an entry is a Fraction unless its row of A and column of B
-    hold only ints.  Otherwise each entry is the plain sum of its scalar
-    products: floats, and a single product, which needs no common
-    denominator.
+    Exact operands multiply fraction-free at every shape: every row of A and
+    column of B is scaled to integers by the lcm of its denominators, so each
+    entry is Fraction(integer dot product, product of the two lcms), which is
+    canonical and so equal to the sum of its Fraction products.  Floats add
+    their scalar products in order.
     """
     cols = list(zip(*b))
-    if backend == EXACT and len(b) > 1 and cols and a:
-        return _mul_fraction_free(a, cols)
+    if backend == EXACT:
+        cols = _integer_vectors(cols)
+        return [
+            [Fraction(sum(map(mul, r, c)), r_den * c_den) for c, c_den in cols]
+            for r, r_den in _integer_vectors(a)
+        ]
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def mat_mul_sum(lefts, rights, backend: str) -> list:
-    """Sum of lefts[k] @ rights[k] over k in `backend`, for at least one pair.
-
-    Exact operands take one product of the block row [lefts[0] lefts[1] ...]
-    and the block column [rights[0]; rights[1]; ...], by the rules of
-    `mat_mul`.  Floats add the products left to right with `mat_add`.
-    """
-    if backend != EXACT:
-        acc = mat_mul(lefts[0], rights[0], backend)
-        for a, b in zip(lefts[1:], rights[1:]):
-            acc = mat_add(acc, mat_mul(a, b, backend))
-        return acc
-    row = [[x for m in lefts for x in m[r]] for r in range(len(lefts[0]))]
-    return mat_mul(row, [r for m in rights for r in m], EXACT)
-
-
 def block_sum(n: int, lefts, rights, backend: str) -> list:
-    """Sum of lefts[k] @ rights[k] (`mat_mul_sum`), started from a zero.
+    """Sum of lefts[k] @ rights[k] over k in `backend`.
 
-    With no pairs the sum is the n x n zero of `backend`.  Otherwise the
-    zero start only turns exact int entries into Fractions: the operands
-    of a float run hold floats, and a float sum of products is never -0.0,
-    so adding 0.0 to it changes nothing.
+    With no pairs the sum is the n x n zero of `backend`.  Exact operands
+    take one `mat_mul` of the block row [lefts[0] lefts[1] ...] and the
+    block column [rights[0]; rights[1]; ...].  Floats add the products left
+    to right, from the first.
     """
     if not lefts:
         return mat_zeros(n, n, backend)
-    return [
-        [Fraction(v) if isinstance(v, int) else v for v in row]
-        for row in mat_mul_sum(lefts, rights, backend)
-    ]
+    if backend == EXACT:
+        row = [[x for m in lefts for x in m[r]] for r in range(len(lefts[0]))]
+        return mat_mul(row, [r for m in rights for r in m], EXACT)
+    acc = mat_mul(lefts[0], rights[0], backend)
+    for a, b in zip(lefts[1:], rights[1:]):
+        acc = mat_add(acc, mat_mul(a, b, backend))
+    return acc
 
 
 def mat_transpose(a) -> list:
@@ -320,7 +285,7 @@ def _solve_fraction_free(a, b) -> list:
     only there.
     """
     n = len(a)
-    m = [ints for ints, _, _ in _integer_vectors([*ra, *rb] for ra, rb in zip(a, b))]
+    m = [ints for ints, _ in _integer_vectors([*ra, *rb] for ra, rb in zip(a, b))]
     prev = 1
     for col in range(n):
         prev = bareiss_step(m, col, n, prev)

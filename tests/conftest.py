@@ -44,24 +44,26 @@ def typed(m) -> list:
     return [[(type(v), repr(v)) for v in row] for row in m]
 
 
-def sum_of_products(a, b) -> list:
-    """Oracle product: every entry the plain sum of its scalar products."""
+def sum_of_products(a, b, start=0) -> list:
+    """Oracle product: every entry the plain sum of its scalar products,
+    added to `start`; `Fraction(0)` gives the exact oracle, whose entries
+    are Fractions."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum((x * y for x, y in zip(row, col)), start) for col in cols] for row in a]
 
 
-def blockwise_sum(lefts, rights) -> list:
+def blockwise_sum(lefts, rights, start=0) -> list:
     """Oracle block sum: the first product, then `mat_add` left to right."""
-    acc = sum_of_products(lefts[0], rights[0])
+    acc = sum_of_products(lefts[0], rights[0], start)
     for a, b in zip(lefts[1:], rights[1:]):
-        acc = mat_add(acc, sum_of_products(a, b))
+        acc = mat_add(acc, sum_of_products(a, b, start))
     return acc
 
 
-def blockwise_matmul(p: BlockMatrix, q: BlockMatrix) -> BlockMatrix:
+def blockwise_matmul(p: BlockMatrix, q: BlockMatrix, start=0) -> BlockMatrix:
     """Oracle block product, one `blockwise_sum` per output block."""
     cols = [[row[j] for row in q.blocks] for j in range(q.ncols)]
-    return BlockMatrix(p.n, [[blockwise_sum(row, col) for col in cols] for row in p.blocks])
+    return BlockMatrix(p.n, [[blockwise_sum(row, col, start) for col in cols] for row in p.blocks])
 
 
 def block_doolittle(g: BlockMatrix) -> GaussFactors:

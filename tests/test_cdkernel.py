@@ -525,7 +525,7 @@ def test_returned_matrices_are_fresh(mgn2_bundle, rational_grid):
     fam, g, factors = mgn2_bundle
     ev = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
     x, y = rational_grid[0], rational_grid[3]
-    for name in ("kernel_sum", "cd_rhs_associated"):
+    for name in ("kernel_sum", "cd_lhs", "cd_rhs_associated"):
         first = getattr(ev, name)(x, y)
         expected = [list(row) for row in first]
         first[0][0] += 1
@@ -533,6 +533,20 @@ def test_returned_matrices_are_fresh(mgn2_bundle, rational_grid):
         assert getattr(ev, name)(x, y) == expected
     quotient = ev.cd_entry_quotient(0, 1, x, y)
     assert quotient == expected[0][1] / (x - y**2)
+
+
+def test_cd_lhs_is_computed_once_per_point(monkeypatch, mgn2_bundle, rational_grid):
+    calls = []
+
+    def counted(x, nvec, _fn=cdkernel.diag_power):
+        calls.append(x)
+        return _fn(x, nvec)
+
+    monkeypatch.setattr(cdkernel, "diag_power", counted)
+    ev = KernelEvaluator(*mgn2_bundle, TABLE_LEVEL)
+    x, y = rational_grid[0], rational_grid[3]
+    first = ev.cd_lhs(x, y)
+    assert ev.cd_lhs(x, y) == first and calls == [x, y]
 
 
 def test_classical_reuses_top_factorization():

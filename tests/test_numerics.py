@@ -21,7 +21,6 @@ from mghankel.numerics import (
     invert_dense,
     mat_eye,
     mat_mul,
-    mat_mul_sum,
     mat_sub,
     matrix_residual_norm,
     parse_rational,
@@ -316,21 +315,22 @@ def test_fraction_free_solve_edge_shapes():
 
 # ---------------------------------------------------------------------------
 # The fraction-free exact product against the plain sum of scalar products,
-# kept here as the oracle.
+# kept here as the oracle; the exact oracle sums from Fraction(0).
 # ---------------------------------------------------------------------------
 
 shapes = st.integers(0, 6)
+ints = st.integers(-50, 50)
 
 
 @st.composite
-def products(draw, scalars=small_rationals):
-    m, k, p = draw(shapes), draw(shapes), draw(shapes)
+def products(draw, scalars=small_rationals, inner=shapes):
+    m, k, p = draw(shapes), draw(inner), draw(shapes)
     return draw(matrices(m, k, scalars)), draw(matrices(k, p, scalars))
 
 
 @given(products())
 def test_fraction_free_product_matches_sum_of_products(operands):
-    assert typed(mat_mul(*operands, EXACT)) == typed(sum_of_products(*operands))
+    assert typed(mat_mul(*operands, EXACT)) == typed(sum_of_products(*operands, Fraction(0)))
 
 
 @given(products(small_rationals | st.floats(-100, 100)))
@@ -350,20 +350,23 @@ def block_sums(draw, scalars=small_rationals):
 
 @given(block_sums())
 def test_exact_block_sum_matches_blockwise_oracle(operands):
-    assert typed(mat_mul_sum(*operands, EXACT)) == typed(blockwise_sum(*operands))
+    assert typed(block_sum(0, *operands, EXACT)) == typed(blockwise_sum(*operands, Fraction(0)))
 
 
 @given(block_sums(small_rationals | st.floats(-100, 100)))
 def test_block_sum_with_a_float_anywhere_keeps_the_blockwise_order(operands):
-    assert typed(mat_mul_sum(*operands, FLOAT)) == typed(blockwise_sum(*operands))
+    assert typed(block_sum(0, *operands, FLOAT)) == typed(blockwise_sum(*operands))
 
 
-def test_int_operands_keep_int_products():
-    shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    unit = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
-    got = mat_mul(shift, unit, EXACT)
-    assert got == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    assert all(type(v) is int for row in got for v in row)
+@given(products(ints, inner=st.integers(1, 6)), block_sums(ints))
+def test_exact_products_of_ints_are_fractions(product, pairs):
+    """One rule at every inner dimension: an exact product is Fractions."""
+    for got, oracle in (
+        (mat_mul(*product, EXACT), sum_of_products(*product)),
+        (block_sum(0, *pairs, EXACT), blockwise_sum(*pairs)),
+    ):
+        assert got == oracle
+        assert all(type(v) is Fraction for row in got for v in row)
 
 
 def test_product_edge_shapes():
@@ -379,7 +382,7 @@ def test_fraction_block_with_a_late_float_takes_the_float_path():
     a = [[Fraction(1, 3), Fraction(2, 7)], [Fraction(1), 0.25]]
     b = [[Fraction(5, 2), 1], [Fraction(-1, 9), Fraction(3)]]
     assert typed(mat_mul(a, b, FLOAT)) == typed(sum_of_products(a, b))
-    assert typed(mat_mul_sum([a, b], [b, a], FLOAT)) == typed(blockwise_sum([a, b], [b, a]))
+    assert typed(block_sum(2, [a, b], [b, a], FLOAT)) == typed(blockwise_sum([a, b], [b, a]))
 
 
 def test_a_float_in_an_exact_kernel_raises_type_error():
@@ -399,6 +402,16 @@ def test_a_float_in_an_exact_kernel_raises_type_error():
         solve_dense(a, b, EXACT)
 
 
+def test_a_float_in_a_one_column_exact_product_raises_type_error():
+    """Inner dimension 1 takes the fraction-free path too."""
+    with pytest.raises(TypeError, match="float"):
+        mat_mul([[Fraction(1, 2)]], [[0.5]], EXACT)
+    with pytest.raises(TypeError, match="float"):
+        mat_mul([[0.5], [Fraction(1, 3)]], [[Fraction(2), 3]], EXACT)
+    with pytest.raises(TypeError, match="float"):
+        block_sum(2, [[[Fraction(1, 2)], [1]]], [[[Fraction(1, 3), 0.25]]], EXACT)
+
+
 def test_dense_kernels_never_scan_their_operands(monkeypatch):
     """The backend is the caller's: no product or solve looks for floats."""
 
@@ -413,7 +426,6 @@ def test_dense_kernels_never_scan_their_operands(monkeypatch):
         ls = [[[cast(v) for v in row] for row in m] for m in lefts]
         rs = [[[cast(v) for v in row] for row in m] for m in rights]
         a = [[cast(v) for v in row] for row in square]
-        assert mat_mul_sum(ls, rs, backend) == blockwise_sum(ls, rs)
         assert block_sum(1, ls, rs, backend) == blockwise_sum(ls, rs)
         assert mat_mul(ls[0], rs[0], backend) == sum_of_products(ls[0], rs[0])
         solved = solve_dense(a, mat_eye(2, backend), backend)
@@ -451,7 +463,7 @@ def test_only_a_matrix_backend_and_invert_dense_scan_for_floats():
 def test_block_sum_starts_from_a_zero_of_the_backend():
     assert typed(block_sum(2, [], [], FLOAT)) == typed([[0.0, 0.0], [0.0, 0.0]])
     assert typed(block_sum(1, [], [], EXACT)) == typed([[Fraction(0)]])
-    # int products become Fractions; a float sum of products is never -0.0
+    # exact products of ints are Fractions; a float sum of products is never -0.0
     assert typed(block_sum(1, [[[2]], [[1]]], [[[3]], [[1]]], EXACT)) == typed([[Fraction(7)]])
     assert typed(block_sum(1, [[[-0.0]]], [[[1]]], FLOAT)) == typed([[0.0]])
 
