@@ -50,11 +50,11 @@ from .numerics import (
     Scalar,
     SingularLocusError,
     block_sum,
+    gap_norm,
     mat_mul,
     mat_sub,
     mat_transpose,
     mat_zeros,
-    matrix_residual_norm,
     memoized,
     solve_leading,
 )
@@ -71,11 +71,9 @@ class IdentityResidual:
     point: tuple
 
     @staticmethod
-    def at(lhs, rhs, point) -> "IdentityResidual":
+    def at(lhs, rhs, point, backend: str) -> "IdentityResidual":
         freeze = lambda m: tuple(tuple(r) for r in m)
-        return IdentityResidual(
-            freeze(lhs), freeze(rhs), matrix_residual_norm(mat_sub(lhs, rhs)), point
-        )
+        return IdentityResidual(freeze(lhs), freeze(rhs), gap_norm(lhs, rhs, backend), point)
 
 
 def diag_power(x, nvec) -> list:
@@ -442,7 +440,7 @@ class KernelEvaluator:
             return [forms[j] for j in levels for _ in levels]
 
         acc = self._grid_sum("reproducing", x, y, lefts, self._paired_polys)
-        return matrix_residual_norm(mat_sub(acc, self._kernel(x, y)))
+        return gap_norm(acc, self._kernel(x, y), self.fam.backend)
 
     @memoized
     def _paired_polys(self, y) -> list:
@@ -488,4 +486,4 @@ def classical_cd(
     rhs = (px[degree] * py[degree - 1] - px[degree - 1] * py[degree]) / (
         norms[degree - 1] * (x - y)
     )
-    return IdentityResidual.at([[lhs]], [[rhs]], (x, y))
+    return IdentityResidual.at([[lhs]], [[rhs]], (x, y), backend)

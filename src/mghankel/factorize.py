@@ -15,7 +15,7 @@ elimination and invert both factors by block substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blockops import BlockMatrix, _freeze
@@ -25,6 +25,7 @@ from .numerics import (
     _integer_vectors,
     bareiss_step,
     block_sum,
+    gap_norm,
     mat_eye,
     mat_mul,
     mat_scale,
@@ -32,6 +33,7 @@ from .numerics import (
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
+    memoized,
     solve_leading,
 )
 
@@ -54,6 +56,7 @@ class GaussFactors:
     lower_inv: BlockMatrix
     upper: BlockMatrix
     upper_inv: BlockMatrix
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nlevels(self) -> int:
@@ -193,9 +196,25 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
     return BlockMatrix(n, inv)
 
 
+@memoized
+def _reproduced(factors: GaussFactors) -> BlockMatrix:
+    """lower_inv @ upper, formed once per factorization."""
+    return factors.lower_inv.matmul(factors.upper)
+
+
+def _block_gaps(a: BlockMatrix, g: BlockMatrix) -> list:
+    """`gap_norm` of each block of a against the same block of g, in g's backend."""
+    if (a.nrows, a.ncols, a.n) != (g.nrows, g.ncols, g.n):
+        raise ValueError("incompatible block shapes")
+    return [
+        [gap_norm(p, q, g.backend) for p, q in zip(row_a, row_g)]
+        for row_a, row_g in zip(a.blocks, g.blocks)
+    ]
+
+
 def factorization_residual(g: BlockMatrix, factors: GaussFactors):
     """Max-norm of lower_inv @ upper - g."""
-    return factors.lower_inv.matmul(factors.upper).sub(g).maxnorm()
+    return matrix_residual_norm(_block_gaps(_reproduced(factors), g))
 
 
 def nested_truncation_residual(g: BlockMatrix, factors: GaussFactors):
@@ -207,17 +226,22 @@ def nested_truncation_residual(g: BlockMatrix, factors: GaussFactors):
     the inverse of every leading truncation is the leading part of one
     inverse of the whole factor, and every truncation's residual is the
     leading part of one residual matrix.  Level l adds its L-shaped border:
-    block row l-1 and block column l-1.
+    block row l-1 and block column l-1.  When the re-derived inverse equals
+    ``lower_inv`` exactly, that residual matrix is the one of
+    `factorization_residual`, and its product is not formed again.
     """
-    res = invert_block_triangular(factors.lower, LOWER).matmul(factors.upper).sub(g)
+    inverse = invert_block_triangular(factors.lower, LOWER)
+    if g.backend == EXACT and inverse == factors.lower_inv:
+        product = _reproduced(factors)
+    else:
+        product = inverse.matmul(factors.upper)
+    res = _block_gaps(product, g)
     worst = 0
     worst_level = None
     for level in range(1, g.nrows + 1):
         last = level - 1
-        border = [res.block(last, k) for k in range(level)]
-        border += [res.block(k, last) for k in range(last)]
-        for blk in border:
-            r = matrix_residual_norm(blk)
+        border = [res[last][k] for k in range(level)] + [res[k][last] for k in range(last)]
+        for r in border:
             if _exceeds(r, worst):
                 worst, worst_level = r, level
     return worst, worst_level

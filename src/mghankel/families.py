@@ -10,9 +10,12 @@ transposed, rather than a second copy of it.
 
 Associated families are built independently of the factorization, by
 direct linear solves against leading truncations of the moment matrix, so
-the connection formulas below genuinely compare two routes.  There is one
-solve per leading minor and side (g or g^T), kept on the moment matrix:
-every member j at that order, and every check reading one, shares it.
+the connection formulas below genuinely compare two routes.  Each leading
+minor is eliminated once per side (g or g^T), and each block column of
+its solution is substituted once, when a builder first reads it; both are
+kept on the moment matrix, so every member j at that order, and every
+check reading one, shares them.  The checks compare exact sides by
+equality first (`numerics.gap_norm`) and subtract only where they differ.
 
 All integrals of polynomial-times-weight products reduce to moment-matrix
 entries; no quadrature appears anywhere.
@@ -28,17 +31,19 @@ from .numerics import (
     CheckOutcome,
     DEFAULT_TOLERANCE,
     ResidualTracker,
+    Elimination,
     Tolerance,
     block_sum,
+    eliminate_leading,
+    gap_norm,
     mat_add,
     mat_eye,
     mat_scale,
-    mat_sub,
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
     memoized,
-    solve_leading,
+    substitute,
 )
 from .weights import WeightFamily
 
@@ -62,12 +67,17 @@ class MatrixPolynomial:
     def degree(self) -> int:
         """Exact degree: highest index with a nonzero coefficient block."""
         for k in range(len(self.coeffs) - 1, -1, -1):
-            if matrix_residual_norm(self.coeffs[k]) != 0:
+            if _nonzero(self.coeffs[k]):
                 return k
         return -1
 
 
 LinearForm = MatrixPolynomial
+
+
+def _nonzero(block) -> bool:
+    """True when some entry is nonzero; a NaN entry counts as nonzero."""
+    return any(map(any, block))
 
 
 def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -92,16 +102,21 @@ def eval_form(f: LinearForm, fam: WeightFamily, x, weight=None) -> list:
     """
     if weight is None:
         weight = lambda j: fam.eval_weight(j, x)
-    used = [j for j, d in enumerate(f.coeffs) if matrix_residual_norm(d) != 0]
+    used = [j for j, d in enumerate(f.coeffs) if _nonzero(d)]
     return block_sum(f.n, [weight(j) for j in used], [f.coeffs[j] for j in used], fam.backend)
 
 
-def poly_residual(p: MatrixPolynomial, q: MatrixPolynomial):
+def poly_residual(p: MatrixPolynomial, q: MatrixPolynomial, backend: str | None = None):
     """Max-norm of the coefficientwise difference; a coefficient only one side
-    has counts whole, and a NaN anywhere makes the residual NaN."""
+    has counts whole, and a NaN anywhere makes the residual NaN.
+
+    Shared coefficients are compared by `gap_norm` in `backend`, so exact
+    blocks that agree are settled by equality; without a backend every
+    shared block is subtracted."""
     pad = min(len(p.coeffs), len(q.coeffs))
-    diffs = [mat_sub(a, b) for a, b in zip(p.coeffs, q.coeffs)] + [*p.coeffs[pad:], *q.coeffs[pad:]]
-    return matrix_residual_norm([[matrix_residual_norm(d) for d in diffs]])
+    gaps = [gap_norm(a, b, backend) for a, b in zip(p.coeffs, q.coeffs)]
+    whole = [matrix_residual_norm(c) for c in (*p.coeffs[pad:], *q.coeffs[pad:])]
+    return matrix_residual_norm([gaps + whole])
 
 
 # A form shares the container, so it shares the residual.
@@ -166,26 +181,41 @@ def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
 # ---------------------------------------------------------------------------
 
 
-@memoized
-def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> list:
-    """X solving (h^{[order]})^T X = [I | h[order+i, 0..order-1]^T for i >= 0], h = g or g^T.
+def _tile(g: BlockMatrix, dual: bool, k: int, i: int):
+    """Block (k, i) of h^T, h = g^T if `dual` else g."""
+    return g.block(k, i) if dual else tuple(zip(*g.block(i, k)))
 
-    One elimination per order and side, kept on g for every builder: block
-    column i < order of X is that of ((h^{[order]})^T)^{-1}, and block
-    column order+i the solved combination of block row order+i of h."""
-    width = order * g.n
-    # [(h^{[order]})^T | h[order.., 0..order-1]^T] is the first `width` rows of h^T.
-    rows = (g.to_dense() if dual else mat_transpose(g.to_dense()))[:width]
-    dense = [row[:width] for row in rows]
-    rhs = [[int(c == r) for c in range(width)] + row[width:] for r, row in enumerate(rows)]
+
+@memoized
+def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> Elimination:
+    """(h^{[order]})^T eliminated once per order and side, kept on g, h = g or g^T."""
+    head = range(order)
+    tiles = [[_tile(g, dual, k, t) for t in head] for k in head]
+    dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
     message = "leading minor of order %d is singular" % order
-    return solve_leading(dense, rhs, g.backend, order, message)
+    return eliminate_leading(dense, g.backend, order, message)
+
+
+@memoized
+def _solution_column(g: BlockMatrix, order: int, dual: bool, i: int) -> list:
+    """Block column i of X solving (h^{[order]})^T X = [I | h[order+t, 0..order-1]^T for t >= 0].
+
+    Substituted once per (order, side, column), on the elimination of
+    `_lead_solution`: column i < order of X is that of
+    ((h^{[order]})^T)^{-1}, column order+t the solved combination of block
+    row order+t of h.
+    """
+    n = g.n
+    if i < order:
+        rhs = [[int(k == i and r == c) for c in range(n)] for k in range(order) for r in range(n)]
+    else:
+        rhs = [row for k in range(order) for row in _tile(g, dual, k, i)]
+    return substitute(_lead_solution(g, order, dual), rhs)
 
 
 def _solution_block(g: BlockMatrix, order: int, dual: bool, k: int, i: int) -> list:
-    """Block (k, i) of `_lead_solution`, transposed unless `dual`: a stored coefficient."""
-    n, sol = g.n, _lead_solution(g, order, dual)
-    blk = [row[i * n : (i + 1) * n] for row in sol[k * n : (k + 1) * n]]
+    """Block (k, i) of the solution, transposed unless `dual`: a stored coefficient."""
+    blk = _solution_column(g, order, dual, i)[k * g.n : (k + 1) * g.n]
     return blk if dual else mat_transpose(blk)
 
 
@@ -262,7 +292,7 @@ def check_biorthogonality(
     tracker = ResidualTracker(tol)
     for i in range(g.nrows):
         for j in range(g.ncols):
-            r = matrix_residual_norm(mat_sub(product.block(i, j), ident.block(i, j)))
+            r = gap_norm(product.block(i, j), ident.block(i, j), g.backend)
             tracker.record(r, scale, "(i=%d, j=%d)" % (i, j))
     return tracker.result()
 
@@ -326,7 +356,7 @@ def check_connection_formulas(
     scale = g.maxnorm()
     tracker = ResidualTracker(tol)
     for where, direct, combined in routes:
-        tracker.record(poly_residual(direct, combined), scale, where)
+        tracker.record(poly_residual(direct, combined, g.backend), scale, where)
     return tracker.result()
 
 
@@ -357,9 +387,9 @@ def check_modified_orthogonality(
     dual_minus = dual_associated_minus(g, level, j)
     for k in range(level + 1):
         target = mat_eye(n, backend) if k == level - j else mat_zeros(n, n, backend)
-        r = matrix_residual_norm(mat_sub(poly_against_weight(g, minus, k), target))
+        r = gap_norm(poly_against_weight(g, minus, k), target, backend)
         tracker.record(r, scale, "minus vs weight %d" % k)
-        r = matrix_residual_norm(mat_sub(form_against_monomial(g, k, dual_minus), target))
+        r = gap_norm(form_against_monomial(g, k, dual_minus), target, backend)
         tracker.record(r, scale, "dual minus vs monomial %d" % k)
 
     return tracker.result()
@@ -394,5 +424,5 @@ def check_matrix_notation(
     scale = g.maxnorm()
     tracker = ResidualTracker(tol)
     for where, expected, direct in routes:
-        tracker.record(poly_residual(expected, direct), scale, where)
+        tracker.record(poly_residual(expected, direct, g.backend), scale, where)
     return tracker.result()

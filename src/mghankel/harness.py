@@ -520,7 +520,7 @@ class _Runner:
 
     def check_abc(self, acc: ResidualTracker):
         for ev, x, y, where in self._located():
-            acc.record_gap(ev.kernel_sum(x, y), ev.kernel_abc(x, y), where)
+            acc.record_gap(ev.kernel_sum(x, y), ev.kernel_abc(x, y), where, self.config.backend)
 
     def check_reproducing(self, acc: ResidualTracker):
         for ev, x, y, where in self._located():
@@ -538,7 +538,9 @@ class _Runner:
                     ("dual", ev.project_form, forms[k]),
                 ):
                     acc.record(
-                        poly_residual(project(member), member if k < level else zero),
+                        poly_residual(
+                            project(member), member if k < level else zero, self.config.backend
+                        ),
                         self.g.maxnorm(),
                         "l=%d %s k=%d" % (level, kind, k),
                     )
@@ -546,14 +548,14 @@ class _Runner:
                 once = ev.project_poly(self.table.monomials[deg])
                 twice = ev.project_poly(once)
                 acc.record(
-                    poly_residual(once, twice),
+                    poly_residual(once, twice, self.config.backend),
                     self.g.maxnorm(),
                     "l=%d idempotence deg=%d" % (level, deg),
                 )
 
     def check_proposition(self, acc: ResidualTracker):
         for ev, x, y, where in self._located():
-            acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_schur(x, y), where)
+            acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_schur(x, y), where, self.config.backend)
 
     def check_theorem(self, acc: ResidualTracker):
         threshold = self.config.max_shift()
@@ -565,7 +567,9 @@ class _Runner:
                     acc.notes.append("l=%d not asserted: %s" % (level, exc))
                 continue
             for ev, x, y, where in self._located((level,)):
-                acc.record_gap(ev.cd_lhs(x, y), ev.cd_rhs_associated(x, y), where)
+                acc.record_gap(
+                    ev.cd_lhs(x, y), ev.cd_rhs_associated(x, y), where, self.config.backend
+                )
 
     def check_corollary(self, acc: ResidualTracker):
         threshold = self.config.max_shift()
@@ -636,7 +640,8 @@ class _Runner:
         for degree in range(1, min(6, self.config.truncation - 2) + 1):
             for x, y in points:
                 res = classical_cd(seed, degree, x, y, self.config.backend, table=self.table)
-                acc.record_gap(res.lhs, res.rhs, "n=%d (x,y)=(%s,%s)" % (degree, x, y))
+                where = "n=%d (x,y)=(%s,%s)" % (degree, x, y)
+                acc.record_gap(res.lhs, res.rhs, where, self.config.backend)
 
 
 class _Skip(Exception):

@@ -5,29 +5,43 @@ exact rationals (`fractions.Fraction`) and 64-bit floats.  Exact values are
 compared bit-exactly; every float comparison goes through `Tolerance`.
 
 Dense matrices are plain nested sequences of scalars.  A run's backend is
-fixed, so the dense kernels (`mat_mul`, `block_sum`, `solve_dense`,
-`solve_leading`) take it as an argument from the caller, which holds it
-already (`WeightFamily.backend`, `BlockMatrix.backend`), and never scan
-their operands for it.  Exact products return `Fraction`s and refuse a
-float at every shape, and float products add in order.  `block_sum` is the
-one sum of products; in exact runs it is a single `mat_mul` of a block row
-and a block column.  Exact products and solves are fraction-free: `mat_mul`
-takes integer dot products of rows and columns scaled by the lcm of their
-denominators, `solve_dense` eliminates on integers (Bareiss), and both
-create `Fraction`s only for their output entries.  `bareiss_step` is the
-one Bareiss row update; the exact block factorization eliminates with it
-too.  Float solves pivot on the largest magnitude.  Every singular pivot
-block or leading block minor is reported through `solve_leading`, as a
-`SingularLeadingMinorError` naming its level.
+fixed, so the dense kernels (`mat_mul`, `block_sum`, `eliminate`,
+`solve_dense`, `solve_leading`, `gap_norm`) take it as an argument from the
+caller, which holds it already (`WeightFamily.backend`,
+`BlockMatrix.backend`), and never scan their operands for it.  Exact
+products return `Fraction`s and refuse a float at every shape, and float
+products add in order.  `block_sum` is the one sum of products; in exact
+runs it is a single `mat_mul` of a block row and a block column.  Exact
+products and solves are fraction-free: `mat_mul` takes integer dot products
+of rows and columns scaled by the lcm of their denominators, and both
+create `Fraction`s only for their output entries.
+
+A solve is one elimination of A (`eliminate`) and one substitution per
+right-hand-side block (`substitute`); `solve_dense` and `solve_leading` do
+both at once, and a caller that reads only some blocks of a solution keeps
+the `Elimination` and substitutes those.  Exact A is eliminated on integers
+(Bareiss), and each block of B is replayed through the same steps on
+integers; `bareiss_step` is the one Bareiss row update, which the exact
+block factorization eliminates with too.  Float A takes Gauss-Jordan with
+pivots of the largest magnitude, and each column of B repeats its
+operations in order.  Every singular pivot block or leading block minor is
+reported through `eliminate_leading`, as a `SingularLeadingMinorError`
+naming its level.
+
+Every gap between two sides of a check is `gap_norm`: exact sides that
+agree entry for entry give 0 by equality, and only others are subtracted;
+float sides are always subtracted, so inf and NaN gaps stay NaN.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import eq, mul
+from typing import NamedTuple
 
 EXACT = "exact"
 FLOAT = "float"
@@ -272,66 +286,113 @@ def bareiss_step(m, col: int, stop: int, prev: int) -> int:
     return p
 
 
-def _solve_fraction_free(a, b) -> list:
-    """Exact solve by Bareiss elimination on integers (Math. Comp. 22, 1968).
+class Elimination(NamedTuple):
+    """A square A eliminated once in `backend`; `substitute` solves A X = B
+    from it for any B, one right-hand-side block at a time.
 
-    Each row of [A | B] is scaled to integers by the lcm of its
-    denominators (`_integer_vectors`), which leaves the solution unchanged.
-    Step k replaces every row below the pivot by (p*v - f*w) // prev; the
-    division is exact and every entry stays a nonzero multiple of its
-    Gauss-Jordan counterpart, so the first-nonzero pivot rule picks the
-    same rows and fails in the same column.  Back-substitution yields
-    det * X on integers (exact by Cramer's rule); Fractions are created
-    only there.
+    Exact: `rows` are the Bareiss-reduced integer rows of A, each scaled
+    first by the lcm of its denominators (`scales`, by original row), in
+    pivot order (`order`: the original row at each position).  Below the
+    diagonal a row keeps the entry it was eliminated with at each step.
+    Float: `steps` holds, per column of A, the row swapped into the pivot
+    position, the reciprocal of the pivot and the (row, multiplier) pairs
+    the column subtracted, in the order Gauss-Jordan applied them.
     """
-    n = len(a)
-    m = [ints for ints, _ in _integer_vectors([*ra, *rb] for ra, rb in zip(a, b))]
-    prev = 1
+
+    backend: str
+    n: int
+    rows: Sequence = ()
+    order: Sequence = ()
+    scales: Sequence = ()
+    steps: Sequence = ()
+
+
+def _eliminate_fraction_free(a) -> Elimination:
+    """Bareiss elimination of A on integers (Math. Comp. 22, 1968).
+
+    Each row of A is scaled to integers by the lcm of its denominators
+    (`_integer_vectors`), which leaves the solution unchanged.  Every
+    entry stays a nonzero multiple of its Gauss-Jordan counterpart, so the
+    first-nonzero pivot rule picks the same rows and fails in the same
+    column.
+    """
+    scaled = _integer_vectors(a)
+    m = [ints for ints, _ in scaled]
+    # `bareiss_step` swaps row lists and rewrites them in place, so each
+    # list keeps its identity: the original row index follows it.
+    origin = {id(row): r for r, row in enumerate(m)}
+    n, prev = len(m), 1
     for col in range(n):
         prev = bareiss_step(m, col, n, prev)
+    return Elimination(EXACT, n, m, [origin[id(row)] for row in m], [lcm for _, lcm in scaled])
+
+
+def _substitute_fraction_free(elim: Elimination, b) -> list:
+    """X = A^-1 B on integers from the Bareiss rows of A.
+
+    Row r of B is scaled by the factor of row r of A and the block is put
+    on integers over one common denominator D, so the scaled system solves
+    to D X.  The recorded steps replay on it: below each pivot p, row v
+    becomes (p*v - f*w) // prev with the f the row of A kept, exactly as
+    if B had been eliminated beside A.  Back-substitution yields det * D * X
+    on integers (exact by Cramer's rule); Fractions are created only there.
+    """
+    n, rows, scales = elim.n, elim.rows, elim.scales
+    vectors = _integer_vectors(b)
+    common = math.lcm(*[den for _, den in vectors])
+    x = []  # D * scaled B, rows in pivot order
+    for r in elim.order:
+        ints, den = vectors[r]
+        scale = scales[r] * (common // den)
+        x.append([v * scale for v in ints])
+    prev = 1
+    for k in range(n):
+        p, pivot = rows[k][k], x[k]
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            if f:
+                x[i] = [(p * v - f * w) // prev for v, w in zip(x[i], pivot)]
+            else:
+                x[i] = [p * v // prev for v in x[i]]
+        prev = p
     det = prev
-    scaled = [None] * n  # det * X, row by row
+    scaled = [None] * n  # det * D * X, row by row
     for i in reversed(range(n)):
-        row = m[i]
-        acc = [det * v for v in row[n:]]
+        row = rows[i]
+        acc = [det * v for v in x[i]]
         for j in range(i + 1, n):
             u = row[j]
             if u:
-                acc = [s - u * x for s, x in zip(acc, scaled[j])]
+                acc = [s - u * t for s, t in zip(acc, scaled[j])]
         scaled[i] = [s // row[i] for s in acc]
-    return [[Fraction(v, det) for v in row] for row in scaled]
+    den = det * common
+    return [[Fraction(v, den) for v in row] for row in scaled]
 
 
-def solve_dense(a, b, backend: str) -> list:
-    """Solve A X = B for dense square A in `backend`.
+def eliminate(a, backend: str) -> Elimination:
+    """Eliminate dense square A once in `backend`, for `substitute`.
 
-    Exact inputs (Fraction or int) are solved fraction-free by Bareiss
-    elimination on integers, pivoting on the first nonzero entry; the
-    result is a matrix of Fractions, created only at the output.  Float
-    inputs use Gauss-Jordan elimination with partial pivoting on the
-    largest magnitude.  Raises SingularMatrixError when no usable pivot
-    remains.
+    Exact inputs (Fraction or int) are eliminated fraction-free by Bareiss,
+    pivoting on the first nonzero entry.  Float inputs take Gauss-Jordan
+    elimination with partial pivoting on the largest magnitude.  Raises
+    SingularMatrixError when no usable pivot remains.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    if len(b) != n:
-        raise ValueError("right-hand side has %d rows, expected %d" % (len(b), n))
     if backend == EXACT:
-        return _solve_fraction_free(a, b)
+        return _eliminate_fraction_free(a)
     m = [[float(v) for v in row] for row in a]
-    rhs = [[float(v) for v in row] for row in b]
     scale = matrix_residual_norm(m)
+    steps = []
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
         if abs(m[pivot_row][col]) <= SINGULAR_PIVOT_RTOL * scale:
             raise SingularMatrixError("singular matrix (no pivot in column %d)" % col)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+        m[col], m[pivot_row] = m[pivot_row], m[col]
         inv = 1 / m[col][col]
         m[col] = [v * inv for v in m[col]]
-        rhs[col] = [v * inv for v in rhs[col]]
+        multipliers = []
         for r in range(n):
             if r == col:
                 continue
@@ -339,8 +400,38 @@ def solve_dense(a, b, backend: str) -> list:
             if factor == 0:
                 continue
             m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-            rhs[r] = [v - factor * w for v, w in zip(rhs[r], rhs[col])]
-    return rhs
+            multipliers.append((r, factor))
+        steps.append((pivot_row, inv, multipliers))
+    return Elimination(FLOAT, n, steps=steps)
+
+
+def substitute(elim: Elimination, b) -> list:
+    """X solving A X = B, where `elim` is the elimination of A.
+
+    Exact results are Fractions, created only at the output.  Each float
+    column of B, one scalar at a time, repeats the swaps, scalings and
+    subtractions Gauss-Jordan made on A, in the same order, so a column's
+    result does not depend on the other columns of B.
+    """
+    if len(b) != elim.n:
+        raise ValueError("right-hand side has %d rows, expected %d" % (len(b), elim.n))
+    if elim.backend == EXACT:
+        return _substitute_fraction_free(elim, b)
+    cols = [[float(v) for v in col] for col in zip(*b)]
+    for x in cols:
+        for col, (pivot_row, inv, multipliers) in enumerate(elim.steps):
+            x[col], x[pivot_row] = x[pivot_row], x[col]
+            pivot = x[col] = x[col] * inv
+            for r, factor in multipliers:
+                x[r] = x[r] - factor * pivot
+    return [list(row) for row in zip(*cols)] if cols else [[] for _ in b]
+
+
+def solve_dense(a, b, backend: str) -> list:
+    """Solve A X = B for dense square A in `backend`: `eliminate`, then
+    `substitute`.  Raises SingularMatrixError when no usable pivot remains.
+    """
+    return substitute(eliminate(a, backend), b)
 
 
 def invert_dense(a) -> list:
@@ -348,13 +439,32 @@ def invert_dense(a) -> list:
     return solve_dense(a, mat_eye(len(a), backend), backend)
 
 
-def solve_leading(a, b, backend: str, level: int, message: str | None = None) -> list:
-    """`solve_dense(a, b, backend)`; a singular `a` raises
+def eliminate_leading(a, backend: str, level: int, message: str | None = None) -> Elimination:
+    """`eliminate(a, backend)`; a singular `a` raises
     SingularLeadingMinorError(level, message)."""
     try:
-        return solve_dense(a, b, backend)
+        return eliminate(a, backend)
     except SingularMatrixError as exc:
         raise SingularLeadingMinorError(level, message) from exc
+
+
+def solve_leading(a, b, backend: str, level: int, message: str | None = None) -> list:
+    """`solve_dense(a, b, backend)`; a singular `a` raises
+    SingularLeadingMinorError(level, message) (`eliminate_leading`)."""
+    return substitute(eliminate_leading(a, backend, level, message), b)
+
+
+def gap_norm(a, b, backend: str) -> Scalar:
+    """Max-norm of A - B in `backend`: the gap between two sides of a check.
+
+    Exact sides that agree entry for entry give 0, the norm their
+    difference would have, without a subtraction.  Float sides always
+    subtract: inf == inf, and a list comparison finds one NaN object equal
+    to itself, but both gaps are NaN.
+    """
+    if backend == EXACT and all(all(map(eq, ra, rb)) for ra, rb in zip(a, b)):
+        return 0
+    return matrix_residual_norm(mat_sub(a, b))
 
 
 @dataclass(frozen=True)
@@ -390,12 +500,12 @@ class ResidualTracker:
         if not approx_zero(residual, scale, self.tol):
             self.passed = False
 
-    def record_gap(self, lhs, rhs, where: str) -> None:
-        """Record the gap between two sides, scaled by the larger side.
+    def record_gap(self, lhs, rhs, where: str, backend: str) -> None:
+        """Record the `gap_norm` between two sides, scaled by the larger side.
 
         `approx_zero` ignores the scale of an exact gap, so none is taken."""
-        gap = matrix_residual_norm(mat_sub(lhs, rhs))
-        scale = 0 if is_exact(gap) else max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
+        gap = gap_norm(lhs, rhs, backend)
+        scale = 0 if backend == EXACT else max(matrix_residual_norm(lhs), matrix_residual_norm(rhs))
         self.record(gap, scale, where)
 
     def merge(self, outcome: CheckOutcome, where: str) -> None:

@@ -160,6 +160,23 @@ def test_nested_truncation_matches_reinversion_with_perturbed_lower(case, block,
     assert worst_level == level
 
 
+@pytest.mark.parametrize("backend,products", [("exact", 1), ("float", 2)])
+def test_factorization_check_forms_lower_inv_times_upper_once(monkeypatch, backend, products):
+    """Exact factors whose re-derived inverse equals lower_inv share one
+    product between both residuals; float factors keep the second route."""
+    g, factors = case_bundle("multigraded-n2", backend)
+    calls, real = [], BlockMatrix.matmul
+
+    def counted(self, other):
+        calls.append(other is factors.upper)
+        return real(self, other)
+
+    monkeypatch.setattr(BlockMatrix, "matmul", counted)
+    factorization_residual(g, factors)
+    nested_truncation_residual(g, factors)
+    assert calls == [True] * products
+
+
 def test_nested_truncation_reports_a_nan_border_block():
     config = dataclasses.replace(builtin_config("legendre"), backend="float")
     g = build_moment_matrix(config.family(), 6)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mghankel import families
+from mghankel import families, numerics
 from mghankel.blockops import BlockMatrix, build_moment_matrix, shift_power
 from mghankel.factorize import lu_factorize
 from mghankel.families import (
@@ -285,7 +285,7 @@ def test_float_families_and_checks_hold_only_floats(monkeypatch, case):
         kinds.update(entry_types(a) | entry_types(b))
         return mat_sub(a, b)
 
-    monkeypatch.setattr(families, "mat_sub", recorded)
+    monkeypatch.setattr(numerics, "mat_sub", recorded)
     check_biorthogonality(g, factors)
     for level in range(1, g.nrows - 3):
         check_matrix_notation(g, factors, level)

@@ -1,11 +1,12 @@
-"""The associated families read off one solve per leading minor and side.
+"""The associated families read off one elimination per leading minor and side.
 
 Every member of the four associated families at order l is a block of the
 solution of (h^{[l]})^T X = [I | h[l+i, 0..l-1]^T], with h = g or g^T, so
 the builders share one elimination per (order, side), kept on the moment
-matrix.  The per-call route, one elimination per builder call, survives
-in `conftest` as the oracle: entries, types and singular verdicts must
-agree with it exactly, in both backends.
+matrix, and each block column of X is substituted once, when a builder
+first reads it.  The per-call route, one elimination per builder call,
+survives in `conftest` as the oracle: entries, types and singular verdicts
+must agree with it exactly, in both backends.
 """
 
 import dataclasses
@@ -108,26 +109,39 @@ def test_singular_minors_keep_their_level_and_message():
         assert str(info.value) == "singular leading block minor at level 0"
 
 
-@pytest.fixture
-def eliminations(monkeypatch):
-    """(order, dual) of every elimination, None for one outside `_lead_solution`."""
-    solves, requested = [], []
-    real_lead, real_solve = families._lead_solution, families.solve_leading
+def recorded_calls(monkeypatch, memo_name, seam_name):
+    """Arguments of the `families.<memo_name>` call behind each call of
+    `families.<seam_name>`, None for one outside it."""
+    calls, requested = [], []
+    real_memo, real_seam = getattr(families, memo_name), getattr(families, seam_name)
 
-    def lead(g, order, dual):
-        requested.append((order, dual))
+    def memo(g, *args):
+        requested.append(args)
         try:
-            return real_lead(g, order, dual)
+            return real_memo(g, *args)
         finally:
             requested.pop()
 
-    def solve(*args):
-        solves.append(requested[-1] if requested else None)
-        return real_solve(*args)
+    def seam(*args):
+        calls.append(requested[-1] if requested else None)
+        return real_seam(*args)
 
-    monkeypatch.setattr(families, "_lead_solution", lead)
-    monkeypatch.setattr(families, "solve_leading", solve)
-    return solves
+    monkeypatch.setattr(families, memo_name, memo)
+    monkeypatch.setattr(families, seam_name, seam)
+    return calls
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """(order, dual) of every elimination, None for one outside `_lead_solution`."""
+    return recorded_calls(monkeypatch, "_lead_solution", "eliminate_leading")
+
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """(order, dual, column) of every substitution, None for one outside
+    `_solution_column`."""
+    return recorded_calls(monkeypatch, "_solution_column", "substitute")
 
 
 def test_two_moment_matrices_never_share_a_memo(eliminations):
@@ -142,11 +156,31 @@ def test_two_moment_matrices_never_share_a_memo(eliminations):
     assert associated_plus(first, 3, 2) == associated_plus(second, 3, 2)
 
 
-def test_each_order_and_side_is_eliminated_once_per_run(eliminations):
+def test_each_order_and_side_is_eliminated_once_per_run(eliminations, substitutions):
     """One run with every check: the builders of every check and every
-    kernel level share one elimination per (order, side)."""
+    kernel level share one elimination per (order, side), and one
+    substitution per (order, side, block column)."""
     report = run(builtin_config("multigraded-n2"))
     assert report.exit_code == 0
     assert eliminations and None not in eliminations
     assert max(Counter(eliminations).values()) == 1
     assert {order for order, _ in eliminations} == set(range(1, 9))
+    assert substitutions and None not in substitutions
+    assert max(Counter(substitutions).values()) == 1
+
+
+def test_a_coefficient_run_substitutes_only_the_columns_it_reads(eliminations, substitutions):
+    """Shaped like the deep-structural benchmark configs (coefficient checks
+    only, two levels): far fewer block columns are substituted than the
+    whole right-hand side [I | h[order+i, 0..order-1]^T] of every elimination."""
+    checks = (
+        "factorization",
+        "biorthogonality",
+        "matrix-notation",
+        "connection",
+        "modified-orthogonality",
+    )
+    config = dataclasses.replace(builtin_config("multigraded-n2"), checks=checks, levels=(3, 7))
+    assert run(config).exit_code == 0
+    assert max(Counter(substitutions).values()) == 1
+    assert len(substitutions) < config.truncation * len(eliminations)

@@ -17,6 +17,8 @@ from mghankel.numerics import (
     Tolerance,
     approx_zero,
     block_sum,
+    eliminate,
+    gap_norm,
     has_float,
     invert_dense,
     mat_eye,
@@ -27,7 +29,9 @@ from mghankel.numerics import (
     scalar_str,
     solve_dense,
     solve_leading,
+    substitute,
 )
+from mghankel.families import MatrixPolynomial, poly_residual
 
 from conftest import blockwise_sum, matrices, sum_of_products, typed
 
@@ -167,9 +171,9 @@ def test_tracker_merge_prefixes_locations_and_collects_notes():
 
 def test_tracker_record_gap_scales_by_the_larger_side():
     tracker = ResidualTracker(Tolerance(abs_tol=0.0, rel_tol=1e-3))
-    tracker.record_gap([[1000.0]], [[1000.5]], "close")
+    tracker.record_gap([[1000.0]], [[1000.5]], "close", FLOAT)
     assert tracker.passed and tracker.residual == 0.5
-    tracker.record_gap([[1.0]], [[1.5]], "far")
+    tracker.record_gap([[1.0]], [[1.5]], "far", FLOAT)
     assert not tracker.passed and tracker.worst == "close"
 
 
@@ -182,10 +186,43 @@ def test_tracker_record_gap_takes_no_scale_of_an_exact_gap(monkeypatch):
 
     monkeypatch.setattr(numerics, "matrix_residual_norm", counted)
     tracker = ResidualTracker()
-    tracker.record_gap([[Fraction(10**9)]], [[Fraction(10**9) + Fraction(1, 10**9)]], "exact")
+    tracker.record_gap(
+        [[Fraction(10**9)]], [[Fraction(10**9) + Fraction(1, 10**9)]], "exact", EXACT
+    )
     assert len(norms) == 1 and not tracker.passed
-    tracker.record_gap([[1.0]], [[1.0 + 1e-12]], "float")
+    tracker.record_gap([[1.0]], [[1.0 + 1e-12]], "float", FLOAT)
     assert len(norms) == 4 and not tracker.passed and tracker.worst == "exact"
+
+
+def test_float_gaps_never_settle_by_equality():
+    """inf == inf, and a list comparison finds one NaN object equal to
+    itself, but both gaps are NaN and fail the check."""
+    nan = math.nan
+    for lhs, rhs in (([[math.inf]], [[math.inf]]), ([[nan]], [[nan]])):
+        assert lhs == rhs
+        tracker = ResidualTracker()
+        tracker.record_gap(lhs, rhs, "x", FLOAT)
+        assert not tracker.passed and math.isnan(tracker.residual)
+        p, q = MatrixPolynomial.of(1, [lhs]), MatrixPolynomial.of(1, [rhs])
+        assert math.isnan(poly_residual(p, q, FLOAT))
+        assert math.isnan(poly_residual(p, q))
+
+
+def test_exact_gaps_settle_by_equality(monkeypatch):
+    """Exact sides that agree give 0 without a subtraction, whatever their
+    row containers; sides that differ are subtracted."""
+    real_sub = numerics.mat_sub
+    subtracted = []
+
+    def counted(a, b):
+        subtracted.append(1)
+        return real_sub(a, b)
+
+    monkeypatch.setattr(numerics, "mat_sub", counted)
+    same = [[Fraction(1, 3), 2], [0, Fraction(-5, 7)]]
+    assert gap_norm(same, tuple(map(tuple, same)), EXACT) == 0 and not subtracted
+    assert gap_norm(same, [[Fraction(1, 3), 2], [0, Fraction(5, 7)]], EXACT) == Fraction(10, 7)
+    assert subtracted == [1]
 
 
 def test_residual_norm_propagates_nan():
@@ -195,7 +232,7 @@ def test_residual_norm_propagates_nan():
 
 def test_tracker_record_gap_fails_on_nan():
     tracker = ResidualTracker()
-    tracker.record_gap([[math.nan]], [[1.0]], "x")
+    tracker.record_gap([[math.nan]], [[1.0]], "x", FLOAT)
     outcome = tracker.result()
     assert not outcome.passed
     assert math.isnan(outcome.residual) and outcome.worst == "x"
@@ -285,12 +322,66 @@ def _outcome(solve, a, b):
         return ("singular", str(exc))
 
 
+def gauss_jordan_float(a, b) -> list:
+    """Float Gauss-Jordan on the whole of [A | B], pivoting on the largest
+    magnitude: the float solve before it was split into elimination and
+    substitution."""
+    n = len(a)
+    m = [[float(v) for v in row] for row in a]
+    rhs = [[float(v) for v in row] for row in b]
+    scale = matrix_residual_norm(m)
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if abs(m[pivot_row][col]) <= numerics.SINGULAR_PIVOT_RTOL * scale:
+            raise SingularMatrixError("singular matrix (no pivot in column %d)" % col)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        rhs[col] = [v * inv for v in rhs[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = m[r][col]
+            if factor == 0:
+                continue
+            m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+            rhs[r] = [v - factor * w for v, w in zip(rhs[r], rhs[col])]
+    return rhs
+
+
+def substituted_by_blocks(a, b, backend):
+    """One elimination of A, then its first column of B and the rest
+    substituted separately and put side by side."""
+    elim = eliminate(a, backend)
+    width = len(b[0]) if b else 0
+    cuts = (0, min(1, width), width)
+    parts = [substitute(elim, [row[lo:hi] for row in b]) for lo, hi in zip(cuts, cuts[1:])]
+    return [first + rest for first, rest in zip(*parts)]
+
+
+def assert_blocks_match_the_whole_solve(a, b):
+    """Block-by-block substitution equals one whole-RHS solve, by type and
+    value, or fails the same way, in both backends; the float solve is
+    bit-identical to Gauss-Jordan on the whole of [A | B]."""
+    typed_outcome = lambda got: typed(got) if isinstance(got, list) else got
+    floats = ([[float(v) for v in row] for row in m] for m in (a, b))
+    for backend, (a_, b_) in ((EXACT, (a, b)), (FLOAT, floats)):
+        whole = typed_outcome(_outcome(lambda a, b: solve_dense(a, b, backend), a_, b_))
+        blocks = _outcome(lambda a, b: substituted_by_blocks(a, b, backend), a_, b_)
+        assert typed_outcome(blocks) == whole
+        if backend == FLOAT:
+            assert whole == typed_outcome(_outcome(gauss_jordan_float, a_, b_))
+
+
 @given(exact_systems())
 def test_fraction_free_solve_matches_gauss_jordan(system):
     got = _outcome(lambda a, b: solve_dense(a, b, EXACT), *system)
     assert got == _outcome(gauss_jordan_exact, *system)
     if isinstance(got, list):
         assert all(type(v) is Fraction for row in got for v in row)
+    assert_blocks_match_the_whole_solve(*system)
 
 
 @given(exact_systems(deficient=True))
@@ -301,6 +392,7 @@ def test_fraction_free_solve_matches_gauss_jordan_on_rank_deficient(system):
     with pytest.raises(SingularMatrixError) as got:
         solve_dense(a, b, EXACT)
     assert str(got.value) == str(caught.value)
+    assert_blocks_match_the_whole_solve(a, b)
 
 
 def test_fraction_free_solve_edge_shapes():

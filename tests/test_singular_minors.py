@@ -123,8 +123,8 @@ def test_exact_singular_pivot_at_depth_names_its_column(spec_mg_family):
     assert str(info.value.__cause__) == "singular matrix (no pivot in column 0)"
 
 
-def test_singular_leading_minor_is_raised_only_by_solve_leading():
-    """One seam: no module but `numerics.solve_leading` builds the error."""
+def test_singular_leading_minor_is_raised_only_by_eliminate_leading():
+    """One seam: no module but `numerics.eliminate_leading` builds the error."""
 
     def constructions(tree):
         return [
@@ -142,7 +142,7 @@ def test_singular_leading_minor_is_raised_only_by_solve_leading():
         calls = constructions(tree)
         if path.stem == "numerics":
             for func in ast.walk(tree):
-                if isinstance(func, ast.FunctionDef) and func.name == "solve_leading":
+                if isinstance(func, ast.FunctionDef) and func.name == "eliminate_leading":
                     seam = constructions(func)
             calls = [c for c in calls if c not in seam]
         if calls:
