@@ -19,7 +19,6 @@ from .numerics import (
     block_sum,
     has_float,
     mat_mul,
-    mat_sub,
     mat_zeros,
     mat_eye,
     matrix_residual_norm,
@@ -91,17 +90,6 @@ class BlockMatrix:
         cols = [[row[j] for row in other.blocks] for j in range(other.ncols)]
         return BlockMatrix(
             self.n, [[block_sum(self.n, row, col, FLOAT) for col in cols] for row in self.blocks]
-        )
-
-    def sub(self, other: "BlockMatrix") -> "BlockMatrix":
-        if (self.nrows, self.ncols, self.n) != (other.nrows, other.ncols, other.n):
-            raise ValueError("incompatible block shapes")
-        return BlockMatrix._frozen(
-            self.n,
-            [
-                [_freeze(mat_sub(p, q)) for p, q in zip(row_p, row_q)]
-                for row_p, row_q in zip(self.blocks, other.blocks)
-            ],
         )
 
     def transpose(self) -> "BlockMatrix":

@@ -2,9 +2,10 @@
 
 The kernel at level l is evaluated along two independent routes: the
 l-term sum of dual-form times polynomial products (read off the
-factorization) and the inverse-leading-minor bilinear form (a fresh dense
-solve against the moment matrix).  The difference identities come in three
-equivalent shapes that the harness compares pointwise:
+factorization) and the inverse-leading-minor bilinear form (solved against
+the moment matrix, on the elimination of its leading minor that the
+associated families of the run share).  The difference identities come in
+three equivalent shapes that the harness compares pointwise:
 
   * the partition (Schur-complement tail) form, valid at every level,
   * the associated-family bilinear form, valid once the level dominates
@@ -15,8 +16,8 @@ The kernel sum, the reproducing sum, the projections and the associated
 form are block sums, each taken by one `numerics.block_sum`: one
 fraction-free product in exact runs, the terms added in order in float.
 One `PointTable` per run holds the level-free values, and the projections
-of members and monomials read their weights off it.  A level solves its
-leading minor once per side for every grid coordinate, and takes each
+of members and monomials read their weights off it.  A level substitutes
+once per side for every grid coordinate on that elimination, and takes each
 pointwise product (the kernel sum, the inverse-minor kernel, both terms of
 the partition form, the associated form and the reproducing sum) once for
 the whole grid when the grid is the product of its x's and y's: one block
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import families
 from .blockops import BlockMatrix, build_moment_matrix, partition, shift_power
 from .factorize import GaussFactors, lu_factorize
 from .families import (
@@ -56,7 +58,7 @@ from .numerics import (
     mat_transpose,
     mat_zeros,
     memoized,
-    solve_leading,
+    substitute,
 )
 from .weights import SeedWeight, WeightFamily, hankel_family, validate_levels
 
@@ -150,8 +152,10 @@ class KernelEvaluator:
     of a run shares; it must be built from these same family, moment
     matrix and factors objects (without one, a private table with no
     grid).  Values that depend on the level are memoized per evaluator:
-    the leading-minor solves, one call per side for every grid coordinate
-    (a coordinate off the grid alone); the Schur factors and associated
+    the leading-minor solutions, one substitution per side for every grid
+    coordinate (a coordinate off the grid alone) on the elimination of
+    g^{[l]} or its transpose that `families._lead_solution` keeps on g for
+    the associated families of the run; the Schur factors and associated
     form factors at x and at y; the pair-times-polynomial terms of the
     reproducing sum at y; the associated families; and the pointwise
     products at (x, y), each one block sum per level for every pair of the
@@ -177,8 +181,6 @@ class KernelEvaluator:
         total = g.nrows
         parts = partition(g, level)
         head, tail = range(level), range(level, total)
-        self._tl = parts.tl.to_dense()
-        self._tl_t = mat_transpose(self._tl)
         self._tr = parts.tr.to_dense()
         self._bl = parts.bl.to_dense()
         self._lam_m_t = mat_transpose(shift_power(fam.mvec, total).slice(head, tail).to_dense())
@@ -203,15 +205,18 @@ class KernelEvaluator:
                 rows[r].extend(w[r])
         return rows
 
-    def _solved(self, side: str, coord, minor, rhs) -> list:
-        """minor^{-1} rhs(coord), in one solve with every grid coordinate of the
-        side (alone off the grid).  Float pivots depend on the minor alone and
-        exact solutions are canonical: each block has the bits of its own solve."""
+    def _solved(self, side: str, coord, rhs) -> list:
+        """M^{-1} rhs(coord), M = g^{[l]} on side y and its transpose on side x,
+        in one substitution with every grid coordinate of the side (alone off
+        the grid) on the run's elimination of M (`families._lead_solution`).
+        Float columns replay the elimination one by one and exact solutions are
+        canonical: each block has the bits of its own solve."""
         if (side, coord) not in self._memo:
             n, grid = self.fam.size, self.table.coords.get(side, ())
             batch = grid if coord in grid else (coord,)
             columns = [sum(r, []) for r in zip(*map(rhs, batch))]
-            solved = solve_leading(minor, columns, self.fam.backend, self.level)
+            elim = families._lead_solution(self.g, self.level, side == "y")
+            solved = substitute(elim, columns)
             for i, c in enumerate(batch):
                 self._memo[side, c] = [row[i * n : (i + 1) * n] for row in solved]
         return self._memo[side, coord]
@@ -246,12 +251,12 @@ class KernelEvaluator:
 
     def _right_piece(self, y) -> list:
         """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
-        return self._solved("y", y, self._tl, lambda c: self._chi1_col(self.level, c))
+        return self._solved("y", y, lambda c: self._chi1_col(self.level, c))
 
     def _left_piece(self, x) -> list:
         """chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n."""
         rhs = lambda c: mat_transpose(self._chi2_row(self.level, c))
-        return mat_transpose(self._solved("x", x, self._tl_t, rhs))
+        return mat_transpose(self._solved("x", x, rhs))
 
     @memoized
     def _schur_row(self, x) -> tuple:

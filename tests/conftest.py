@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from mghankel.blockops import BlockMatrix, build_moment_matrix
+from mghankel.blockops import BlockMatrix, build_moment_matrix, partition
 from mghankel.cdkernel import KernelEvaluator
 from mghankel.factorize import LOWER, UPPER, GaussFactors, invert_block_triangular, lu_factorize
 from mghankel.families import MatrixPolynomial, eval_form, eval_poly, pair_poly_form
@@ -198,16 +198,21 @@ def drawn_configs(draw, backend, sizes=st.integers(1, 3)):
 
 
 class PerCoordinateEvaluator(KernelEvaluator):
-    """A kernel evaluator that solves its leading minor once per coordinate
-    and call, against that coordinate's column alone, and memoizes nothing
-    of the solves: the reference for the solves batched over the grid."""
+    """A kernel evaluator that eliminates its own leading minor once per
+    coordinate and call and solves that coordinate's column alone,
+    memoizing nothing of the solves: the reference for the substitutions
+    batched over the grid on the run's shared elimination."""
+
+    def _minor(self) -> list:
+        return partition(self.g, self.level).tl.to_dense()
 
     def _right_piece(self, y) -> list:
-        return solve_leading(self._tl, self._chi1_col(self.level, y), self.fam.backend, self.level)
+        rhs = self._chi1_col(self.level, y)
+        return solve_leading(self._minor(), rhs, self.fam.backend, self.level)
 
     def _left_piece(self, x) -> list:
-        rhs = mat_transpose(self._chi2_row(self.level, x))
-        return mat_transpose(solve_leading(self._tl_t, rhs, self.fam.backend, self.level))
+        minor, rhs = mat_transpose(self._minor()), mat_transpose(self._chi2_row(self.level, x))
+        return mat_transpose(solve_leading(minor, rhs, self.fam.backend, self.level))
 
 
 # -- per-point products: the oracle for the products taken over the grid ----

@@ -21,7 +21,9 @@ from mghankel.numerics import (
     SingularLeadingMinorError,
     invert_dense,
     mat_scale,
+    mat_sub,
     mat_zeros,
+    matrix_residual_norm,
 )
 from mghankel.weights import WeightFamily
 
@@ -124,7 +126,8 @@ def reinverted_truncation_residual(g, factors):
     for level in range(1, g.nrows + 1):
         rows = range(level)
         inverse = invert_block_triangular(factors.lower.slice(rows, rows), LOWER)
-        res = inverse.matmul(factors.upper.slice(rows, rows)).sub(g.slice(rows, rows)).maxnorm()
+        product = inverse.matmul(factors.upper.slice(rows, rows)).to_dense()
+        res = matrix_residual_norm(mat_sub(product, g.slice(rows, rows).to_dense()))
         if res > worst:
             worst, worst_level = res, level
     return worst, worst_level

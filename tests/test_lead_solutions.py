@@ -24,7 +24,7 @@ from mghankel.families import (
     dual_associated_plus,
 )
 from mghankel.harness import builtin_config, run
-from mghankel.numerics import SingularLeadingMinorError
+from mghankel.numerics import SingularLeadingMinorError, SingularMatrixError
 
 from conftest import (
     drawn_configs,
@@ -101,6 +101,16 @@ def test_singular_minors_keep_their_level_and_message():
     ):
         assert outcome(build, g, level, 0)[:3] == order_11
     assert outcome(associated_plus, g, 10, 1)[0] is not SingularLeadingMinorError
+    # Every level at L=14: whichever check reaches the minor first, the
+    # evaluator or a builder, reports it the same way.
+    every_level = dataclasses.replace(
+        builtin_config("legendre"), truncation=14, levels=None, backend="float"
+    )
+    for checks in (("abc",), ("proposition",), every_level.checks):
+        with pytest.raises(SingularLeadingMinorError) as info:
+            run(dataclasses.replace(every_level, checks=checks))
+        assert (type(info.value), info.value.level, str(info.value)) == order_11, checks
+        assert type(info.value.__cause__) is SingularMatrixError, checks
     for backend in ("exact", "float"):
         config = dataclasses.replace(builtin_config("singular"), backend=backend)
         with pytest.raises(SingularLeadingMinorError) as info:

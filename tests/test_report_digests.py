@@ -16,10 +16,12 @@ blocks multiplied against exact zero and identity blocks; at every level of
 its budget (1..7) it covers one point table shared by many levels in float.
 Exact multigraded-n2 at every level of its budget, every check, covers every
 kernel block sum (kernel, reproducing, projections, associated form) at
-every level it can take, on the rational path.  Float legendre at L=12
-with only the classical check covers the classical identity read off a
-run's factors larger than the classical problem: its float bits are
-those of the leading blocks.  multigraded-n2 at levels (0, 1, 2), every
+every level it can take, on the rational path; exact legendre at L=10 and
+L=14 and exact multigraded-n2 at L=14, every level and every check, cover
+every kernel level's substitutions on the leading minors of larger runs.
+Float legendre at L=12 with only the classical check covers the classical
+identity read off a run's factors larger than the classical problem: its
+float bits are those of the leading blocks.  multigraded-n2 at levels (0, 1, 2), every
 check, exact and float, covers the plus families at level 0 (primal and
 dual), the zero kernels of level 0 and the theorem's notes for levels
 below the shift bound.
@@ -48,6 +50,11 @@ PINNED = {
 FLOAT_MGN2_DIGEST = "e1853daa499b4c6338dfa1a76c744b629b51d5782359ba015c8648e37df1808b"
 FLOAT_MGN2_ALL_LEVELS_DIGEST = "4fdc9e5107f89e6f890e960f5d729b43820d030d69fd49ea35c48078d94aed28"
 EXACT_MGN2_ALL_LEVELS_DIGEST = "a07b33990f61982614a43c114ae342221b1fe9ab6761f5313afa2dae8de0d32e"
+FULL_LEVEL_DIGESTS = {
+    ("legendre", 10): "94f90f036a2e4fb75db6b1ea67b4954ba144277bd7b47a72035ef36e3edcb479",
+    ("legendre", 14): "838900e2e42e2e5e08bd7f752e3799bbac247083cb7b6dd58cdcce3c20672020",
+    ("multigraded-n2", 14): "5c39c04ea7cbc0a47a7a3c03ce1bc36a4e87c6f3386ba7f2e57adb5454b185b1",
+}
 FLOAT_CLASSICAL_L12_DIGEST = "130e69f4a9cb749c7d84865c20270a1de2f7ad50f9de46bd0dc9abd6f41c30f5"
 LOW_LEVELS_MGN2_DIGESTS = {
     "exact": "c55fc963ad4dadf90675eb7c0cae18d5674a06fc0b40d90bef089227eded33e1",
@@ -135,6 +142,13 @@ def test_exact_block_sums_at_every_level_report_digest_is_pinned():
     config = dataclasses.replace(builtin_config("multigraded-n2"), levels=tuple(range(1, 8)))
     assert config.backend == "exact" and len(config.checks) == len(CHECK_NAMES)
     assert report_digest(run(config).to_dict()) == EXACT_MGN2_ALL_LEVELS_DIGEST
+
+
+@pytest.mark.parametrize("case,truncation", sorted(FULL_LEVEL_DIGESTS))
+def test_every_level_of_a_larger_run_report_digest_is_pinned(case, truncation):
+    config = dataclasses.replace(builtin_config(case), truncation=truncation, levels=None)
+    assert config.backend == "exact" and len(config.checks) == len(CHECK_NAMES)
+    assert report_digest(run(config).to_dict()) == FULL_LEVEL_DIGESTS[case, truncation]
 
 
 def test_float_classical_from_a_larger_run_report_digest_is_pinned():

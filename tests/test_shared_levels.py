@@ -1,24 +1,26 @@
 """Kernel work shared across levels and grid points.
 
-Each level solves its leading minor once per side, for every grid
-coordinate the run's point table names, and takes each pointwise product
+Each level substitutes once per side, for every grid coordinate the run's
+point table names, on the elimination of its leading minor that the
+associated families of the run share, and takes each pointwise product
 once for every pair of a product grid; the per-coordinate solves and the
 per-point products survive in `conftest` as oracles.  Every level reads
-the one point table of its
-run, and the projections of family members and monomials read their
-weights off it, so a run's residuals must not depend on the order its
-levels come in.  Every comparison is by type and repr, in both backends.
+the one point table of its run, and the projections of family members and
+monomials read their weights off it, so a run's residuals must not depend
+on the order its levels come in.  Every comparison is by type and repr, in
+both backends.
 """
 
 import dataclasses
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from mghankel import cdkernel, harness
+from mghankel import cdkernel, families, harness, numerics
 from mghankel.blockops import build_moment_matrix
 from mghankel.cdkernel import KernelEvaluator, PointTable
 from mghankel.factorize import lu_factorize
@@ -161,23 +163,44 @@ def test_grid_products_match_per_point_products(monkeypatch, case, backend):
             assert set(batches) <= {(1, 1)} and bool(batches) == (level > 0), level
 
 
-def test_a_run_solves_once_per_level_and_side(monkeypatch):
-    """Exact multigraded-n2 with every check: the evaluators call
-    `solve_leading` once per (level, side), for all five grid coordinates."""
-    calls = []
+def test_a_run_substitutes_once_per_level_and_side(monkeypatch):
+    """Exact multigraded-n2, with every check and with `abc` and `proposition`
+    alone, where the evaluators reach each minor first: every evaluator level
+    substitutes once per side, for all five grid coordinates, on the run's
+    elimination of that side, and every leading minor the run eliminates is
+    eliminated by `families._lead_solution`, once per (order, side); the
+    other eliminations are the N x N pivot blocks of the factorization."""
+    lead = families._lead_solution.__wrapped__.__code__
+    eliminations, substitutions = [], []
 
-    def counted(a, b, backend, level, *args, _fn=cdkernel.solve_leading):
-        calls.append((level, id(a), len(b[0])))
-        return _fn(a, b, backend, level, *args)
+    def eliminate(a, backend, _fn=numerics.eliminate):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not lead:
+            frame = frame.f_back
+        key = len(a) if frame is None else (frame.f_locals["order"], frame.f_locals["dual"])
+        eliminations.append((key, _fn(a, backend)))
+        return eliminations[-1][1]
 
-    monkeypatch.setattr(cdkernel, "solve_leading", counted)
-    config = builtin_config("multigraded-n2")
-    assert config.checks == harness.CHECK_NAMES
-    assert run(config).exit_code == 0
-    n, coords = config.size, len(DEFAULT_GRID_COORDS)
-    assert Counter(level for level, _, _ in calls) == {level: 2 for level in config.levels}
-    assert len({(level, minor) for level, minor, _ in calls}) == len(calls)
-    assert {width for _, _, width in calls} == {coords * n}
+    def substitute(elim, b, _fn=cdkernel.substitute):
+        substitutions.append((elim, len(b[0])))
+        return _fn(elim, b)
+
+    monkeypatch.setattr(numerics, "eliminate", eliminate)
+    monkeypatch.setattr(cdkernel, "substitute", substitute)
+    base = builtin_config("multigraded-n2")
+    assert base.checks == harness.CHECK_NAMES
+    n, coords = base.size, len(DEFAULT_GRID_COORDS)
+    for checks in (base.checks, ("abc", "proposition")):
+        del eliminations[:], substitutions[:]
+        assert run(dataclasses.replace(base, checks=checks)).exit_code == 0
+        leads = [(key, elim) for key, elim in eliminations if isinstance(key, tuple)]
+        assert {key for key, _ in eliminations if not isinstance(key, tuple)} == {n}
+        assert max(Counter(key for key, _ in leads).values()) == 1
+        solved = Counter(next(k for k, e in leads if e is elim) for elim, _ in substitutions)
+        per_level = {(level, dual): 1 for level in base.levels for dual in (False, True)}
+        assert solved == per_level, checks
+        assert {width for _, width in substitutions} == {coords * n}
+    assert {key for key, _ in leads} == per_level.keys()
 
 
 LEVEL_PREFIX = re.compile(r"l=(\d+)\b")

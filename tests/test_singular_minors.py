@@ -98,8 +98,8 @@ SITES = {
     "dual_associated_plus": (associated(dual_associated_plus, 5), 5, ORDER_5),
     "associated_minus": (associated(associated_minus, 4), 5, ORDER_5),
     "dual_associated_minus": (associated(dual_associated_minus, 4), 5, ORDER_5),
-    "KernelEvaluator.kernel_abc": (evaluator_call("kernel_abc"), 5, None),
-    "KernelEvaluator.cd_rhs_schur": (evaluator_call("cd_rhs_schur"), 5, None),
+    "KernelEvaluator.kernel_abc": (evaluator_call("kernel_abc"), 5, ORDER_5),
+    "KernelEvaluator.cd_rhs_schur": (evaluator_call("cd_rhs_schur"), 5, ORDER_5),
 }
 
 
