@@ -51,10 +51,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.checks:
         updates["checks"] = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     if args.levels:
-        try:
-            updates["levels"] = tuple(int(v) for v in args.levels.split(","))
-        except ValueError as exc:
-            raise ConfigError("levels: %s" % exc) from exc
+        updates["levels"] = tuple(args.levels.split(","))
     return dataclasses.replace(config, **updates)
 
 

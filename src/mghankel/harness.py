@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -99,12 +99,12 @@ STATUS_SKIPPED = "skipped"
 class RunConfig:
     """One run: the weight family, the truncation, the levels, the grid and the checks.
 
-    Every rule that needs only these fields is checked here, so a config read
-    from a file, built in code, changed by `dataclasses.replace` or by CLI
-    overrides obeys the same rules.  The shape rules (multi-indices,
-    truncation, backend) come first.  `levels=None` selects every level of
-    the budget.  Rules that need the family (seed counts, seeds the backend
-    cannot integrate, grid support) are checked when the run starts.
+    Every rule that needs only these fields, types and shapes included, is
+    checked here, shape rules first: a file, code, `dataclasses.replace` and
+    CLI overrides get one ConfigError.  Fields are stored as ints, tuples and
+    Fractions; `levels=None` selects every level of the budget.  Rules that
+    need the family (seed counts, seeds the backend cannot integrate, grid
+    support) are checked when the run starts.
     """
 
     nvec: tuple
@@ -119,24 +119,37 @@ class RunConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        validate_multi_indices(self.nvec, self.mvec)
+        self.nvec, self.mvec = validate_multi_indices(self.nvec, self.mvec)
+        with _field("L"):
+            self.truncation = _integer(self.truncation)
         if self.truncation < 1:
             raise ConfigError("L: must be >= 1")
         if self.backend not in BACKENDS:
             raise ConfigError("backend: must be one of %s" % (BACKENDS,))
+        self.seeds = _seed_table(self.seeds, self.size)
+        if not isinstance(self.tolerance, Tolerance):
+            raise ConfigError("tolerance: must be a Tolerance, got %r" % (self.tolerance,))
         shift = self.max_shift()
         levels = range(1, self.truncation - shift) if self.levels is None else self.levels
+        with _field("levels"):
+            levels = tuple(map(_integer, levels))
         self.levels = validate_levels(levels, shift, self.truncation)
         self.checks = validate_checks(self.checks)
         if not self.levels and not LEVEL_FREE_CHECKS.issuperset(self.checks):
             raise ConfigError("levels: no level selected")
-        if self.grid is not None and "corollary" in self.checks:
-            for idx, (x, y) in enumerate(self.grid):
-                if self._on_locus(x, y):
-                    raise ConfigError(
-                        "grid[%d]: (%s, %s) lies on the singular locus with corollary enabled"
-                        % (idx, x, y)
-                    )
+        if self.grid is not None:
+            if not isinstance(self.grid, (list, tuple)) or not self.grid:
+                raise ConfigError("grid: must be a nonempty list when given")
+            pairs = []
+            for idx, pair in enumerate(self.grid):
+                with _field("grid[%d]" % idx):
+                    x, y = (parse_rational(v) for v in pair)
+                    if "corollary" in self.checks and self._on_locus(x, y):
+                        raise ValueError(
+                            "(%s, %s) lies on the singular locus with corollary enabled" % (x, y)
+                        )
+                pairs.append((x, y))
+            self.grid = tuple(pairs)
 
     @property
     def size(self) -> int:
@@ -149,10 +162,8 @@ class RunConfig:
         return WeightFamily(self.nvec, self.mvec, self.seeds, backend=self.backend)
 
     def grid_pairs(self) -> list:
-        """Rational (x, y) pairs: the explicit grid, or the default lattice."""
-        if self.grid is not None:
-            return list(self.grid)
-        return [(x, y) for x in DEFAULT_GRID_COORDS for y in DEFAULT_GRID_COORDS]
+        """Rational (x, y) pairs: the explicit grid (never empty), or the default lattice."""
+        return list(self.grid or ((x, y) for x in DEFAULT_GRID_COORDS for y in DEFAULT_GRID_COORDS))
 
     def _on_locus(self, x, y) -> bool:
         return any(x**na == y**nb for na in self.nvec for nb in self.nvec)
@@ -167,23 +178,12 @@ class RunConfig:
             "N": self.size,
             "nvec": list(self.nvec),
             "mvec": list(self.mvec),
-            "seeds": [
-                [
-                    [
-                        {"coeffs": [str(c) for c in s.coeffs], "measure": s.measure.to_dict()}
-                        for s in entry
-                    ]
-                    for entry in row
-                ]
-                for row in self.seeds
-            ],
+            "seeds": [[[_seed_object(s) for s in entry] for entry in row] for row in self.seeds],
             "L": self.truncation,
             "levels": list(self.levels),
             "backend": self.backend,
             "tolerance": {"abs": self.tolerance.abs_tol, "rel": self.tolerance.rel_tol},
-            "grid": None
-            if self.grid is None
-            else [[str(x), str(y)] for x, y in self.grid],
+            "grid": None if self.grid is None else [[str(x), str(y)] for x, y in self.grid],
             "checks": list(self.checks),
         }
 
@@ -198,18 +198,33 @@ def _field(name: str):
 
 
 def _integer(value) -> int:
-    """int(value), rejecting a bool and a float with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), rejecting a bool and a float or Fraction with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, (float, Fraction)) and value % 1):
         raise ValueError("not an integer: %r" % (value,))
     return int(value)
 
 
-def validate_multi_indices(nvec, mvec) -> None:
-    """nvec and mvec nonempty, of equal length, with components >= 1."""
+def validate_multi_indices(nvec, mvec) -> tuple:
+    """(nvec, mvec) as integer tuples, nonempty, of equal length, with components >= 1."""
+    with _field("nvec/mvec"):
+        nvec, mvec = tuple(map(_integer, nvec)), tuple(map(_integer, mvec))
     if len(nvec) != len(mvec) or not nvec:
         raise ConfigError("nvec/mvec: must be nonempty and of equal length")
     if any(v < 1 for v in (*nvec, *mvec)):
         raise ConfigError("nvec/mvec: components must be >= 1")
+    return nvec, mvec
+
+
+def _seed_table(seeds, size: int) -> tuple:
+    """The size x size table of SeedWeight lists, as tuples."""
+    with suppress(TypeError):
+        table = tuple(tuple(tuple(entry) for entry in row) for row in seeds)
+        if len(table) == size and all(
+            len(row) == size and all(isinstance(s, SeedWeight) for e in row for s in e)
+            for row in table
+        ):
+            return table
+    raise ConfigError("seeds: must be an %d x %d table of seed lists" % (size, size))
 
 
 def validate_checks(checks) -> tuple:
@@ -224,83 +239,71 @@ def validate_checks(checks) -> tuple:
     return checks
 
 
-def _parse_seed(entry, path: str) -> SeedWeight:
-    if not isinstance(entry, dict) or "coeffs" not in entry or "measure" not in entry:
+# The keys each object of a config file may have, as `config.schema.json` defines them.
+SCHEMA_KEYS = {
+    "config": frozenset("name N nvec mvec seeds L levels backend tolerance grid checks".split()),
+    "tolerance": frozenset("abs rel".split()),
+    "seed": frozenset("coeffs measure".split()),
+    "measure": frozenset("kind a b".split()),
+}
+
+
+def _known_keys(data: dict, level: str, where: str) -> None:
+    unknown = [key for key in data if key not in SCHEMA_KEYS[level]]
+    if unknown:
+        raise ConfigError("%s: unknown key %r" % (where, unknown[0]))
+
+
+def _seed_object(seed: SeedWeight) -> dict:
+    """The config-file object of a seed, as `_parse_seeds` reads it back."""
+    return {"coeffs": [str(c) for c in seed.coeffs], "measure": seed.measure.to_dict()}
+
+
+def _parse_seeds(node, path: str = "seeds", depth: int = 0):
+    """Seed objects -> SeedWeight three lists deep; RunConfig checks the table's shape."""
+    if depth < 3:
+        if not isinstance(node, list):
+            return node
+        return [_parse_seeds(v, "%s[%d]" % (path, i), depth + 1) for i, v in enumerate(node)]
+    if not isinstance(node, dict) or "coeffs" not in node or "measure" not in node:
         raise ConfigError("%s: seed needs 'coeffs' and 'measure'" % path)
+    _known_keys(node, "seed", path)
     with _field(path):
-        return SeedWeight.of(entry["coeffs"], BaseMeasure.from_dict(entry["measure"]))
+        seed = SeedWeight.of(node["coeffs"], BaseMeasure.from_dict(node["measure"]))
+    _known_keys(node["measure"], "measure", path + ".measure")
+    return seed
 
 
 def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
-    """Parse a RunConfig from JSON; the RunConfig checks its own rules."""
+    """Translate a config file's JSON into a RunConfig, which checks every field; the
+    reader owns only its keys (`L` is `truncation`), seed and tolerance objects and `N`."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    with _field("nvec/mvec"):
-        nvec = tuple(_integer(v) for v in data["nvec"])
-        mvec = tuple(_integer(v) for v in data["mvec"])
-    validate_multi_indices(nvec, mvec)  # the seed table is read by its size
-    size = len(nvec)
-    with _field("N"):
-        given = _integer(data.get("N", size))
-    if given != size:
-        raise ConfigError("N: does not match multi-index length %d" % size)
-
-    raw_seeds = data.get("seeds")
-    if (
-        not isinstance(raw_seeds, list)
-        or len(raw_seeds) != size
-        or any(not isinstance(row, list) or len(row) != size for row in raw_seeds)
-        or any(not isinstance(entry, list) for row in raw_seeds for entry in row)
-    ):
-        raise ConfigError("seeds: must be an %d x %d table of seed lists" % (size, size))
-    seeds = tuple(
-        tuple(
-            tuple(
-                _parse_seed(s, "seeds[%d][%d][%d]" % (a, b, r))
-                for r, s in enumerate(raw_seeds[a][b])
-            )
-            for b in range(size)
-        )
-        for a in range(size)
-    )
-
-    with _field("L"):
-        truncation = _integer(data["L"])
-
-    levels = None
-    if data.get("levels") is not None:
-        with _field("levels"):
-            levels = tuple(_integer(v) for v in data["levels"])
-
-    tol = DEFAULT_TOLERANCE
-    if "tolerance" in data and data["tolerance"] is not None:
-        t = data["tolerance"]
+    _known_keys(data, "config", "config")
+    missing = [key for key in ("nvec", "mvec", "seeds", "L") if key not in data]
+    if missing:
+        raise ConfigError("config: missing key %r" % missing[0])
+    tol = data.get("tolerance")
+    if tol is not None:
         with _field("tolerance"):
-            tol = Tolerance(float(t.get("abs", 1e-9)), float(t.get("rel", 1e-9)))
-
-    grid = None
-    if data.get("grid") is not None:
-        if not isinstance(data["grid"], list) or not data["grid"]:
-            raise ConfigError("grid: must be a nonempty list when given")
-        pairs = []
-        for idx, pair in enumerate(data["grid"]):
-            with _field("grid[%d]" % idx):
-                x, y = (parse_rational(v) for v in pair)
-            pairs.append((x, y))
-        grid = tuple(pairs)
-
-    return RunConfig(
-        nvec=nvec,
-        mvec=mvec,
-        seeds=seeds,
-        truncation=truncation,
-        levels=levels,
+            tol = Tolerance(float(tol.get("abs", 1e-9)), float(tol.get("rel", 1e-9)))
+        _known_keys(data["tolerance"], "tolerance", "tolerance")
+    config = RunConfig(
+        data["nvec"],
+        data["mvec"],
+        _parse_seeds(data["seeds"]),
+        data["L"],
+        data.get("levels"),
         backend=data.get("backend", EXACT),
-        tolerance=tol,
-        grid=grid,
+        tolerance=DEFAULT_TOLERANCE if tol is None else tol,
+        grid=data.get("grid"),
         checks=data.get("checks") or CHECK_NAMES,
         name=str(data.get("name", name)),
     )
+    with _field("N"):
+        if _integer(data.get("N", config.size)) != config.size:
+            raise ValueError("does not match multi-index length %d" % config.size)
+    return config
 
 
 def load_config(path) -> RunConfig:
@@ -350,9 +353,7 @@ def builtin_config(name: str) -> RunConfig:
     if name not in _BUILTINS:
         raise ConfigError("unknown built-in case %r" % name)
     nvec, mvec, measure, coeffs, truncation, levels, backend = _BUILTINS[name]
-    seeds = tuple(
-        tuple(tuple(SeedWeight.of(c, measure) for c in entry) for entry in row) for row in coeffs
-    )
+    seeds = [[[SeedWeight.of(c, measure) for c in entry] for entry in row] for row in coeffs]
     return RunConfig(nvec, mvec, seeds, truncation, levels, backend=backend, name=name)
 
 

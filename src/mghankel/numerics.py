@@ -80,7 +80,7 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0):
             raise ValueError("tolerances must be nonnegative")
 
 

@@ -206,13 +206,17 @@ class PerCoordinateEvaluator(KernelEvaluator):
     def _minor(self) -> list:
         return partition(self.g, self.level).tl.to_dense()
 
+    def _solve(self, minor, rhs) -> list:
+        """One solve; a singular minor raises the shared elimination's message."""
+        message = "leading minor of order %d is singular" % self.level
+        return solve_leading(minor, rhs, self.fam.backend, self.level, message)
+
     def _right_piece(self, y) -> list:
-        rhs = self._chi1_col(self.level, y)
-        return solve_leading(self._minor(), rhs, self.fam.backend, self.level)
+        return self._solve(self._minor(), self._chi1_col(self.level, y))
 
     def _left_piece(self, x) -> list:
         minor, rhs = mat_transpose(self._minor()), mat_transpose(self._chi2_row(self.level, x))
-        return mat_transpose(solve_leading(minor, rhs, self.fam.backend, self.level))
+        return mat_transpose(self._solve(minor, rhs))
 
 
 # -- per-point products: the oracle for the products taken over the grid ----

@@ -1,27 +1,32 @@
 """A RunConfig obeys one set of rules however it is made, and the built-in
 configs stay as they were.
 
-The rules live in `RunConfig.__post_init__`; a config file, command-line
-overrides, `dataclasses.replace` and a direct constructor call all reach
-them.  A rejected config never reaches `run()`.
+The rules live in `RunConfig.__post_init__`, type and shape rules included;
+a config file, command-line overrides, `dataclasses.replace` and a direct
+constructor call all reach them.  A rejected config never reaches `run()`.
+The file reader adds only the rules of its own format: the keys
+`config.schema.json` defines and requires, and `N`.
 """
 
 import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mghankel import cli
 from mghankel.harness import (
     BUILTIN_CASES,
+    SCHEMA_KEYS,
     ConfigError,
     RunConfig,
     builtin_config,
     config_from_dict,
     run,
 )
+from mghankel.numerics import Tolerance
 
 # SHA-256 of each built-in's `to_dict()` (keys sorted, compact separators).
 BUILTIN_CONFIG_DIGESTS = {
@@ -66,6 +71,23 @@ CASES = {
     "empty matrix": (
         {"truncation": 0, "levels": (), "checks": ("symmetry",)},
         "L: must be >= 1",
+    ),
+    # With no grid point, the pointwise checks would pass over nothing.
+    "empty grid": (
+        {"grid": (), "checks": ("abc",)},
+        "grid: must be a nonempty list when given",
+    ),
+    "level not a number": (
+        {"levels": ("a",)},
+        "levels: invalid literal for int() with base 10: 'a'",
+    ),
+    "L not a number": (
+        {"truncation": "x"},
+        "L: invalid literal for int() with base 10: 'x'",
+    ),
+    "multi-index not a number": (
+        {"nvec": ("x",), "mvec": ("x",)},
+        "nvec/mvec: invalid literal for int() with base 10: 'x'",
     ),
 }
 
@@ -136,6 +158,139 @@ def test_every_route_applies_the_same_rules(route, case, tmp_path, capsys, monke
     with pytest.raises(ConfigError) as info:
         ROUTES[route](changes, tmp_path, capsys)
     assert str(info.value) == message
+
+
+# (changes a code route can make to exact legendre; the message)
+CODE_ONLY_CASES = {
+    "bool level": ({"levels": (True,)}, "levels: not an integer: True"),
+    "fractional level": ({"levels": (Fraction(5, 2),)}, "levels: not an integer: Fraction(5, 2)"),
+    "fractional L": ({"truncation": Fraction(17, 2)}, "L: not an integer: Fraction(17, 2)"),
+    "empty seed row": ({"seeds": ((),)}, "seeds: must be an 1 x 1 table of seed lists"),
+    "seed not a SeedWeight": (
+        {"seeds": ((("1",),),)},
+        "seeds: must be an 1 x 1 table of seed lists",
+    ),
+    "tolerance pair": (
+        {"tolerance": (1e-9, 1e-9)},
+        "tolerance: must be a Tolerance, got (1e-09, 1e-09)",
+    ),
+    "float grid in a float run": (
+        {"grid": ((0.25, 0.5),), "backend": "float"},
+        "grid[0]: not a rational: 0.25 (use ints or 'p/q' strings)",
+    ),
+    "grid pair of three": (
+        {"grid": ((Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),)},
+        "grid[0]: too many values to unpack (expected 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ["replace", "constructor"])
+@pytest.mark.parametrize("case", CODE_ONLY_CASES)
+def test_code_routes_refuse_what_a_file_cannot_say(route, case, tmp_path, capsys):
+    changes, message = CODE_ONLY_CASES[case]
+    with pytest.raises(ConfigError) as info:
+        ROUTES[route](changes, tmp_path, capsys)
+    assert str(info.value) == message
+
+
+def test_code_routes_store_normalized_fields():
+    """Numeric strings and integral floats are read as a file reads them, and
+    every table is stored as tuples."""
+    base = builtin_config("legendre")
+    config = dataclasses.replace(
+        base,
+        nvec=["1"],
+        mvec=(1.0,),
+        truncation="8",
+        levels=["3", 4.0],
+        seeds=[[list(base.seeds[0][0])]],
+        grid=[["1/3", 2]],
+    )
+    assert (config.nvec, config.mvec, config.truncation, config.levels) == ((1,), (1,), 8, (3, 4))
+    assert config.seeds == base.seeds
+    assert config.grid == ((Fraction(1, 3), Fraction(2)),)
+
+
+SCHEMA = json.loads((Path(__file__).parent.parent / "config.schema.json").read_text())
+
+
+def test_the_reader_knows_the_schema_keys_at_every_closed_level():
+    seed = SCHEMA["$defs"]["seed"]
+    levels = {
+        "config": SCHEMA,
+        "tolerance": SCHEMA["properties"]["tolerance"],
+        "seed": seed,
+        "measure": seed["properties"]["measure"],
+    }
+    assert set(SCHEMA_KEYS) == set(levels)
+    for level, node in levels.items():
+        assert node["additionalProperties"] is False, level
+        assert SCHEMA_KEYS[level] == set(node["properties"]), level
+
+
+def test_the_reader_requires_the_schema_required_keys():
+    """Each key the schema requires is refused by name when absent; without
+    every optional key the file still loads."""
+    full = builtin_config("legendre").to_dict()
+    for key in SCHEMA["required"]:
+        data = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert str(info.value) == "config: missing key %r" % key
+    required = {k: v for k, v in full.items() if k in SCHEMA["required"]}
+    assert config_from_dict(required).truncation == 8
+
+
+def with_seed_keys(**extra) -> dict:
+    data = builtin_config("legendre").to_dict()
+    seed = data["seeds"][0][0][0]
+    seed.update(extra.get("seed", {}))
+    seed["measure"].update(extra.get("measure", {}))
+    return data
+
+
+# (config file, the message): a key the schema does not define, at each level
+UNKNOWN_KEYS = {
+    "config": (
+        dict(builtin_config("legendre").to_dict(), level=[3]),
+        "config: unknown key 'level'",
+    ),
+    "tolerance": (
+        dict(builtin_config("legendre").to_dict(), tolerance={"abs": 1e-9, "relative": 1e-6}),
+        "tolerance: unknown key 'relative'",
+    ),
+    "seed": (with_seed_keys(seed={"weight": 2}), "seeds[0][0][0]: unknown key 'weight'"),
+    "measure": (
+        with_seed_keys(measure={"c": "2"}),
+        "seeds[0][0][0].measure: unknown key 'c'",
+    ),
+}
+
+
+@pytest.mark.parametrize("level", UNKNOWN_KEYS)
+def test_a_key_the_schema_does_not_define_is_refused(level, tmp_path, capsys):
+    data, message = UNKNOWN_KEYS[level]
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("key", ["abs", "rel"])
+def test_a_nan_tolerance_is_refused(key, tmp_path, capsys):
+    """NaN compares false with everything, so it would fail every float check."""
+    data = builtin_config("hermite").to_dict()
+    data["tolerance"][key] = float("nan")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: tolerance: tolerances must be nonnegative\n"
+    with pytest.raises(ValueError, match="^tolerances must be nonnegative$"):
+        Tolerance(**{key + "_tol": float("nan")})
 
 
 @pytest.mark.parametrize("levels", [(), None])

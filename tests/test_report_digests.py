@@ -16,9 +16,10 @@ blocks multiplied against exact zero and identity blocks; at every level of
 its budget (1..7) it covers one point table shared by many levels in float.
 Exact multigraded-n2 at every level of its budget, every check, covers every
 kernel block sum (kernel, reproducing, projections, associated form) at
-every level it can take, on the rational path; exact legendre at L=10 and
-L=14 and exact multigraded-n2 at L=14, every level and every check, cover
-every kernel level's substitutions on the leading minors of larger runs.
+every level it can take, on the rational path; exact legendre and exact
+multigraded-n2 at L=14 and L=20, and exact legendre at L=10, every level
+and every check, cover every kernel level's substitutions on the leading
+minors of larger runs.
 Float legendre at L=12 with only the classical check covers the classical
 identity read off a run's factors larger than the classical problem: its
 float bits are those of the leading blocks.  multigraded-n2 at levels (0, 1, 2), every
@@ -54,6 +55,8 @@ FULL_LEVEL_DIGESTS = {
     ("legendre", 10): "94f90f036a2e4fb75db6b1ea67b4954ba144277bd7b47a72035ef36e3edcb479",
     ("legendre", 14): "838900e2e42e2e5e08bd7f752e3799bbac247083cb7b6dd58cdcce3c20672020",
     ("multigraded-n2", 14): "5c39c04ea7cbc0a47a7a3c03ce1bc36a4e87c6f3386ba7f2e57adb5454b185b1",
+    ("legendre", 20): "28ead47065038be5837be21c5b3cde93247b9de3ebbc6939000e69a52fe35b37",
+    ("multigraded-n2", 20): "5c6bbb2243e92245e49e3c70345575cab87bbb921d61cc17c153aef3cc5e183f",
 }
 FLOAT_CLASSICAL_L12_DIGEST = "130e69f4a9cb749c7d84865c20270a1de2f7ad50f9de46bd0dc9abd6f41c30f5"
 LOW_LEVELS_MGN2_DIGESTS = {
