@@ -24,7 +24,7 @@ from .numerics import (
     matrix_residual_norm,
     memoized,
 )
-from .weights import WeightFamily, validate_family
+from .weights import ConfigError, WeightFamily, validate_family
 
 
 def _freeze(rows) -> tuple:
@@ -181,10 +181,11 @@ def shift_power(nvec, truncation: int) -> BlockMatrix:
 
 
 def build_moment_matrix(fam: WeightFamily, truncation: int) -> BlockMatrix:
-    """Moment matrix with block (i, j) equal to the integral of x^i rho_j."""
+    """Moment matrix with block (i, j) equal to the integral of x^i rho_j; a
+    family `validate_family` rejects raises ConfigError("family: ...")."""
     report = validate_family(fam, truncation)
     if not report.ok:
-        raise ValueError("invalid weight family: %s" % report.first_problem())
+        raise ConfigError("family: %s" % report.first_problem())
     return BlockMatrix(
         fam.size,
         [[fam.moment(i, j) for j in range(truncation)] for i in range(truncation)],

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -39,7 +38,6 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
-    BACKENDS,
     ResidualTracker,
     Tolerance,
     as_backend,
@@ -53,8 +51,12 @@ from .weights import (
     FINITE_INTERVAL,
     SeedWeight,
     WeightFamily,
-    validate_family,
+    _field,
+    _integer,
+    _seed_table,
+    validate_backend,
     validate_levels,
+    validate_multi_indices,
 )
 
 # The check registry: name -> whether the check evaluates weights pointwise
@@ -102,9 +104,11 @@ class RunConfig:
     Every rule that needs only these fields, types and shapes included, is
     checked here, shape rules first: a file, code, `dataclasses.replace` and
     CLI overrides get one ConfigError.  Fields are stored as ints, tuples and
-    Fractions; `levels=None` selects every level of the budget.  Rules that
-    need the family (seed counts, seeds the backend cannot integrate, grid
-    support) are checked when the run starts.
+    Fractions; `levels=None` selects every level of the budget.  The
+    multi-index, backend and seed-table rules are the ones `WeightFamily`
+    applies.  Rules that need the family (seed counts, seeds the backend
+    cannot integrate) are checked once per run by `build_moment_matrix`,
+    then grid support by `run()`.
     """
 
     nvec: tuple
@@ -124,8 +128,7 @@ class RunConfig:
             self.truncation = _integer(self.truncation)
         if self.truncation < 1:
             raise ConfigError("L: must be >= 1")
-        if self.backend not in BACKENDS:
-            raise ConfigError("backend: must be one of %s" % (BACKENDS,))
+        self.backend = validate_backend(self.backend)
         self.seeds = _seed_table(self.seeds, self.size)
         if not isinstance(self.tolerance, Tolerance):
             raise ConfigError("tolerance: must be a Tolerance, got %r" % (self.tolerance,))
@@ -188,45 +191,6 @@ class RunConfig:
         }
 
 
-@contextmanager
-def _field(name: str):
-    """Re-raise a malformed or unreadable value as a ConfigError naming its field."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError, OSError) as exc:
-        raise ConfigError("%s: %s" % (name, exc)) from exc
-
-
-def _integer(value) -> int:
-    """int(value), rejecting a bool and a float or Fraction with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, (float, Fraction)) and value % 1):
-        raise ValueError("not an integer: %r" % (value,))
-    return int(value)
-
-
-def validate_multi_indices(nvec, mvec) -> tuple:
-    """(nvec, mvec) as integer tuples, nonempty, of equal length, with components >= 1."""
-    with _field("nvec/mvec"):
-        nvec, mvec = tuple(map(_integer, nvec)), tuple(map(_integer, mvec))
-    if len(nvec) != len(mvec) or not nvec:
-        raise ConfigError("nvec/mvec: must be nonempty and of equal length")
-    if any(v < 1 for v in (*nvec, *mvec)):
-        raise ConfigError("nvec/mvec: components must be >= 1")
-    return nvec, mvec
-
-
-def _seed_table(seeds, size: int) -> tuple:
-    """The size x size table of SeedWeight lists, as tuples."""
-    with suppress(TypeError):
-        table = tuple(tuple(tuple(entry) for entry in row) for row in seeds)
-        if len(table) == size and all(
-            len(row) == size and all(isinstance(s, SeedWeight) for e in row for s in e)
-            for row in table
-        ):
-            return table
-    raise ConfigError("seeds: must be an %d x %d table of seed lists" % (size, size))
-
-
 def validate_checks(checks) -> tuple:
     """At least one check, each in the registry."""
     with _field("checks"):
@@ -274,7 +238,7 @@ def _parse_seeds(node, path: str = "seeds", depth: int = 0):
     return seed
 
 
-def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
+def config_from_dict(data: dict) -> RunConfig:
     """Translate a config file's JSON into a RunConfig, which checks every field; the
     reader owns only its keys (`L` is `truncation`), seed and tolerance objects and `N`."""
     if not isinstance(data, dict):
@@ -298,7 +262,7 @@ def config_from_dict(data: dict, name: str = "custom") -> RunConfig:
         tolerance=DEFAULT_TOLERANCE if tol is None else tol,
         grid=data.get("grid"),
         checks=data.get("checks") or CHECK_NAMES,
-        name=str(data.get("name", name)),
+        name=str(data.get("name", "custom")),
     )
     with _field("N"):
         if _integer(data.get("N", config.size)) != config.size:
@@ -446,9 +410,8 @@ class _Runner:
     def __init__(self, config: RunConfig):
         self.config = config
         self.fam = config.family()
-        report = validate_family(self.fam, config.truncation)
-        if not report.ok:
-            raise ConfigError("family: %s" % report.first_problem())
+        # The family's rules are checked by the build, before the grid's.
+        self.g = build_moment_matrix(self.fam, config.truncation)
         seeds = [
             ((a, b, r), seed)
             for a, row in enumerate(self.fam.seeds)
@@ -468,7 +431,6 @@ class _Runner:
                             % (where % idx, x, r, a, b)
                         )
         self.tol = config.tolerance
-        self.g = build_moment_matrix(self.fam, config.truncation)
         self.factors = lu_factorize(self.g)
         self.table = PointTable(self.fam, self.g, self.factors, self.points)
         self._memo = {}
@@ -628,7 +590,7 @@ class _Runner:
             if self.config.backend == EXACT:
                 x = Fraction(rng.randrange(0, 101), 101)
                 y = Fraction(rng.randrange(0, 101), 101)
-                if seed.measure.kind == "finite_interval":
+                if seed.measure.kind == FINITE_INTERVAL:
                     span = seed.measure.b - seed.measure.a
                     x = seed.measure.a + x * span
                     y = seed.measure.a + y * span

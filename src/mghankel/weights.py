@@ -14,6 +14,7 @@ enters the verification path.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,13 +152,65 @@ class SeedWeight:
         return self.density_at(x) * self.measure.density_at(x, backend)
 
 
-def as_multi_index(components) -> tuple:
-    t = tuple(int(c) for c in components)
-    if not t:
-        raise ValueError("multi-index must be nonempty")
-    if any(c < 1 for c in t):
-        raise ValueError("multi-index components must be >= 1, got %r" % (t,))
-    return t
+class ConfigError(ValueError):
+    """Invalid run configuration or family input; includes the offending field path."""
+
+
+@contextmanager
+def _field(name: str):
+    """Re-raise a malformed or unreadable value as a ConfigError naming its field."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, OSError) as exc:
+        raise ConfigError("%s: %s" % (name, exc)) from exc
+
+
+def _integer(value) -> int:
+    """int(value), rejecting a bool and a float or Fraction with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, (float, Fraction)) and value % 1):
+        raise ValueError("not an integer: %r" % (value,))
+    return int(value)
+
+
+def validate_multi_indices(nvec, mvec) -> tuple:
+    """(nvec, mvec) as integer tuples, nonempty, of equal length, with components >= 1."""
+    with _field("nvec/mvec"):
+        nvec, mvec = tuple(map(_integer, nvec)), tuple(map(_integer, mvec))
+    if len(nvec) != len(mvec) or not nvec:
+        raise ConfigError("nvec/mvec: must be nonempty and of equal length")
+    if any(v < 1 for v in (*nvec, *mvec)):
+        raise ConfigError("nvec/mvec: components must be >= 1")
+    return nvec, mvec
+
+
+def validate_backend(backend) -> str:
+    """The backend, one of BACKENDS."""
+    if backend not in BACKENDS:
+        raise ConfigError("backend: must be one of %s" % (BACKENDS,))
+    return backend
+
+
+def _seed_table(seeds, size: int) -> tuple:
+    """The size x size table of SeedWeight lists, as tuples."""
+    with suppress(TypeError):
+        table = tuple(tuple(tuple(entry) for entry in row) for row in seeds)
+        if len(table) == size and all(
+            len(row) == size and all(isinstance(s, SeedWeight) for e in row for s in e)
+            for row in table
+        ):
+            return table
+    raise ConfigError("seeds: must be an %d x %d table of seed lists" % (size, size))
+
+
+def validate_levels(levels, max_shift: int, truncation: int) -> tuple:
+    """The level budget: every level l must satisfy 0 <= l and l + max_shift < L."""
+    for l in levels:
+        if l < 0 or l + max_shift >= truncation:
+            raise ConfigError(
+                "levels: l=%d violates the truncation budget (need l + %d < L=%d)"
+                % (l, max_shift, truncation)
+            )
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -173,25 +226,19 @@ class WeightFamily:
     """Seed weights plus the two shift multi-indices generating all rho_j.
 
     Immutable after construction; evaluation and moments are pure, and
-    each seed integral is computed once per family.  The seed table may be
-    ragged or otherwise ill-formed at construction time; `validate_family`
-    is the reporting gate.
+    each seed integral is computed once per family.  The constructor applies
+    `RunConfig`'s type and shape rules, with its ConfigError messages: integer
+    multi-indices, a known backend and an N x N table of SeedWeight lists.
+    The per-seed rules (m_b seeds per entry, seeds the backend can integrate
+    up to the orders a truncation reads) are `validate_family`'s to report;
+    `build_moment_matrix` raises the first as a ConfigError.
     """
 
     def __init__(self, nvec, mvec, seeds, backend: str = EXACT):
-        if backend not in BACKENDS:
-            raise ValueError("unknown backend %r" % backend)
-        self.nvec = as_multi_index(nvec)
-        self.mvec = as_multi_index(mvec)
-        if len(self.nvec) != len(self.mvec):
-            raise ValueError("multi-indices must have equal length")
+        self.nvec, self.mvec = validate_multi_indices(nvec, mvec)
         self.size = len(self.nvec)
-        self.backend = backend
-        self.seeds = tuple(
-            tuple(tuple(entry) for entry in row) for row in seeds
-        )
-        if len(self.seeds) != self.size or any(len(row) != self.size for row in self.seeds):
-            raise ValueError("seed table must be %d x %d" % (self.size, self.size))
+        self.backend = validate_backend(backend)
+        self.seeds = _seed_table(seeds, self.size)
         self._memo = {}
 
     def max_shift(self) -> int:
@@ -233,8 +280,9 @@ class WeightFamily:
 def validate_family(fam: WeightFamily, truncation: int) -> FamilyValidation:
     """Check seed counts, backend compatibility and moment availability.
 
-    Moment availability is probed up to order truncation + max(nvec), the
-    highest order any level-(truncation-1) computation can request.
+    Each seed r of entry (a, b) is probed at the highest order the truncated
+    moment matrix reads from it, (L-1) + ((L-1-r) // m_b) * n_a; a seed the
+    matrix never reads (r >= L) is not probed.
     """
     problems = []
     for a in range(fam.size):
@@ -253,10 +301,10 @@ def validate_family(fam: WeightFamily, truncation: int) -> FamilyValidation:
                         % (r, a, b)
                     )
     if not problems:
-        top = truncation + max(fam.nvec)
         for a in range(fam.size):
             for b in range(fam.size):
-                for r, seed in enumerate(fam.seeds[a][b]):
+                for r, seed in enumerate(fam.seeds[a][b][:truncation]):
+                    top = truncation - 1 + (truncation - 1 - r) // fam.mvec[b] * fam.nvec[a]
                     try:
                         seed.moment(top, fam.backend)
                     except (MeasureBackendError, OverflowError) as exc:
@@ -265,21 +313,6 @@ def validate_family(fam: WeightFamily, truncation: int) -> FamilyValidation:
                             % (top, r, a, b, exc)
                         )
     return FamilyValidation(not problems, tuple(problems))
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; includes the offending field path."""
-
-
-def validate_levels(levels, max_shift: int, truncation: int) -> tuple:
-    """The level budget: every level l must satisfy 0 <= l and l + max_shift < L."""
-    for l in levels:
-        if l < 0 or l + max_shift >= truncation:
-            raise ConfigError(
-                "levels: l=%d violates the truncation budget (need l + %d < L=%d)"
-                % (l, max_shift, truncation)
-            )
-    return tuple(levels)
 
 
 def hankel_family(seed: SeedWeight, backend: str = EXACT) -> WeightFamily:

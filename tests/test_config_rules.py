@@ -5,7 +5,9 @@ The rules live in `RunConfig.__post_init__`, type and shape rules included;
 a config file, command-line overrides, `dataclasses.replace` and a direct
 constructor call all reach them.  A rejected config never reaches `run()`.
 The file reader adds only the rules of its own format: the keys
-`config.schema.json` defines and requires, and `N`.
+`config.schema.json` defines and requires, and `N`.  A direct
+`WeightFamily(...)` applies the multi-index, backend and seed-table rules
+with the same messages.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from mghankel.harness import (
     run,
 )
 from mghankel.numerics import Tolerance
+from mghankel.weights import WeightFamily
 
 # SHA-256 of each built-in's `to_dict()` (keys sorted, compact separators).
 BUILTIN_CONFIG_DIGESTS = {
@@ -89,6 +92,12 @@ CASES = {
         {"nvec": ("x",), "mvec": ("x",)},
         "nvec/mvec: invalid literal for int() with base 10: 'x'",
     ),
+    "fractional multi-index": ({"nvec": (1.5,)}, "nvec/mvec: not an integer: 1.5"),
+    "bool multi-index": ({"nvec": (True,)}, "nvec/mvec: not an integer: True"),
+    "unequal multi-indices": (
+        {"nvec": (1, 1)},
+        "nvec/mvec: must be nonempty and of equal length",
+    ),
 }
 
 # RunConfig field -> config-file key, where they differ.
@@ -137,15 +146,37 @@ def from_constructor(changes, tmp_path, capsys):
     return RunConfig(**dict(fields, **changes))
 
 
+# The RunConfig fields a WeightFamily takes, under the same names.
+FAMILY_FIELDS = frozenset({"nvec", "mvec", "seeds", "backend"})
+
+
+def from_family(changes, tmp_path, capsys):
+    """A direct WeightFamily(...) of the changed config's family fields."""
+    base = builtin_config("legendre")
+    return WeightFamily(**{key: changes.get(key, getattr(base, key)) for key in FAMILY_FIELDS})
+
+
 ROUTES = {
     "file": from_file,
     "cli": from_cli,
     "replace": from_replace,
     "constructor": from_constructor,
+    "family": from_family,
 }
 
+
+def applies(route: str, changes: dict) -> bool:
+    """The family route takes only the cases that change family fields."""
+    return route != "family" or FAMILY_FIELDS.issuperset(changes)
+
+
 # A config file reads `"checks": []` as every check, so it has no empty check list.
-ROUTE_CASES = [(r, c) for r in ROUTES for c in CASES if (r, c) != ("file", "no check")]
+ROUTE_CASES = [
+    (r, c)
+    for r in ROUTES
+    for c in CASES
+    if (r, c) != ("file", "no check") and applies(r, CASES[c][0])
+]
 
 
 @pytest.mark.parametrize("route,case", ROUTE_CASES)
@@ -185,8 +216,15 @@ CODE_ONLY_CASES = {
 }
 
 
-@pytest.mark.parametrize("route", ["replace", "constructor"])
-@pytest.mark.parametrize("case", CODE_ONLY_CASES)
+@pytest.mark.parametrize(
+    "case,route",
+    [
+        (c, r)
+        for c in CODE_ONLY_CASES
+        for r in ("replace", "constructor", "family")
+        if applies(r, CODE_ONLY_CASES[c][0])
+    ],
+)
 def test_code_routes_refuse_what_a_file_cannot_say(route, case, tmp_path, capsys):
     changes, message = CODE_ONLY_CASES[case]
     with pytest.raises(ConfigError) as info:

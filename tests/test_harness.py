@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from mghankel.harness import (
     write_report,
 )
 from mghankel.numerics import SingularLeadingMinorError
+from mghankel.weights import validate_family
 
 MINIMAL = {
     "nvec": [1],
@@ -370,6 +372,41 @@ def test_cli_out_of_support_grid_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: grid[1]: x=3/2 lies outside the support of seed 0 of entry (0,0)\n"
     )
+
+
+def test_family_error_comes_before_grid_support(tmp_path, capsys):
+    """Two seeds are missing (m_b=2) and the grid leaves the support: the
+    family's rule is reported."""
+    cfg = write_json(tmp_path, dict(OUT_OF_SUPPORT, mvec=[2], L=8, levels=[3]))
+    assert cli_main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: family: seed count: entry (0,0) has 1 seeds, expected m_b=2\n"
+    )
+
+
+def test_moments_are_probed_at_the_highest_order_the_build_reads(tmp_path, capsys):
+    """Float laguerre moments overflow past order 170; with n=(2), m=(1) and
+    L=60 the build reads order 59 + 59*2 = 177, so the run stops with exit 2."""
+    laguerre = {"coeffs": ["1"], "measure": {"kind": "laguerre"}}
+    data = dict(MINIMAL, nvec=[2], seeds=[[[laguerre]]], L=60, levels=None, backend="float")
+    assert cli_main(["verify", "--config", write_json(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: family: moment: order 177 of seed 0 at (0,0): "
+    )
+
+
+def test_run_validates_the_family_once(monkeypatch):
+    calls = []
+
+    def counted(fam, truncation):
+        calls.append(truncation)
+        return validate_family(fam, truncation)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mghankel") and hasattr(module, "validate_family"):
+            monkeypatch.setattr(module, "validate_family", counted)
+    run(builtin_config("legendre"))
+    assert calls == [8]
 
 
 def test_cli_backend_override_rejects_out_of_support_grid(tmp_path, capsys):

@@ -76,6 +76,13 @@ def test_validate_wellformed(two_seed_family):
     assert validate_family(two_seed_family, 8).ok
 
 
+def test_validate_probes_only_the_seeds_a_truncation_reads():
+    """At L=1 the moment matrix reads seed 0 alone; seeds 1 and 2 would be
+    probed at a negative order."""
+    fam = WeightFamily((1,), (3,), [[[interval_seed(1)] * 3]])
+    assert validate_family(fam, 1).ok
+
+
 def test_validate_seed_count():
     fam = WeightFamily((1,), (2,), [[[interval_seed(1)]]])
     report = validate_family(fam, 4)
