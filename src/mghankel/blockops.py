@@ -18,6 +18,8 @@ from .numerics import (
     Tolerance,
     block_sum,
     has_float,
+    integer_col,
+    integer_row,
     mat_mul,
     mat_zeros,
     mat_eye,
@@ -70,6 +72,16 @@ class BlockMatrix:
     def block(self, i: int, j: int):
         return self.blocks[i][j]
 
+    @memoized
+    def integer_row(self, i: int):
+        """`numerics.integer_row` of block row i, built once per matrix."""
+        return integer_row(self.blocks[i], self.backend)
+
+    @memoized
+    def integer_col(self, j: int):
+        """`numerics.integer_col` of block column j, built once per matrix."""
+        return integer_col((row[j] for row in self.blocks), self.backend)
+
     def entry(self, i: int, j: int, a: int, b: int):
         return self.blocks[i][j][a][b]
 
@@ -82,11 +94,14 @@ class BlockMatrix:
         return cls(n, blocks)
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
-        """Block product; exact operands take one dense fraction-free product."""
+        """Block product; exact operands take one fraction-free product of their kept forms."""
         if self.ncols != other.nrows or self.n != other.n:
             raise ValueError("incompatible block shapes")
         if self.backend == other.backend == EXACT:
-            return BlockMatrix.from_dense(self.n, mat_mul(self.to_dense(), other.to_dense(), EXACT))
+            rows = [v for i in range(self.nrows) for v in self.integer_row(i)]
+            cols = [v for j in range(other.ncols) for v in other.integer_col(j)]
+            product = mat_mul(self.to_dense(), other.to_dense(), EXACT, rows, cols)
+            return BlockMatrix.from_dense(self.n, product)
         cols = [[row[j] for row in other.blocks] for j in range(other.ncols)]
         return BlockMatrix(
             self.n, [[block_sum(self.n, row, col, FLOAT) for col in cols] for row in self.blocks]

@@ -53,6 +53,8 @@ from .numerics import (
     SingularLocusError,
     block_sum,
     gap_norm,
+    integer_col,
+    integer_row,
     mat_mul,
     mat_sub,
     mat_transpose,
@@ -138,11 +140,16 @@ class PointTable:
         """Integral of polynomial j times dual form k (transposed): `pair_poly_form`
         from the memoized form moments."""
         moments = [self.form_moment(k, t) for t in range(j + 1)]
-        return pair_with_moments(self.polys[j], moments, self.fam.backend)
+        return pair_with_moments(self.polys[j], moments, self.fam.backend, self.moment_col(k))
 
     @memoized
     def form_moment(self, k: int, t: int) -> list:
         return form_against_monomial(self.g, t, self.forms[k])
+
+    @memoized
+    def moment_col(self, k: int):
+        """`integer_col` of the form moments t < L of dual form k, for `pair_with_moments`."""
+        return integer_col((self.form_moment(k, t) for t in range(self.g.nrows)), self.fam.backend)
 
 
 class KernelEvaluator:
@@ -185,6 +192,10 @@ class KernelEvaluator:
         self._bl = parts.bl.to_dense()
         self._lam_m_t = mat_transpose(shift_power(fam.mvec, total).slice(head, tail).to_dense())
         self._lam_n = shift_power(fam.nvec, total).slice(head, tail).to_dense()
+        self._tr_cols, self._lam_m_t_cols, self._lam_n_cols = (
+            integer_col([m], fam.backend) for m in (self._tr, self._lam_m_t, self._lam_n)
+        )
+        self._bl_rows = integer_row([self._bl], fam.backend)
 
     # -- per-level tables ----------------------------------------------------
 
@@ -262,18 +273,18 @@ class KernelEvaluator:
     def _schur_row(self, x) -> tuple:
         """x-side factors of the partition form: (A(x) Lambda_m^T, W(x) Lambda_n)."""
         w, backend = self._left_piece(x), self.fam.backend
-        tail = self.g.nrows - self.level
-        a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), mat_mul(w, self._tr, backend))
-        return mat_mul(a_row, self._lam_m_t, backend), mat_mul(w, self._lam_n, backend)
+        w_rows, tail = integer_row([w], backend), self.g.nrows - self.level
+        w_tr = mat_mul(w, self._tr, backend, w_rows, self._tr_cols)
+        a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), w_tr)
+        a_lam = mat_mul(a_row, self._lam_m_t, backend, cols=self._lam_m_t_cols)
+        return a_lam, mat_mul(w, self._lam_n, backend, w_rows, self._lam_n_cols)
 
     @memoized
     def _schur_col(self, y) -> list:
         """y-side factor C(y) of the partition form."""
         tail = self.g.nrows - self.level
-        return mat_sub(
-            self._chi1_col(tail, y, offset=self.level),
-            mat_mul(self._bl, self._right_piece(y), self.fam.backend),
-        )
+        bl_w = mat_mul(self._bl, self._right_piece(y), self.fam.backend, self._bl_rows)
+        return mat_sub(self._chi1_col(tail, y, offset=self.level), bl_w)
 
     def _kernel(self, x, y) -> list:
         table, levels = self.table, range(self.level)
@@ -407,13 +418,13 @@ class KernelEvaluator:
         elif d < len(table.monomials) and p is table.monomials[d]:
             weights = [table.form_moment(k, d) for k in levels]
         else:
-            top = range(len(p.coeffs))
+            top, kept = range(len(p.coeffs)), table.moment_col
             moments = [[table.form_moment(k, t) for t in top] for k in levels]
-            weights = [pair_with_moments(p, m, backend) for m in moments]
-        coeffs = [
-            block_sum(n, weights[t:], [polys[k].coeffs[t] for k in levels[t:]], backend)
-            for t in levels
-        ]
+            weights = [pair_with_moments(p, m, backend, kept(k)) for k, m in enumerate(moments)]
+        # polys[k].coeffs[t] is block (k, t) of the lower factor, zero for k < t.
+        rows, cols = integer_row(weights, backend), table.factors.lower.integer_col
+        terms = lambda t: [polys[k].coeffs[t] for k in levels[t:]]
+        coeffs = [block_sum(n, weights[t:], terms(t), backend, rows, cols(t)) for t in levels]
         return MatrixPolynomial.of(n, coeffs or [mat_zeros(n, n, backend)])
 
     def project_form(self, f: LinearForm) -> LinearForm:
@@ -426,10 +437,10 @@ class KernelEvaluator:
             # polys[k] has degree k, so it pairs with moments t <= k < level.
             moments = [form_against_monomial(self.g, t, f) for t in levels]
             weights = [pair_with_moments(self.table.polys[k], moments, backend) for k in levels]
-        coeffs = [
-            block_sum(n, [forms[k].coeffs[t] for k in levels[t:]], weights[t:], backend)
-            for t in levels
-        ]
+        # forms[k].coeffs[t] is block (t, k) of the inverse upper factor, zero for k < t.
+        rows, cols = self.table.factors.upper_inv.integer_row, integer_col(weights, backend)
+        terms = lambda t: [forms[k].coeffs[t] for k in levels[t:]]
+        coeffs = [block_sum(n, terms(t), weights[t:], backend, rows(t), cols) for t in levels]
         return LinearForm.of(n, coeffs or [mat_zeros(n, n, backend)])
 
     def reproducing_residual(self, x, y) -> Scalar:
@@ -449,10 +460,19 @@ class KernelEvaluator:
 
     @memoized
     def _paired_polys(self, y) -> list:
-        """pair(j, k) @ (polynomial k at y) for j, k < level, j before k."""
-        table, levels, backend = self.table, range(self.level), self.fam.backend
-        pairs = [(table.pair(j, k), table.poly_value(k, y)) for j in levels for k in levels]
-        return [mat_mul(p, v, backend) for p, v in pairs]
+        """pair(j, k) @ (polynomial k at y) for j, k < level, j before k, one product per k."""
+        n, levels, backend = self.fam.size, range(self.level), self.fam.backend
+        columns = []
+        for k in levels:
+            stack, rows = self._pair_stack(k)
+            columns.append(mat_mul(stack, self.table.poly_value(k, y), backend, rows))
+        return [columns[k][j * n : (j + 1) * n] for j in levels for k in levels]
+
+    @memoized
+    def _pair_stack(self, k: int) -> tuple:
+        """(pair(j, k) for j < level, stacked by rows; its `integer_row`)."""
+        stack = [row for j in range(self.level) for row in self.table.pair(j, k)]
+        return stack, integer_row([stack], self.fam.backend)
 
 
 def classical_cd(

@@ -176,7 +176,8 @@ def _exact_factors(g: BlockMatrix) -> GaussFactors:
 def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
     """Invert a block-triangular matrix by block substitution.
 
-    The inverse shares the orientation.  A singular diagonal block raises
+    The inverse shares the orientation.  An identity diagonal block is its
+    own inverse and takes no elimination.  A singular diagonal block raises
     SingularLeadingMinorError with its index.
     """
     if orientation not in (LOWER, UPPER):
@@ -187,8 +188,10 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
         return invert_block_triangular(t.transpose(), LOWER).transpose()
     n, levels, backend = t.n, t.nrows, t.backend
     inv = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
+    eye = mat_eye(n, backend)
     for i in range(levels):
-        inv[i][i] = solve_leading(t.block(i, i), mat_eye(n, backend), backend, i)
+        block = t.block(i, i)
+        inv[i][i] = eye if block == _freeze(eye) else solve_leading(block, eye, backend, i)
         for j in range(i - 1, -1, -1):
             ks = range(j, i)
             acc = block_sum(n, [t.block(i, k) for k in ks], [inv[k][j] for k in ks], backend)

@@ -12,10 +12,11 @@ Associated families are built independently of the factorization, by
 direct linear solves against leading truncations of the moment matrix, so
 the connection formulas below genuinely compare two routes.  Each leading
 minor is eliminated once per side (g or g^T), and each block column of
-its solution is substituted once, when a builder first reads it; both are
-kept on the moment matrix, so every member j at that order, and every
-check reading one, shares them.  The checks compare exact sides by
-equality first (`numerics.gap_norm`) and subtract only where they differ.
+its solution is substituted when the one member that reads it is built;
+the eliminations and the members are kept on the moment matrix, so every
+member j at that order, and every check reading one, shares them.  The
+checks compare exact sides by equality first (`numerics.gap_norm`) and
+subtract only where they differ.
 
 All integrals of polynomial-times-weight products reduce to moment-matrix
 entries; no quadrature appears anywhere.
@@ -23,7 +24,7 @@ entries; no quadrature appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .blockops import BlockMatrix, _freeze
 from .factorize import GaussFactors
@@ -36,6 +37,8 @@ from .numerics import (
     block_sum,
     eliminate_leading,
     gap_norm,
+    integer_col,
+    integer_row,
     mat_add,
     mat_eye,
     mat_scale,
@@ -59,10 +62,21 @@ class MatrixPolynomial:
 
     n: int
     coeffs: tuple
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, n: int, coeffs) -> "MatrixPolynomial":
         return cls(n, tuple(_freeze(c) for c in coeffs))
+
+    @memoized
+    def integer_row(self, backend: str):
+        """`numerics.integer_row` of the coefficients, built once per member."""
+        return integer_row(self.coeffs, backend)
+
+    @memoized
+    def integer_col(self, backend: str):
+        """`numerics.integer_col` of the coefficients, built once per member."""
+        return integer_col(self.coeffs, backend)
 
     def degree(self) -> int:
         """Exact degree: highest index with a nonzero coefficient block."""
@@ -103,7 +117,9 @@ def eval_form(f: LinearForm, fam: WeightFamily, x, weight=None) -> list:
     if weight is None:
         weight = lambda j: fam.eval_weight(j, x)
     used = [j for j, d in enumerate(f.coeffs) if _nonzero(d)]
-    return block_sum(f.n, [weight(j) for j in used], [f.coeffs[j] for j in used], fam.backend)
+    kept = f.integer_col(fam.backend) if len(used) == len(f.coeffs) else None
+    lefts, rights = [weight(j) for j in used], [f.coeffs[j] for j in used]
+    return block_sum(f.n, lefts, rights, fam.backend, cols=kept)
 
 
 def poly_residual(p: MatrixPolynomial, q: MatrixPolynomial, backend: str | None = None):
@@ -123,26 +139,28 @@ def poly_residual(p: MatrixPolynomial, q: MatrixPolynomial, backend: str | None 
 form_residual = poly_residual
 
 
-def primary_family(factors: GaussFactors) -> list:
+@memoized
+def primary_family(factors: GaussFactors) -> tuple:
     """Monic matrix polynomials whose coefficients are rows of the lower factor."""
-    return [
+    return tuple(
         MatrixPolynomial.of(
             factors.lower.n,
             [factors.lower.block(level, k) for k in range(level + 1)],
         )
         for level in range(factors.nlevels)
-    ]
+    )
 
 
-def dual_family(factors: GaussFactors) -> list:
+@memoized
+def dual_family(factors: GaussFactors) -> tuple:
     """Dual linear forms whose coefficients are columns of the inverse upper factor."""
-    return [
+    return tuple(
         LinearForm.of(
             factors.upper_inv.n,
             [factors.upper_inv.block(k, level) for k in range(level + 1)],
         )
         for level in range(factors.nlevels)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +170,26 @@ def dual_family(factors: GaussFactors) -> list:
 
 def poly_against_weight(g: BlockMatrix, p: MatrixPolynomial, k: int) -> list:
     """Integral of p(x) rho_k(x): sum_t coeffs[t] g[t, k]."""
-    return block_sum(p.n, p.coeffs, [g.block(t, k) for t in range(len(p.coeffs))], g.backend)
+    rights = [g.block(t, k) for t in range(len(p.coeffs))]
+    return block_sum(p.n, p.coeffs, rights, g.backend, p.integer_row(g.backend), g.integer_col(k))
 
 
 def form_against_monomial(g: BlockMatrix, k: int, f: LinearForm) -> list:
     """Integral of x^k f(x)^T: sum_s g[k, s] coeffs[s]."""
-    return block_sum(f.n, [g.block(k, s) for s in range(len(f.coeffs))], f.coeffs, g.backend)
+    lefts = [g.block(k, s) for s in range(len(f.coeffs))]
+    return block_sum(f.n, lefts, f.coeffs, g.backend, g.integer_row(k), f.integer_col(g.backend))
 
 
-def pair_with_moments(p: MatrixPolynomial, moments, backend: str) -> list:
+def pair_with_moments(p: MatrixPolynomial, moments, backend: str, cols=None) -> list:
     """sum_t coeffs[t] moments[t], where moments[t] = form_against_monomial(g, t, f).
 
     This is pair_poly_form(g, p, f) with the inner sums supplied, so callers
-    pairing many polynomials against one form build them once.
+    pairing many polynomials against one form build them once; `cols`, when
+    given, is the kept `integer_col` of moments of f covering every
+    coefficient of p.
     """
     count = min(len(p.coeffs), len(moments))
-    return block_sum(p.n, p.coeffs[:count], moments[:count], backend)
+    return block_sum(p.n, p.coeffs[:count], moments[:count], backend, p.integer_row(backend), cols)
 
 
 def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
@@ -196,12 +218,12 @@ def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> Elimination:
     return eliminate_leading(dense, g.backend, order, message)
 
 
-@memoized
 def _solution_column(g: BlockMatrix, order: int, dual: bool, i: int) -> list:
-    """Block column i of X solving (h^{[order]})^T X = [I | h[order+t, 0..order-1]^T for t >= 0].
+    """Block column i of X solving (h^{[order]})^T X = [I | h[order+t, 0..order-1]^T for t >= 0],
+    as stored coefficients: its blocks k < order, transposed unless `dual`.
 
-    Substituted once per (order, side, column), on the elimination of
-    `_lead_solution`: column i < order of X is that of
+    Substituted on the elimination of `_lead_solution` for the one member
+    that reads it, which is kept on g: column i < order of X is that of
     ((h^{[order]})^T)^{-1}, column order+t the solved combination of block
     row order+t of h.
     """
@@ -210,35 +232,28 @@ def _solution_column(g: BlockMatrix, order: int, dual: bool, i: int) -> list:
         rhs = [[int(k == i and r == c) for c in range(n)] for k in range(order) for r in range(n)]
     else:
         rhs = [row for k in range(order) for row in _tile(g, dual, k, i)]
-    return substitute(_lead_solution(g, order, dual), rhs)
+    column = substitute(_lead_solution(g, order, dual), rhs)
+    blocks = [column[k * n : (k + 1) * n] for k in range(order)]
+    return blocks if dual else [mat_transpose(b) for b in blocks]
 
 
-def _solution_block(g: BlockMatrix, order: int, dual: bool, k: int, i: int) -> list:
-    """Block (k, i) of the solution, transposed unless `dual`: a stored coefficient."""
-    blk = _solution_column(g, order, dual, i)[k * g.n : (k + 1) * g.n]
-    return blk if dual else mat_transpose(blk)
-
-
-def _plus(g: BlockMatrix, level: int, j: int, dual: bool = False) -> MatrixPolynomial:
+@memoized
+def _plus(g: BlockMatrix, level: int, j: int, dual: bool) -> MatrixPolynomial:
     if j < 0 or level < 0 or level + j >= g.nrows:
         raise ValueError("need 0 <= l and l + j < truncation")
     n, backend = g.n, g.backend
     # row = (h[l+j, 0..l-1]) (h^{[l]})^{-1}: column block l+j of the solution
-    coeffs = [
-        [[-x for x in row] for row in _solution_block(g, level, dual, k, level + j)]
-        for k in range(level)
-    ]
+    coeffs = [[[-x for x in row] for row in b] for b in _solution_column(g, level, dual, level + j)]
     return MatrixPolynomial.of(n, coeffs + [mat_zeros(n, n, backend)] * j + [mat_eye(n, backend)])
 
 
-def _minus(g: BlockMatrix, level: int, j: int, dual: bool = False) -> MatrixPolynomial:
+@memoized
+def _minus(g: BlockMatrix, level: int, j: int, dual: bool) -> MatrixPolynomial:
     if j < 0 or j > level:
         raise ValueError("minus-family index j must satisfy 0 <= j <= l")
     if level + 1 > g.nrows:
         raise ValueError("need l + 1 <= truncation")
-    return MatrixPolynomial.of(
-        g.n, [_solution_block(g, level + 1, dual, k, level - j) for k in range(level + 1)]
-    )
+    return MatrixPolynomial.of(g.n, _solution_column(g, level + 1, dual, level - j))
 
 
 def associated_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
@@ -247,7 +262,7 @@ def associated_plus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     Built as the monomial block level+j minus the solved combination of the
     first `level` monomial blocks.
     """
-    return _plus(g, level, j)
+    return _plus(g, level, j, False)
 
 
 def associated_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
@@ -256,7 +271,7 @@ def associated_minus(g: BlockMatrix, level: int, j: int) -> MatrixPolynomial:
     Coefficients are block row level-j of the inverse leading minor of
     order level+1.
     """
-    return _minus(g, level, j)
+    return _minus(g, level, j, False)
 
 
 def dual_associated_plus(g: BlockMatrix, level: int, j: int) -> LinearForm:
@@ -265,7 +280,7 @@ def dual_associated_plus(g: BlockMatrix, level: int, j: int) -> LinearForm:
 
     It is the plus family of the transposed problem g^T, blockwise transposed.
     """
-    return _plus(g, level, j, dual=True)
+    return _plus(g, level, j, True)
 
 
 def dual_associated_minus(g: BlockMatrix, level: int, j: int) -> LinearForm:
@@ -274,7 +289,7 @@ def dual_associated_minus(g: BlockMatrix, level: int, j: int) -> LinearForm:
 
     It is the minus family of the transposed problem g^T, blockwise transposed.
     """
-    return _minus(g, level, j, dual=True)
+    return _minus(g, level, j, True)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,7 @@ class _Runner:
 
     def __init__(self, config: RunConfig):
         self.config = config
+        self._memo = {}
         self.fam = config.family()
         # The family's rules are checked by the build, before the grid's.
         self.g = build_moment_matrix(self.fam, config.truncation)
@@ -433,7 +434,6 @@ class _Runner:
         self.tol = config.tolerance
         self.factors = lu_factorize(self.g)
         self.table = PointTable(self.fam, self.g, self.factors, self.points)
-        self._memo = {}
 
     @memoized
     def evaluator(self, level: int) -> KernelEvaluator:
@@ -441,17 +441,16 @@ class _Runner:
 
     @cached_property
     def points(self) -> list:
-        return [
-            (as_backend(x, self.config.backend), as_backend(y, self.config.backend))
-            for x, y in self.config.grid_pairs()
-        ]
+        return [(self._coord(x), self._coord(y)) for x, y in self.config.grid_pairs()]
 
     @cached_property
     def off_locus_points(self) -> list:
-        return [
-            (as_backend(x, self.config.backend), as_backend(y, self.config.backend))
-            for x, y in self.config.off_locus_pairs()
-        ]
+        return [(self._coord(x), self._coord(y)) for x, y in self.config.off_locus_pairs()]
+
+    @memoized
+    def _coord(self, v):
+        """v in the run's backend, one object per value, so table lookups match by identity."""
+        return as_backend(v, self.config.backend)
 
     def _located(self, levels=None):
         """(evaluator, x, y, location) per level, then per grid point."""

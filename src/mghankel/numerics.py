@@ -11,10 +11,14 @@ caller, which holds it already (`WeightFamily.backend`,
 `BlockMatrix.backend`), and never scan their operands for it.  Exact
 products return `Fraction`s and refuse a float at every shape, and float
 products add in order.  `block_sum` is the one sum of products; in exact
-runs it is a single `mat_mul` of a block row and a block column.  Exact
-products and solves are fraction-free: `mat_mul` takes integer dot products
-of rows and columns scaled by the lcm of their denominators, and both
-create `Fraction`s only for their output entries.
+runs it is a single product of a block row and a block column.  Exact
+products and solves are fraction-free: a product takes integer dot products
+of rows and columns scaled by the lcm of their denominators (`integer_row`,
+`integer_col`), and both create `Fraction`s only for their output entries.
+An operand read many times keeps its scaled form on its owner, which lives
+as long as the run: g and the factors (`BlockMatrix`), each family member
+(`MatrixPolynomial`), and the point table and kernel evaluators of
+`cdkernel`.  Products read a kept form in place of scaling again.
 
 A solve is one elimination of A (`eliminate`) and one substitution per
 right-hand-side block (`substitute`); `solve_dense` and `solve_leading` do
@@ -198,38 +202,62 @@ def _integer_vectors(vectors) -> list:
     return out
 
 
-def mat_mul(a, b, backend: str) -> list:
+def integer_row(lefts, backend: str):
+    """The blocks `lefts` side by side, each row scaled to (integers, lcm of
+    denominators): the row operand of an exact `block_sum`.  Floats get None
+    and `lefts` is not read."""
+    if backend != EXACT:
+        return None
+    rows = range(len(lefts[0]) if lefts else 0)
+    return _integer_vectors([x for m in lefts for x in m[r]] for r in rows)
+
+
+def integer_col(rights, backend: str):
+    """The blocks `rights` one on top of another, each column scaled: the
+    column operand of an exact `block_sum`, as `integer_row`."""
+    if backend != EXACT:
+        return None
+    return _integer_vectors(zip(*[row for m in rights for row in m]))
+
+
+def _dots(rows, cols) -> list:
+    """Fraction(r . c, r_lcm * c_lcm) per scaled row and column, r . c over the shorter."""
+    return [
+        [Fraction(sum(map(mul, r, c)), r_den * c_den) for c, c_den in cols] for r, r_den in rows
+    ]
+
+
+def mat_mul(a, b, backend: str, rows=None, cols=None) -> list:
     """A @ B in `backend`.
 
     Exact operands multiply fraction-free at every shape: every row of A and
     column of B is scaled to integers by the lcm of its denominators, so each
     entry is Fraction(integer dot product, product of the two lcms), which is
-    canonical and so equal to the sum of its Fraction products.  Floats add
+    canonical and so equal to the sum of its Fraction products.  `rows` and
+    `cols` may hold kept forms of A and B, as in `block_sum`.  Floats add
     their scalar products in order.
     """
-    cols = list(zip(*b))
     if backend == EXACT:
-        cols = _integer_vectors(cols)
-        return [
-            [Fraction(sum(map(mul, r, c)), r_den * c_den) for c, c_den in cols]
-            for r, r_den in _integer_vectors(a)
-        ]
+        return _dots(rows or _integer_vectors(a), cols or _integer_vectors(zip(*b)))
+    cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def block_sum(n: int, lefts, rights, backend: str) -> list:
+def block_sum(n: int, lefts, rights, backend: str, rows=None, cols=None) -> list:
     """Sum of lefts[k] @ rights[k] over k in `backend`.
 
     With no pairs the sum is the n x n zero of `backend`.  Exact operands
-    take one `mat_mul` of the block row [lefts[0] lefts[1] ...] and the
-    block column [rights[0]; rights[1]; ...].  Floats add the products left
-    to right, from the first.
+    take one fraction-free product of the block row [lefts[0] lefts[1] ...]
+    and the block column [rights[0]; rights[1]; ...], scaled by
+    `integer_row` and `integer_col` unless `rows` or `cols` holds a kept
+    form.  A kept form may cover more blocks than the pairs if each extra
+    block meets a zero block or nothing on the other side.  Floats add the
+    products left to right, from the first, and ignore kept forms.
     """
     if not lefts:
         return mat_zeros(n, n, backend)
     if backend == EXACT:
-        row = [[x for m in lefts for x in m[r]] for r in range(len(lefts[0]))]
-        return mat_mul(row, [r for m in rights for r in m], EXACT)
+        return _dots(rows or integer_row(lefts, EXACT), cols or integer_col(rights, EXACT))
     acc = mat_mul(lefts[0], rights[0], backend)
     for a, b in zip(lefts[1:], rights[1:]):
         acc = mat_add(acc, mat_mul(a, b, backend))

@@ -564,3 +564,86 @@ def test_has_float_finds_a_float_anywhere():
     assert not has_float([[Fraction(1, 2), 3]], [], [[]])
     assert has_float([[0.5]])
     assert has_float([[Fraction(1), 2]], [[3, 4], [5, 6.0]])
+
+
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict", "deque"}
+_CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTATORS = {
+    "append", "extend", "insert", "remove", "pop", "popitem", "clear", "add", "discard",
+    "update", "setdefault", "sort", "reverse", "difference_update", "intersection_update",
+    "symmetric_difference_update", "appendleft", "extendleft", "popleft",
+    "__setitem__", "__delitem__",
+}
+
+
+def _module_containers(tree) -> set:
+    """Names a module binds, at its top level, to a dict, list or set."""
+    names = set()
+    for node in tree.body:
+        targets, value = (), None
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = (node.target,), node.value
+        func = getattr(value, "func", None)
+        mutable = isinstance(value, _CONTAINER_NODES) or (
+            isinstance(value, ast.Call)
+            and getattr(func, "id", getattr(func, "attr", None)) in _CONTAINER_CALLS
+        )
+        if mutable:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _module_writes(tree) -> list:
+    """(line, name) of each function's `global` statement, and of each write
+    into one of the module's top-level dicts, lists and sets."""
+    shared, writes = _module_containers(tree), []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            name = None
+            if isinstance(node, ast.Global):
+                writes.append((node.lineno, ", ".join(node.names)))
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                name = getattr(node.value, "id", None)
+            elif isinstance(node, ast.AugAssign):
+                name = getattr(node.target, "id", None)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in _MUTATORS:
+                    name = getattr(node.func.value, "id", None)
+            if name in shared:
+                writes.append((node.lineno, name))
+    return writes
+
+
+def test_no_function_writes_module_state():
+    """Every cache lives on a run's objects: no function in the library
+    rebinds a module global or writes into a module-level dict, list or set,
+    so nothing a run memoizes outlives it."""
+    writes = {}
+    for path in sorted(pathlib.Path(numerics.__file__).parent.glob("*.py")):
+        found = _module_writes(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            writes[path.name] = found
+    assert writes == {}
+
+
+def test_the_module_state_guard_finds_each_kind_of_write():
+    source = (
+        "CACHE = {}\nSEEN = set()\nORDER = list()\nN: list = []\nNAMES = ('a',)\n"
+        "def f(k):\n    CACHE[k] = 1\n    SEEN.add(k)\n    ORDER.append(k)\n"
+        "    del CACHE[k]\n    NAMES.count(k)\n"
+        "def g(k):\n    global N\n    N += [k]\n    local = {}\n    local[1] = 2\n"
+        "h = lambda k: CACHE.setdefault(k, k)\n"
+    )
+    assert sorted(_module_writes(ast.parse(source))) == [
+        (7, "CACHE"),
+        (8, "SEEN"),
+        (9, "ORDER"),
+        (10, "CACHE"),
+        (13, "N"),
+        (14, "N"),
+        (17, "CACHE"),
+    ]
