@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import families
-from .blockops import BlockMatrix, build_moment_matrix, partition, shift_power
+from .blockops import BlockMatrix, build_moment_matrix, shift_power
 from .factorize import GaussFactors, lu_factorize
 from .families import (
     LinearForm,
@@ -86,6 +86,14 @@ def diag_power(x, nvec) -> list:
     for a, na in enumerate(nvec):
         m[a][a] = x**na
     return m
+
+
+def below_shift_bound(level: int, max_shift: int) -> str:
+    """Why the associated-family form is undefined at a level below the shift bound."""
+    return (
+        "level %d is below every-shift dominance (max shift %d); "
+        "the associated-family form is undefined" % (level, max_shift)
+    )
 
 
 def _copy(m) -> list:
@@ -186,10 +194,9 @@ class KernelEvaluator:
         self.table = table
         self._memo = {}
         total = g.nrows
-        parts = partition(g, level)
         head, tail = range(level), range(level, total)
-        self._tr = parts.tr.to_dense()
-        self._bl = parts.bl.to_dense()
+        self._tr = g.slice(head, tail).to_dense()
+        self._bl = g.slice(tail, head).to_dense()
         self._lam_m_t = mat_transpose(shift_power(fam.mvec, total).slice(head, tail).to_dense())
         self._lam_n = shift_power(fam.nvec, total).slice(head, tail).to_dense()
         self._tr_cols, self._lam_m_t_cols, self._lam_n_cols = (
@@ -336,10 +343,7 @@ class KernelEvaluator:
         level = self.level
         fam = self.fam
         if level < fam.max_shift():
-            raise ValueError(
-                "level %d is below every-shift dominance (max shift %d); "
-                "the associated-family form is undefined" % (level, fam.max_shift())
-            )
+            raise ValueError(below_shift_bound(level, fam.max_shift()))
         return {
             "plus_forms": [dual_associated_plus(self.g, level, j) for j in range(max(fam.mvec))],
             "minus_polys": [associated_minus(self.g, level - 1, k) for k in range(max(fam.mvec))],

@@ -21,7 +21,6 @@ import sys
 from .harness import (
     BUILTIN_CASES,
     CHECK_NAMES,
-    ConfigError,
     RunConfig,
     builtin_config,
     load_config,
@@ -29,6 +28,7 @@ from .harness import (
     write_report,
 )
 from .numerics import BACKENDS, SingularLeadingMinorError
+from .weights import ConfigError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -6,7 +6,8 @@ its coefficients from the columns of the inverse upper factor.  Both live
 in one coefficient container: a form is stored transposed, so its stored
 coefficients are those of a polynomial for the transposed moment problem
 g^T.  Every dual construction below is the primal one on g^T, blockwise
-transposed, rather than a second copy of it.
+transposed, rather than a second copy of it; a combination of forms
+multiplies their stored coefficients on the right.
 
 Associated families are built independently of the factorization, by
 direct linear solves against leading truncations of the moment matrix, so
@@ -92,11 +93,6 @@ LinearForm = MatrixPolynomial
 def _nonzero(block) -> bool:
     """True when some entry is nonzero; a NaN entry counts as nonzero."""
     return any(map(any, block))
-
-
-def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
-    """Blockwise transpose: swaps a stored form and the polynomial of g^T."""
-    return MatrixPolynomial.of(p.n, [mat_transpose(c) for c in p.coeffs])
 
 
 def eval_poly(p: MatrixPolynomial, x) -> list:
@@ -302,28 +298,30 @@ def check_biorthogonality(
 ) -> CheckOutcome:
     """Pairings of the two families against the identity, blockwise."""
     product = factors.lower.matmul(g).matmul(factors.upper_inv)
-    ident = BlockMatrix.identity(g.n, g.nrows, g.backend)
+    eye, zero = mat_eye(g.n, g.backend), mat_zeros(g.n, g.n, g.backend)
     scale = g.maxnorm()
     tracker = ResidualTracker(tol)
     for i in range(g.nrows):
         for j in range(g.ncols):
-            r = gap_norm(product.block(i, j), ident.block(i, j), g.backend)
+            r = gap_norm(product.block(i, j), eye if i == j else zero, g.backend)
             tracker.record(r, scale, "(i=%d, j=%d)" % (i, j))
     return tracker.result()
 
 
-def _combine(terms, backend: str) -> MatrixPolynomial:
-    """Sum of left-coefficient-times-polynomial terms.
+def _combine(terms, backend: str, right: bool = False) -> MatrixPolynomial:
+    """Sum of (factor, member) terms: factor @ coefficient, or coefficient @
+    factor when `right`.
 
-    For forms, combine their transposes: left-multiplying a form by A maps
-    every stored coefficient d to d A^T = (A d^T)^T.
+    For stored forms the factor multiplies on the right: left-multiplying a
+    form by A maps every stored coefficient d to d A^T.
     """
     terms = list(terms)
     n = terms[0][1].n
     top = max(len(p.coeffs) for _, p in terms)
+    pair = (lambda m, c: (c, m)) if right else (lambda m, c: (m, c))
     # Coefficient k sums the terms that have one, in order: one block sum.
     coeffs = [
-        block_sum(n, *zip(*[(m, p.coeffs[k]) for m, p in terms if k < len(p.coeffs)]), backend)
+        block_sum(n, *zip(*[pair(m, p.coeffs[k]) for m, p in terms if k < len(p.coeffs)]), backend)
         for k in range(top)
     ]
     return MatrixPolynomial.of(n, coeffs)
@@ -348,20 +346,11 @@ def check_connection_formulas(
     plus_terms = range(level, level + j + 1)
     minus_terms = range(level - j, level + 1)
     combine = lambda terms: _combine(terms, g.backend)
+    on_right = lambda terms: _combine(terms, g.backend, right=True)
     via_plus = combine((factors.lower_inv.block(level + j, k), polys[k]) for k in plus_terms)
     via_minus = combine((factors.upper_inv.block(level - j, k), polys[k]) for k in minus_terms)
-    via_dual_plus = _transpose(
-        combine(
-            (mat_transpose(factors.upper.block(k, level + j)), _transpose(forms[k]))
-            for k in plus_terms
-        )
-    )
-    via_dual_minus = _transpose(
-        combine(
-            (mat_transpose(factors.lower.block(k, level - j)), _transpose(forms[k]))
-            for k in minus_terms
-        )
-    )
+    via_dual_plus = on_right((factors.upper.block(k, level + j), forms[k]) for k in plus_terms)
+    via_dual_minus = on_right((factors.lower.block(k, level - j), forms[k]) for k in minus_terms)
     routes = (
         ("plus family", associated_plus(g, level, j), via_plus),
         ("minus family", associated_minus(g, level, j), via_minus),
@@ -422,10 +411,8 @@ def check_matrix_notation(
     polys = primary_family(factors)
     forms = dual_family(factors)
     norm = factors.normalization(level)
-    # Right-multiplying a stored form by N is left-multiplying its transpose by N^T.
-    scaled_form = _transpose(
-        _combine([(mat_transpose(norm), _transpose(forms[level]))], g.backend)
-    )
+    # N^T times the form: its stored coefficients times N.
+    scaled_form = _combine([(norm, forms[level])], g.backend, right=True)
     routes = (
         ("polynomial vs annihilating form", polys[level], associated_plus(g, level, 0)),
         (

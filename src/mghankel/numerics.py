@@ -307,10 +307,7 @@ def bareiss_step(m, col: int, stop: int, prev: int) -> int:
     pivot_tail = m[col][col + 1 :]
     for row in m[col + 1 :]:
         f, tail = row[col], row[col + 1 :]
-        if f:
-            row[col + 1 :] = [(p * v - f * w) // prev for v, w in zip(tail, pivot_tail)]
-        else:
-            row[col + 1 :] = [p * v // prev for v in tail]
+        row[col + 1 :] = [(p * v - f * w) // prev for v, w in zip(tail, pivot_tail)]
     return p
 
 
@@ -378,10 +375,7 @@ def _substitute_fraction_free(elim: Elimination, b) -> list:
         p, pivot = rows[k][k], x[k]
         for i in range(k + 1, n):
             f = rows[i][k]
-            if f:
-                x[i] = [(p * v - f * w) // prev for v, w in zip(x[i], pivot)]
-            else:
-                x[i] = [p * v // prev for v in x[i]]
+            x[i] = [(p * v - f * w) // prev for v, w in zip(x[i], pivot)]
         prev = p
     det = prev
     scaled = [None] * n  # det * D * X, row by row

@@ -345,15 +345,17 @@ def term_project_form(g, polys, forms, level, f) -> MatrixPolynomial:
     return MatrixPolynomial.of(n, coeffs)
 
 
-def term_combine(terms, backend) -> MatrixPolynomial:
-    """Sum of left-coefficient-times-polynomial terms, each product added to
-    its coefficient's exact zero, term by term (`families._combine`)."""
+def term_combine(terms, backend, right=False) -> MatrixPolynomial:
+    """Sum of factor-times-member terms, the factor on the left of each
+    coefficient or, when `right`, on its right, each product added to its
+    coefficient's exact zero, term by term (`families._combine`)."""
     terms = list(terms)
     n = terms[0][1].n
     coeffs = [mat_zeros(n, n) for _ in range(max(len(p.coeffs) for _, p in terms))]
     for m, p in terms:
         for k, c in enumerate(p.coeffs):
-            coeffs[k] = mat_add(coeffs[k], mat_mul(m, c, backend))
+            product = mat_mul(c, m, backend) if right else mat_mul(m, c, backend)
+            coeffs[k] = mat_add(coeffs[k], product)
     return MatrixPolynomial.of(n, coeffs)
 
 

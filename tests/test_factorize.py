@@ -336,6 +336,31 @@ def test_drawn_factors_match_block_doolittle(size, data):
     assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
 
 
+@st.composite
+def block_sparse_matrices(draw):
+    """Exact g with at most half of its off-diagonal blocks nonzero, about
+    half the entries of those zero, and each diagonal block a permutation
+    matrix with nonzero entries, so eliminating it meets many zero
+    multipliers; a later pivot block may still be singular."""
+    n, levels = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    off = [(i, j) for i in range(levels) for j in range(levels) if i != j]
+    filled = draw(st.sets(st.sampled_from(off), max_size=len(off) // 2))
+    blocks = [[mat_zeros(n, n) for _ in range(levels)] for _ in range(levels)]
+    for i in range(levels):
+        for r, c in enumerate(draw(st.permutations(range(n)))):
+            blocks[i][i][r][c] = Fraction(draw(exact_scalars.filter(bool)))
+    for i, j in filled:
+        entries = draw(matrices(n, n, st.just(0) | exact_scalars))
+        blocks[i][j] = [[Fraction(v) for v in row] for row in entries]
+    return BlockMatrix(n, blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_sparse_matrices())
+def test_block_sparse_factors_match_block_doolittle(g):
+    assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
+
+
 def test_pivot_rows_swap_inside_each_block():
     """Both pivot blocks, [[0, 1], [1, 0]] and the Schur complement
     [[0, 1], [1, 1/2]], need a row swap inside their block."""

@@ -417,12 +417,14 @@ def test_moment_pairings_start_from_an_exact_zero():
 )
 def test_combined_routes_match_the_per_term_loop(monkeypatch, case, backend):
     """Each coefficient of a combination is one block sum over the terms that
-    have it, in order: by type and repr, the per-term loop's value."""
-    combined = []
+    have it, in order: by type and repr, the per-term loop's value.  The dual
+    routes multiply stored form coefficients on the right."""
+    combined, sides = [], set()
 
-    def recorded(terms, backend, _fn=families._combine):
+    def recorded(terms, backend, right=False, _fn=families._combine):
         terms = list(terms)
-        combined.append((_fn(terms, backend), term_combine(terms, backend)))
+        sides.add(right)
+        combined.append((_fn(terms, backend, right), term_combine(terms, backend, right)))
         return combined[-1][0]
 
     monkeypatch.setattr(families, "_combine", recorded)
@@ -431,5 +433,6 @@ def test_combined_routes_match_the_per_term_loop(monkeypatch, case, backend):
     )
     run(config)
     assert len(combined) > 2 * len(config.levels)
+    assert sides == {False, True}
     for got, want in combined:
         assert [typed(c) for c in got.coeffs] == [typed(c) for c in want.coeffs]

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
+from mghankel import harness
+from mghankel.cdkernel import KernelEvaluator
 from mghankel.cli import main as cli_main
 from mghankel.harness import (
     CHECK_NAMES,
@@ -425,3 +428,26 @@ def test_run_rejects_default_lattice_outside_support():
     # coefficient-space checks never evaluate a weight, so the grid is irrelevant
     config = config_from_dict(dict(MINIMAL, seeds=[[[shifted]]], checks=["biorthogonality"]))
     assert run(config).exit_code == 0
+
+
+def test_theorem_builds_no_evaluator_below_the_shift_bound(monkeypatch):
+    """Levels below the shift bound get their note without a kernel
+    evaluator; only the level asserted builds one."""
+    built = []
+
+    class CountedEvaluator(KernelEvaluator):
+        def __init__(self, fam, g, factors, level, **kwargs):
+            built.append(level)
+            super().__init__(fam, g, factors, level, **kwargs)
+
+    monkeypatch.setattr(harness, "KernelEvaluator", CountedEvaluator)
+    config = dataclasses.replace(
+        builtin_config("multigraded-n2"), levels=(0, 1, 2), checks=("theorem",)
+    )
+    (entry,) = run(config).entries
+    assert built == [2]
+    assert entry.notes == [
+        "l=%d not asserted: level %d is below every-shift dominance (max shift 2); "
+        "the associated-family form is undefined" % (level, level)
+        for level in (0, 1)
+    ]

@@ -297,8 +297,8 @@ small_rationals = st.builds(
 
 
 @st.composite
-def exact_systems(draw, deficient=False):
-    n = draw(st.integers(1 if deficient else 0, 8))
+def exact_systems(draw, deficient=False, sparse=False):
+    n = draw(st.integers(2 if sparse else 1 if deficient else 0, 8))
     width = draw(st.integers(0, 3))
     entries = st.lists(small_rationals, min_size=n, max_size=n)
     a = draw(st.lists(entries, min_size=n, max_size=n))
@@ -310,6 +310,19 @@ def exact_systems(draw, deficient=False):
             sum((weights[r] * a[r][c] for r in range(n) if r != target), Fraction(0))
             for c in range(n)
         ]
+    if sparse:
+        # An upper triangle with a nonzero diagonal and at most n^2/2 - n
+        # other nonzero entries, rows and columns permuted: nonsingular,
+        # with at least half its entries zero.
+        above = [(r, c) for r in range(n) for c in range(r + 1, n)]
+        kept = draw(st.sets(st.sampled_from(above), max_size=n * n // 2 - n))
+        diagonal = draw(st.lists(small_rationals.filter(bool), min_size=n, max_size=n))
+        u = [
+            [diagonal[r] if r == c else a[r][c] if (r, c) in kept else 0 for c in range(n)]
+            for r in range(n)
+        ]
+        rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        a = [[u[r][c] for c in cols] for r in rows]
     rows = st.lists(small_rationals, min_size=width, max_size=width)
     b = draw(st.lists(rows, min_size=n, max_size=n))
     return a, b
@@ -393,6 +406,15 @@ def test_fraction_free_solve_matches_gauss_jordan_on_rank_deficient(system):
         solve_dense(a, b, EXACT)
     assert str(got.value) == str(caught.value)
     assert_blocks_match_the_whole_solve(a, b)
+
+
+@given(exact_systems(sparse=True))
+def test_fraction_free_solve_matches_gauss_jordan_on_sparse_systems(system):
+    """Rows that meet a zero multiplier, in the elimination of A and in the
+    substitution of B, take the one Bareiss update with f = 0."""
+    a, b = system
+    assert 2 * sum(v == 0 for row in a for v in row) >= len(a) ** 2
+    assert typed(substitute(eliminate(a, EXACT), b)) == typed(gauss_jordan_exact(a, b))
 
 
 def test_fraction_free_solve_edge_shapes():
@@ -647,3 +669,52 @@ def test_the_module_state_guard_finds_each_kind_of_write():
         (14, "N"),
         (17, "CACHE"),
     ]
+
+
+def _top_level_names(tree) -> set:
+    """Names a module defines at its top level: functions, classes and
+    assignment targets (imports do not count)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _borrowed_imports(sources: dict) -> list:
+    """(module, line, name, source) of each `from .source import name`, outside
+    `__init__`, where `source` does not define `name` itself."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {module: _top_level_names(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    if alias.name not in defined[node.module]:
+                        found.append((module, node.lineno, alias.name, node.module))
+    return found
+
+
+def test_every_library_import_names_the_defining_module():
+    """A name is imported from the module that defines it, never passed on
+    through another module's imports."""
+    package = pathlib.Path(numerics.__file__).parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert _borrowed_imports(sources) == []
+
+
+def test_the_import_guard_finds_each_borrowed_name():
+    sources = {
+        "__init__": "from .b import f\n",
+        "a": "def f():\n    pass\nclass K:\n    pass\nX, Y = 1, 2\nZ: int = 3\n",
+        "b": "from .a import K, X, Y, Z, f\n",
+        "c": "from .b import f\nfrom . import a\nfrom .a import f, g\n",
+    }
+    assert _borrowed_imports(sources) == [("c", 1, "f", "b"), ("c", 3, "g", "a")]
