@@ -16,7 +16,7 @@ from .numerics import (
     FLOAT,
     ResidualTracker,
     Tolerance,
-    block_sum,
+    _fold_dots,
     has_float,
     integer_col,
     integer_row,
@@ -94,7 +94,8 @@ class BlockMatrix:
         return cls(n, blocks)
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
-        """Block product; exact operands take one fraction-free product of their kept forms."""
+        """Block product; exact operands take one fraction-free product of their kept forms.
+        Float entries fold over k from int 0 (`_fold_dots`); `other` is transposed once."""
         if self.ncols != other.nrows or self.n != other.n:
             raise ValueError("incompatible block shapes")
         if self.backend == other.backend == EXACT:
@@ -102,10 +103,9 @@ class BlockMatrix:
             cols = [v for j in range(other.ncols) for v in other.integer_col(j)]
             product = mat_mul((), (), EXACT, rows, cols)
             return BlockMatrix.from_dense(self.n, product)
-        cols = [[row[j] for row in other.blocks] for j in range(other.ncols)]
-        return BlockMatrix(
-            self.n, [[block_sum(self.n, row, col, FLOAT) for col in cols] for row in self.blocks]
-        )
+        transposed = [[list(zip(*blk)) for blk in row] for row in other.blocks]
+        cols = [[row[j] for row in transposed] for j in range(other.ncols)]
+        return BlockMatrix(self.n, [[_fold_dots(row, col) for col in cols] for row in self.blocks])
 
     def transpose(self) -> "BlockMatrix":
         return BlockMatrix._frozen(
@@ -181,18 +181,20 @@ def partition(g: BlockMatrix, level: int) -> BlockPartition:
     )
 
 
-def shift_power(nvec, truncation: int) -> BlockMatrix:
-    """Truncation of the componentwise shift power: block (i, j) is the sum
-    of E_aa over components a with j == i + n_a."""
+def _shift_tile(nvec, rows: range, cols: range) -> list:
+    """Block rows `rows` and block columns `cols` of the componentwise shift
+    power, dense: block (i, j) is the sum of E_aa over a with j == i + n_a."""
     n = len(nvec)
-    blocks = [
-        [[[0] * n for _ in range(n)] for _ in range(truncation)] for _ in range(truncation)
+    return [
+        [int(b == a and j == i + na) for j in cols for b in range(n)]
+        for i in rows for a, na in enumerate(nvec)
     ]
-    for i in range(truncation):
-        for a, na in enumerate(nvec):
-            if i + na < truncation:
-                blocks[i][i + na][a][a] = 1
-    return BlockMatrix(n, blocks)
+
+
+def shift_power(nvec, truncation: int) -> BlockMatrix:
+    """Truncation of the componentwise shift power (`_shift_tile`)."""
+    every = range(truncation)
+    return BlockMatrix.from_dense(len(nvec), _shift_tile(nvec, every, every))
 
 
 def build_moment_matrix(fam: WeightFamily, truncation: int) -> BlockMatrix:

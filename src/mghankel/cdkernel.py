@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import families
-from .blockops import BlockMatrix, build_moment_matrix, shift_power
+from .blockops import BlockMatrix, build_moment_matrix, _shift_tile
 from .factorize import GaussFactors, lu_factorize
 from .families import (
     LinearForm,
@@ -197,8 +197,8 @@ class KernelEvaluator:
         head, tail = range(level), range(level, total)
         self._tr = g.slice(head, tail).to_dense()
         self._bl = g.slice(tail, head).to_dense()
-        self._lam_m_t = mat_transpose(shift_power(fam.mvec, total).slice(head, tail).to_dense())
-        self._lam_n = shift_power(fam.nvec, total).slice(head, tail).to_dense()
+        self._lam_m_t = mat_transpose(_shift_tile(fam.mvec, head, tail))
+        self._lam_n = _shift_tile(fam.nvec, head, tail)
         self._tr_cols, self._lam_m_t_cols, self._lam_n_cols = (
             integer_col([m], fam.backend) for m in (self._tr, self._lam_m_t, self._lam_n)
         )

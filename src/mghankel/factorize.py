@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
 from .blockops import BlockMatrix, _freeze
 from .numerics import (
     EXACT,
     _exceeds,
+    _fold_dots,
     _integer_vectors,
     bareiss_step,
     block_sum,
@@ -29,7 +31,6 @@ from .numerics import (
     mat_eye,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
@@ -86,9 +87,9 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
     pivot_invs = []
     for i in range(levels):
         for j in range(levels):
-            acc = [list(r) for r in g.block(i, j)]
-            for k in range(min(i, j)):
-                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j], backend))
+            ks = range(min(i, j))
+            cols = [list(zip(*up[k][j])) for k in ks]
+            acc = _fold_dots([low[i][k] for k in ks], cols, g.block(i, j), sub)
             if j < i:
                 low[i][j] = mat_mul(acc, pivot_invs[j], backend)
             else:

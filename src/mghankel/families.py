@@ -40,9 +40,7 @@ from .numerics import (
     gap_norm,
     integer_col,
     integer_row,
-    mat_add,
     mat_eye,
-    mat_scale,
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
@@ -99,7 +97,7 @@ def eval_poly(p: MatrixPolynomial, x) -> list:
     """Horner evaluation over coefficient blocks."""
     acc = [list(row) for row in p.coeffs[-1]]
     for c in reversed(p.coeffs[:-1]):
-        acc = mat_add(mat_scale(x, acc), c)
+        acc = [[x * v + w for v, w in zip(ra, rc)] for ra, rc in zip(acc, c)]
     return acc
 
 

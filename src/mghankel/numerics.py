@@ -9,16 +9,20 @@ fixed, so the dense kernels (`mat_mul`, `block_sum`, `eliminate`,
 `solve_dense`, `solve_leading`, `gap_norm`) take it as an argument from the
 caller, which holds it already (`WeightFamily.backend`,
 `BlockMatrix.backend`), and never scan their operands for it.  Exact
-products return `Fraction`s and refuse a float at every shape, and float
-products add in order.  `block_sum` is the one sum of products; in exact
-runs it is a single product of a block row and a block column.  Exact
-products and solves are fraction-free: a product takes integer dot products
-of rows and columns scaled by the lcm of their denominators (`integer_row`,
-`integer_col`), and both create `Fraction`s only for their output entries.
-An operand read many times keeps its scaled form on its owner, which lives
-as long as the run: g and the factors (`BlockMatrix`), each family member
-(`MatrixPolynomial`), and the point table and kernel evaluators of
-`cdkernel`.  Products read a kept form in place of scaling again.
+products return `Fraction`s and refuse a float at every shape.  `block_sum`
+is the one sum of products; in exact runs it is a single product of a block
+row and a block column.  Float sums of products (`block_sum`,
+`BlockMatrix.matmul`, the Schur update of `lu_factorize`) fold each entry in
+place over its per-pair dots (`_fold_dots`): a dot starts from int 0, so
+none is -0.0, 0 + p_0 is p_0, and the float operations are those of adding
+the products blockwise.  Exact products and solves are fraction-free: a
+product takes integer dot products of rows and columns scaled by the lcm of
+their denominators (`integer_row`, `integer_col`), and both create
+`Fraction`s only for their output entries.  An operand read many times keeps
+its scaled form on its owner, which lives as long as the run: g and the
+factors (`BlockMatrix`), each family member (`MatrixPolynomial`), and the
+point table and kernel evaluators of `cdkernel`.  Products read a kept form
+in place of scaling again.
 
 A solve is one elimination of A (`eliminate`) and one substitution per
 right-hand-side block (`substitute`); `solve_dense` and `solve_leading` do
@@ -44,7 +48,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, mul
+from itertools import repeat
+from operator import add, eq, mul
 from typing import NamedTuple
 
 EXACT = "exact"
@@ -169,10 +174,6 @@ def mat_eye(n: int, backend: str = EXACT) -> list:
     return m
 
 
-def mat_add(a, b) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b) -> list:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -251,17 +252,27 @@ def block_sum(n: int, lefts, rights, backend: str, rows=None, cols=None) -> list
     and the block column [rights[0]; rights[1]; ...], scaled by
     `integer_row` and `integer_col` unless `rows` or `cols` holds a kept
     form.  A kept form may cover more blocks than the pairs if each extra
-    block meets a zero block or nothing on the other side.  Floats add the
-    products left to right, from the first, and ignore kept forms.
+    block meets a zero block or nothing on the other side.  Floats fold each
+    entry over the pairs in order from int 0 (`_fold_dots`), ignoring kept forms.
     """
     if not lefts:
         return mat_zeros(n, n, backend)
     if backend == EXACT:
         return _dots(rows or integer_row(lefts, EXACT), cols or integer_col(rights, EXACT))
-    acc = mat_mul(lefts[0], rights[0], backend)
-    for a, b in zip(lefts[1:], rights[1:]):
-        acc = mat_add(acc, mat_mul(a, b, backend))
-    return acc
+    return _fold_dots(lefts, [list(zip(*b)) for b in rights])
+
+
+def _fold_dots(lefts, cols, start=None, op=add) -> list:
+    """Entry (r, c) folds `op` left to right over p_k = sum(map(mul,
+    lefts[k][r], cols[k][c])), cols[k] the columns of right block k, from
+    start[r][c] (the result with no pairs) or int 0, building no matrix per k."""
+    if not lefts:
+        return [list(row) for row in start]
+    by_col, muls, fold = list(zip(*cols)), repeat(mul), functools.reduce
+    out = []
+    for rows, init in zip(zip(*lefts), start or repeat(repeat(0))):
+        out.append([fold(op, map(sum, map(map, muls, rows, cs)), s) for cs, s in zip(by_col, init)])
+    return out
 
 
 def mat_transpose(a) -> list:

@@ -1,5 +1,6 @@
 """Shared fixtures: the recurring families, moment matrices and factors."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from mghankel.harness import RunConfig, builtin_config
 from mghankel.numerics import (
     EXACT,
     block_sum,
-    mat_add,
     mat_eye,
     mat_mul,
     mat_sub,
@@ -35,8 +35,23 @@ def interval_seed(*coeffs) -> SeedWeight:
 exact_scalars = st.integers(-9, 9) | st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 
 
+# Floats for bit-for-bit tests: moderate values, whose sums round differently
+# in another order; the IEEE edges -0.0, the infinities and NaN, drawn often;
+# and any other 64-bit float.
+ieee_floats = (
+    st.floats(-100, 100)
+    | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+    | st.floats(allow_nan=True, allow_infinity=True, width=64)
+)
+
+
 def matrices(rows: int, cols: int, scalars=exact_scalars):
     return st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def mat_add(a, b) -> list:
+    """Entrywise A + B: the oracle sums add one block at a time."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def typed(m) -> list:

@@ -18,6 +18,7 @@ from mghankel.weights import WeightFamily
 from conftest import (
     block_zeros,
     blockwise_matmul,
+    ieee_floats,
     interval_seed,
     matrices,
     matrix_unit,
@@ -55,6 +56,29 @@ def test_moment_matrix_rejects_invalid_family():
     bad = WeightFamily((1,), (2,), [[[interval_seed(1)]]])
     with pytest.raises(ValueError):
         build_moment_matrix(bad, 3)
+
+
+def shift_power_oracle(nvec, total: int) -> BlockMatrix:
+    """Block (i, i + n_a) gets E_aa, one component at a time, on int zeros."""
+    n = len(nvec)
+    blocks = [[[[0] * n for _ in range(n)] for _ in range(total)] for _ in range(total)]
+    for i in range(total):
+        for a, na in enumerate(nvec):
+            if i + na < total:
+                blocks[i][i + na][a][a] = 1
+    return BlockMatrix(n, blocks)
+
+
+@pytest.mark.parametrize("nvec", [(1,), (2,), (1, 2), (2, 1), (3, 1, 2)])
+def test_shift_tiles_are_tiles_of_the_shift_power(nvec):
+    """The kernel evaluator's head x tail tiles, built without the whole power."""
+    for total in range(7):
+        oracle = shift_power_oracle(nvec, total)
+        assert block_typed(shift_power(nvec, total)) == block_typed(oracle)
+        for level in range(total + 1):
+            head, tail = range(level), range(level, total)
+            tile = blockops._shift_tile(nvec, head, tail)
+            assert typed(tile) == typed(oracle.slice(head, tail).to_dense())
 
 
 def test_shift_power_plain():
@@ -226,9 +250,10 @@ def exact_block(n):
 
 
 def float_or_exact_block(n):
-    # Float runs multiply float blocks against exact zero, identity and int blocks.
+    # Float runs multiply float blocks against exact zero, identity and int
+    # blocks; float entries include NaN, the infinities and -0.0.
     return (
-        matrices(n, n, st.floats(-100, 100))
+        matrices(n, n, ieee_floats)
         | st.just(mat_zeros(n, n))
         | st.just(mat_eye(n))
         | st.just(mat_zeros(n, n, "float"))

@@ -26,7 +26,6 @@ from mghankel.harness import DEFAULT_GRID_COORDS, builtin_config
 from mghankel.numerics import (
     SingularLocusError,
     as_backend,
-    mat_add,
     mat_mul,
     mat_sub,
     matrix_residual_norm,
@@ -35,6 +34,7 @@ from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
 from conftest import (
     interval_seed,
+    mat_add,
     term_associated,
     term_kernel,
     term_project_form,

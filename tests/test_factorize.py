@@ -32,6 +32,7 @@ from conftest import (
     blockwise_sum,
     drawn_configs,
     exact_scalars,
+    ieee_floats,
     interval_seed,
     matrices,
     sum_of_products,
@@ -327,13 +328,38 @@ def test_builtin_factors_match_block_doolittle(case, backend):
     assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3])
+# Ids: the size alone for exact draws, float-<size> for float draws.
+DRAWN_SIZES = [
+    pytest.param(size, backend, id=str(size) if backend == "exact" else "float-%d" % size)
+    for backend in ("exact", "float")
+    for size in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("size,backend", DRAWN_SIZES)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_drawn_factors_match_block_doolittle(size, data):
-    config = data.draw(drawn_configs("exact", st.just(size)))
+def test_drawn_factors_match_block_doolittle(size, backend, data):
+    config = data.draw(drawn_configs(backend, st.just(size)))
     g = build_moment_matrix(config.family(), config.truncation)
     assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
+
+
+def ieee_outcome(factor, g):
+    """`outcome`, or the arithmetic error that NaN and infinite pivots raise."""
+    try:
+        return outcome(factor, g)
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_schur_updates_keep_their_bits_at_ieee_edges(data):
+    n, levels = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 3))
+    block = matrices(n, n, ieee_floats)
+    g = BlockMatrix(n, [[data.draw(block) for _ in range(levels)] for _ in range(levels)])
+    assert ieee_outcome(lu_factorize, g) == ieee_outcome(block_doolittle, g)
 
 
 @st.composite

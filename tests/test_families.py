@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mghankel import families, numerics
 from mghankel.blockops import BlockMatrix, build_moment_matrix, shift_power
@@ -33,15 +34,24 @@ from mghankel.harness import builtin_config, run
 from mghankel.numerics import (
     SingularLeadingMinorError,
     as_backend,
-    mat_add,
     mat_eye,
+    mat_scale,
     mat_sub,
     mat_transpose,
     mat_zeros,
 )
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
-from conftest import is_monic, level_zero_plus, sum_of_products, term_combine, typed
+from conftest import (
+    ieee_floats,
+    is_monic,
+    level_zero_plus,
+    mat_add,
+    matrices,
+    sum_of_products,
+    term_combine,
+    typed,
+)
 
 F = Fraction
 
@@ -105,6 +115,23 @@ def test_eval_poly_examples():
     assert eval_poly(q, 0) == [[F(-1, 2)]]
     const = MatrixPolynomial.of(2, [[[1, 2], [3, 4]]])
     assert eval_poly(const, F(7, 3)) == [[1, 2], [3, 4]]
+
+
+def horner_oracle(p: MatrixPolynomial, x) -> list:
+    """Horner's rule with one scaled and one summed matrix per coefficient."""
+    acc = [list(row) for row in p.coeffs[-1]]
+    for c in reversed(p.coeffs[:-1]):
+        acc = mat_add(mat_scale(x, acc), c)
+    return acc
+
+
+@given(st.data())
+def test_float_horner_keeps_its_bits_at_ieee_edges(data):
+    n, count = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 4))
+    coeffs = [data.draw(matrices(n, n, ieee_floats)) for _ in range(count)]
+    x = data.draw(ieee_floats)
+    p = MatrixPolynomial.of(n, coeffs)
+    assert typed(eval_poly(p, x)) == typed(horner_oracle(p, x))
 
 
 def test_eval_form_zero(legendre_family):

@@ -10,7 +10,6 @@ existed, and count how often a run scales each owner's operand.
 
 from collections import Counter
 from fractions import Fraction
-from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,39 +32,27 @@ from mghankel.numerics import (
     block_sum,
     integer_col,
     integer_row,
-    mat_add,
     mat_mul,
     mat_zeros,
 )
 
-from conftest import exact_scalars, matrices, typed
+from conftest import (
+    blockwise_sum,
+    exact_scalars,
+    ieee_floats,
+    matrices,
+    sum_of_products,
+    typed,
+)
 
-# ---------------------------------------------------------------------------
-# The float products as they were before kept forms existed: the oracle that
-# float products, which ignore kept forms, must match bit for bit.
-# ---------------------------------------------------------------------------
-
-
-def oracle_mat_mul(a, b) -> list:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def oracle_block_sum(n: int, lefts, rights) -> list:
-    if not lefts:
-        return mat_zeros(n, n, FLOAT)
-    acc = oracle_mat_mul(lefts[0], rights[0])
-    for a, b in zip(lefts[1:], rights[1:]):
-        acc = mat_add(acc, oracle_mat_mul(a, b))
-    return acc
+# Float products ignore kept forms and must match, bit for bit, the plain
+# products of conftest (`sum_of_products`, `blockwise_sum`): the products
+# as they were before kept forms existed.
 
 
 def bits(m) -> list:
     """Entries by type and repr, so -0.0 and NaN compare as themselves."""
     return [[(type(v), repr(v)) for v in row] for row in m]
-
-
-floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
 @st.composite
@@ -109,16 +96,15 @@ def test_kept_forms_give_the_plain_exact_sum(pairs, lead):
     assert typed(mat_mul(a, b, EXACT, cols=kept_b)) == typed(product)
 
 
-@given(block_pairs(floats))
+@given(block_pairs(ieee_floats))
 def test_floats_ignore_kept_forms_and_keep_their_bits(pairs):
     n, lefts, rights, _ = pairs
     rows, cols = integer_row(lefts, FLOAT), integer_col(rights, FLOAT)
     assert rows is None and cols is None
-    assert bits(block_sum(n, lefts, rights, FLOAT, rows, cols)) == bits(
-        oracle_block_sum(n, lefts, rights)
-    )
+    expected = blockwise_sum(lefts, rights)
+    assert bits(block_sum(n, lefts, rights, FLOAT, rows, cols)) == bits(expected)
     a, b = lefts[0], rights[0]
-    assert bits(mat_mul(a, b, FLOAT, rows, cols)) == bits(oracle_mat_mul(a, b))
+    assert bits(mat_mul(a, b, FLOAT, rows, cols)) == bits(sum_of_products(a, b))
 
 
 def test_float_runs_never_read_the_operands_of_a_form():

@@ -3,9 +3,9 @@
 Each digest is the SHA-256 of a report's JSON with the `elapsed_ms` fields
 removed (keys sorted, compact separators), for a built-in case at levels
 (2, 4).  The exact cases cover every check along the rational path; float
-legendre covers the tolerance path, including checks that fail.  hermite is
-left out: its moments go through `math.exp`, whose last bit may differ
-between libm builds.
+legendre and float multigraded-12 cover the tolerance path, including checks
+that fail.  hermite is left out: its moments go through `math.exp`, whose
+last bit may differ between libm builds.
 
 One seeded exact family (N=3, shifts (1,1,1)/(1,1,1), L=10, level 7, the
 coefficient checks only) guards the coefficient path: its associated
@@ -46,6 +46,7 @@ PINNED = {
     ("multigraded-12", "exact"): "cbf3048021ce970d6d95df667a90d0a9c7f8fb12e5340b98fb10c604ab688b08",
     ("multigraded-n2", "exact"): "d96ef857d1f59bddba51496c7c9a92b194eba0ab7be88d2dcc097c60b343994b",
     ("legendre", "float"): "e85b30955f91506ec4f2e5cf8543056ffd678ebad3ec6d5bc7f24f7b2c3dda0e",
+    ("multigraded-12", "float"): "b9904909919914f31d0da05ee247564803cfedd311b3db198b8c7a3161354481",
 }
 
 FLOAT_MGN2_DIGEST = "e1853daa499b4c6338dfa1a76c744b629b51d5782359ba015c8648e37df1808b"
