@@ -321,10 +321,12 @@ class KernelEvaluator:
 
     @memoized
     def _cd_lhs(self, x, y) -> list:
+        # Exact entry (a, b) is K_ab (x^{n_a} - y^{n_b}); floats keep 0 * inf = NaN.
         k, nvec, backend = self._kernel(x, y), self.fam.nvec, self.fam.backend
-        return mat_sub(
-            mat_mul(diag_power(x, nvec), k, backend), mat_mul(k, diag_power(y, nvec), backend)
-        )
+        px, py = diag_power(x, nvec), diag_power(y, nvec)
+        if backend == EXACT:
+            return [[v * (px[a][a] - py[b][b]) for b, v in enumerate(r)] for a, r in enumerate(k)]
+        return mat_sub(mat_mul(px, k, backend), mat_mul(k, py, backend))
 
     def cd_rhs_schur(self, x, y) -> list:
         """Partition form of the difference identity, valid at every level."""

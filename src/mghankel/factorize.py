@@ -16,7 +16,6 @@ elimination and invert both factors by block substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import sub
 
 from .blockops import BlockMatrix, _freeze
@@ -27,6 +26,7 @@ from .numerics import (
     _integer_vectors,
     bareiss_step,
     block_sum,
+    fraction,
     gap_norm,
     mat_eye,
     mat_mul,
@@ -128,8 +128,9 @@ def _reduced_block_rows(dense, n: int):
     prev = 1
     for start in range(0, size, n):
         stop = start + n
+        sign = -1 if prev < 0 else 1
         rows = [
-            [Fraction(v, prev * lcms[r]) for v in m[r][start : size + stop]]
+            [fraction(sign * v, sign * prev * lcms[r]) for v in m[r][start : size + stop]]
             for r in range(start, stop)
         ]
         blocks = [tuple(tuple(row[c : c + n]) for row in rows) for c in range(0, len(rows[0]), n)]

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from .blockops import BlockMatrix, _freeze
 from .factorize import GaussFactors
 from .numerics import (
+    EXACT,
+    FLOAT,
     CheckOutcome,
     DEFAULT_TOLERANCE,
     ResidualTracker,
@@ -37,10 +39,12 @@ from .numerics import (
     Tolerance,
     block_sum,
     eliminate_leading,
+    fraction,
     gap_norm,
     integer_col,
     integer_row,
     mat_eye,
+    mat_mul,
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
@@ -94,11 +98,24 @@ def _nonzero(block) -> bool:
 
 
 def eval_poly(p: MatrixPolynomial, x) -> list:
-    """Horner evaluation over coefficient blocks."""
-    acc = [list(row) for row in p.coeffs[-1]]
-    for c in reversed(p.coeffs[:-1]):
-        acc = [[x * v + w for v, w in zip(ra, rc)] for ra, rc in zip(acc, c)]
-    return acc
+    """Horner's rule in the backend of x; no coefficients give the n x n zero.  An exact
+    x = a/b runs on the kept `integer_row`: h <- h a + c_t b^(d-t), then h / (lcm b^d)."""
+    if not p.coeffs:
+        return mat_zeros(p.n, p.n, FLOAT if isinstance(x, float) else EXACT)
+    if isinstance(x, float):
+        acc = [list(row) for row in p.coeffs[-1]]
+        for c in reversed(p.coeffs[:-1]):
+            acc = [[x * v + w for v, w in zip(ra, rc)] for ra, rc in zip(acc, c)]
+        return acc
+    n, a, d = p.n, x.numerator, len(p.coeffs) - 1
+    powers = [x.denominator**k for k in range(d + 1)]
+    out = []
+    for ints, den in p.integer_row(EXACT):
+        h = ints[d * n :]
+        for t in reversed(range(d)):
+            h = [u * a + v * powers[d - t] for u, v in zip(h, ints[t * n : (t + 1) * n])]
+        out.append([fraction(u, den * powers[d]) for u in h])
+    return out
 
 
 def eval_form(f: LinearForm, fam: WeightFamily, x, weight=None) -> list:
@@ -316,6 +333,18 @@ def _combine(terms, backend: str, right: bool = False) -> MatrixPolynomial:
     terms = list(terms)
     n = terms[0][1].n
     top = max(len(p.coeffs) for _, p in terms)
+    if backend == EXACT:
+        # One product of the factors and all members' coefficients, zero-padded to `top`.
+        tops, zero = range(top), ((0,) * n,) * n
+        coeffs = [p.coeffs + (zero,) * (top - len(p.coeffs)) for _, p in terms]
+        if right:
+            rows = [[v for cs in coeffs for v in cs[k][r]] for k in tops for r in range(n)]
+            out = mat_mul(rows, [row for m, _ in terms for row in m], EXACT)
+            return MatrixPolynomial.of(n, [out[k * n : (k + 1) * n] for k in tops])
+        factors = [[v for m, _ in terms for v in m[r]] for r in range(n)]
+        stack = [[v for c in cs for v in c[r]] for cs in coeffs for r in range(n)]
+        out = mat_mul(factors, stack, EXACT)
+        return MatrixPolynomial.of(n, [[row[k * n : (k + 1) * n] for row in out] for k in tops])
     pair = (lambda m, c: (c, m)) if right else (lambda m, c: (m, c))
     # Coefficient k sums the terms that have one, in order: one block sum.
     coeffs = [

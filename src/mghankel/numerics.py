@@ -14,15 +14,16 @@ is the one sum of products; in exact runs it is a single product of a block
 row and a block column.  Float sums of products (`block_sum`,
 `BlockMatrix.matmul`, the Schur update of `lu_factorize`) fold each entry in
 place over its per-pair dots (`_fold_dots`): a dot starts from int 0, so
-none is -0.0, 0 + p_0 is p_0, and the float operations are those of adding
-the products blockwise.  Exact products and solves are fraction-free: a
-product takes integer dot products of rows and columns scaled by the lcm of
-their denominators (`integer_row`, `integer_col`), and both create
-`Fraction`s only for their output entries.  An operand read many times keeps
-its scaled form on its owner, which lives as long as the run: g and the
-factors (`BlockMatrix`), each family member (`MatrixPolynomial`), and the
-point table and kernel evaluators of `cdkernel`.  Products read a kept form
-in place of scaling again.
+none is -0.0, 0 + p_0 is p_0 (so one pair is its plain product), and the
+float operations are those of adding the products blockwise.  Exact
+products and solves are fraction-free: a product takes integer dot products
+of rows and columns scaled by the lcm of their denominators (`integer_row`,
+`integer_col`), and both create `Fraction`s only for their output entries,
+each by `fraction`: one gcd, no `Fraction.__new__` dispatch.  An operand
+read many times keeps its scaled form on its owner, which lives as long as
+the run: g and the factors (`BlockMatrix`), each family member
+(`MatrixPolynomial`), and the point table and kernel evaluators of
+`cdkernel`.  Products read a kept form in place of scaling again.
 
 A solve is one elimination of A (`eliminate`) and one substitution per
 right-hand-side block (`substitute`); `solve_dense` and `solve_leading` do
@@ -146,14 +147,24 @@ def memoized(method):
 
     Values live as long as the object; a call that raises stores nothing."""
 
+    missing = object()
+
     @functools.wraps(method)
     def cached(self, *args):
-        key = (method, args)
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
+        value = self._memo.get((method, args), missing)
+        if value is missing:
+            value = self._memo[method, args] = method(self, *args)
+        return value
 
     return cached
+
+
+def fraction(n: int, d: int, _new=object.__new__, _gcd=math.gcd) -> Fraction:
+    """Fraction(n, d) for ints n, d > 0: one gcd, no `Fraction.__new__` dispatch."""
+    g = _gcd(n, d)
+    f = _new(Fraction)
+    f._numerator, f._denominator = n // g, d // g
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +233,9 @@ def integer_col(rights, backend: str):
 
 
 def _dots(rows, cols) -> list:
-    """Fraction(r . c, r_lcm * c_lcm) per scaled row and column, r . c over the shorter."""
+    """fraction(r . c, r_lcm * c_lcm) per scaled row and column, r . c over the shorter."""
     return [
-        [Fraction(sum(map(mul, r, c)), r_den * c_den) for c, c_den in cols] for r, r_den in rows
+        [fraction(sum(map(mul, r, c)), r_den * c_den) for c, c_den in cols] for r, r_den in rows
     ]
 
 
@@ -253,12 +264,15 @@ def block_sum(n: int, lefts, rights, backend: str, rows=None, cols=None) -> list
     `integer_row` and `integer_col` unless `rows` or `cols` holds a kept
     form.  A kept form may cover more blocks than the pairs if each extra
     block meets a zero block or nothing on the other side.  Floats fold each
-    entry over the pairs in order from int 0 (`_fold_dots`), ignoring kept forms.
+    entry over the pairs in order from int 0 (`_fold_dots`), ignoring kept forms;
+    one pair is its plain product, as 0 + p_0 is p_0.
     """
     if not lefts:
         return mat_zeros(n, n, backend)
     if backend == EXACT:
         return _dots(rows or integer_row(lefts, EXACT), cols or integer_col(rights, EXACT))
+    if len(lefts) == 1:
+        return mat_mul(lefts[0], rights[0], backend)
     return _fold_dots(lefts, [list(zip(*b)) for b in rights])
 
 
@@ -370,7 +384,7 @@ def _substitute_fraction_free(elim: Elimination, b) -> list:
     on integers over one common denominator D, so the scaled system solves
     to D X.  The recorded steps replay on it: below each pivot p, row v
     becomes (p*v - f*w) // prev with the f the row of A kept, exactly as
-    if B had been eliminated beside A.  Back-substitution yields det * D * X
+    if B had been eliminated beside A.  Back-substitution yields |det| * D * X
     on integers (exact by Cramer's rule); Fractions are created only there.
     """
     n, rows, scales = elim.n, elim.rows, elim.scales
@@ -388,7 +402,7 @@ def _substitute_fraction_free(elim: Elimination, b) -> list:
             f = rows[i][k]
             x[i] = [(p * v - f * w) // prev for v, w in zip(x[i], pivot)]
         prev = p
-    det = prev
+    det = abs(prev)  # so that den > 0, as `fraction` needs
     scaled = [None] * n  # det * D * X, row by row
     for i in reversed(range(n)):
         row = rows[i]
@@ -399,7 +413,7 @@ def _substitute_fraction_free(elim: Elimination, b) -> list:
                 acc = [s - u * t for s, t in zip(acc, scaled[j])]
         scaled[i] = [s // row[i] for s in acc]
     den = det * common
-    return [[Fraction(v, den) for v in row] for row in scaled]
+    return [[fraction(v, den) for v in row] for row in scaled]
 
 
 def eliminate(a, backend: str) -> Elimination:

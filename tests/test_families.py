@@ -117,6 +117,27 @@ def test_eval_poly_examples():
     assert eval_poly(const, F(7, 3)) == [[1, 2], [3, 4]]
 
 
+@pytest.mark.parametrize("x", [F(2, 3), 0, 0.5])
+def test_eval_poly_with_no_coefficients_is_the_zero_of_the_point(x):
+    """The zero projection of `check_projections` has no coefficients (degree -1)."""
+    zero = MatrixPolynomial.of(2, [])
+    assert zero.degree() == -1
+    scalar = float if isinstance(x, float) else F
+    assert typed(eval_poly(zero, x)) == typed([[scalar(0)] * 2] * 2)
+
+
+@given(st.data())
+def test_exact_horner_on_integers_matches_fraction_horner(data):
+    """Exact points evaluate on the member's kept integer row; the values
+    equal Horner's rule on Fractions, and every entry is a Fraction."""
+    n, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    coeffs = [data.draw(matrices(n, n)) for _ in range(count)]
+    x = data.draw(st.integers(-9, 9) | st.fractions(max_denominator=50))
+    p = MatrixPolynomial.of(n, coeffs)
+    want = [[F(v) for v in row] for row in horner_oracle(p, F(x))]
+    assert typed(eval_poly(p, x)) == typed(want)
+
+
 def horner_oracle(p: MatrixPolynomial, x) -> list:
     """Horner's rule with one scaled and one summed matrix per coefficient."""
     acc = [list(row) for row in p.coeffs[-1]]

@@ -412,6 +412,28 @@ def test_run_validates_the_family_once(monkeypatch):
     assert calls == [8]
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_corollary_takes_the_kernel_norm_once_per_point(monkeypatch, backend):
+    """The float scale of every entry at a point shares one kernel norm; an
+    exact residual ignores its scale, so none is taken."""
+    calls = []
+
+    def counted(m, _fn=harness.matrix_residual_norm):
+        calls.append(len(m))
+        return _fn(m)
+
+    monkeypatch.setattr(harness, "matrix_residual_norm", counted)
+    config = dataclasses.replace(
+        builtin_config("multigraded-n2"), backend=backend, checks=("corollary",)
+    )
+    entry = run(config).entries[0]
+    assert entry.status in ("pass", "fail")
+    asserted = [level for level in config.levels if level >= config.max_shift()]
+    points = len(config.off_locus_pairs())
+    assert asserted and points
+    assert len(calls) == (0 if backend == "exact" else len(asserted) * points)
+
+
 def test_cli_backend_override_rejects_out_of_support_grid(tmp_path, capsys):
     cfg = write_json(tmp_path, dict(OUT_OF_SUPPORT, backend="float"))
     assert cli_main(["verify", "--config", cfg]) == 0

@@ -107,6 +107,16 @@ def test_floats_ignore_kept_forms_and_keep_their_bits(pairs):
     assert bits(mat_mul(a, b, FLOAT, rows, cols)) == bits(sum_of_products(a, b))
 
 
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[matrices(n, n, ieee_floats)] * 2)))
+def test_one_float_pair_is_its_plain_product(pair):
+    """One pair skips the fold: its plain product is 0 + p_0 bit for bit."""
+    a, b = pair
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_fold_dots", None)
+        got = block_sum(len(a), [a], [b], FLOAT)
+    assert bits(got) == bits(blockwise_sum([a], [b])) == bits(sum_of_products(a, b))
+
+
 def test_float_runs_never_read_the_operands_of_a_form():
     def unread():
         raise AssertionError("a float form read its operand")

@@ -4,7 +4,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mghankel import numerics
 from mghankel.numerics import (
@@ -18,6 +18,7 @@ from mghankel.numerics import (
     approx_zero,
     block_sum,
     eliminate,
+    fraction,
     gap_norm,
     has_float,
     invert_dense,
@@ -25,6 +26,7 @@ from mghankel.numerics import (
     mat_mul,
     mat_sub,
     matrix_residual_norm,
+    memoized,
     parse_rational,
     scalar_str,
     solve_dense,
@@ -417,6 +419,34 @@ def test_fraction_free_solve_matches_gauss_jordan_on_sparse_systems(system):
     assert typed(substitute(eliminate(a, EXACT), b)) == typed(gauss_jordan_exact(a, b))
 
 
+def canonical(m) -> list:
+    """Entries as (type, numerator, denominator, hash, repr, str)."""
+    return [
+        [(type(v), v.numerator, v.denominator, hash(v), repr(v), str(v)) for v in row] for row in m
+    ]
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+@example(0, 1)
+@example(0, 12)
+@example(-6, 4)
+@example(-1, 1)
+def test_the_fraction_constructor_matches_fraction(n, d):
+    assert canonical([[fraction(n, d)]]) == canonical([[Fraction(n, d)]])
+
+
+def test_a_negative_determinant_solves_to_canonical_fractions():
+    """A negative last Bareiss pivot (after a row swap, or on scaled rows
+    too) still gives positive denominators in lowest terms."""
+    negative = ([[2, 1], [1, -3]], [[0, 1], [-3, 0]], [[Fraction(1, 2), 1], [1, Fraction(-1, 3)]])
+    for a in negative:
+        b = [[1, 0, Fraction(-2, 5)], [0, 1, 0]]
+        elim = eliminate(a, EXACT)
+        assert elim.rows[-1][-1] < 0
+        got = substitute(elim, b)
+        assert canonical(got) == canonical(gauss_jordan_exact(a, b))
+
+
 def test_fraction_free_solve_edge_shapes():
     assert solve_dense([], [], EXACT) == []
     assert solve_dense([[Fraction(2)]], [[]], EXACT) == [[]]
@@ -718,3 +748,47 @@ def test_the_import_guard_finds_each_borrowed_name():
         "c": "from .b import f\nfrom . import a\nfrom .a import f, g\n",
     }
     assert _borrowed_imports(sources) == [("c", 1, "f", "b"), ("c", 3, "g", "a")]
+
+
+def test_memoized_none_and_zero_are_computed_once():
+    """A memoized value that is None, 0 or empty is still a stored value."""
+    calls = []
+
+    class Owner:
+        def __init__(self):
+            self._memo = {}
+
+        @memoized
+        def value(self, k):
+            calls.append(k)
+            return (None, 0, Fraction(0), 0.0, ())[k]
+
+    owner = Owner()
+    for _ in range(3):
+        assert [owner.value(k) for k in range(5)] == [None, 0, 0, 0.0, ()]
+    assert calls == [0, 1, 2, 3, 4]
+
+
+def _two_argument_fractions(tree) -> list:
+    """Lines of each call of `Fraction` or `fractions.Fraction` with two or more arguments."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
+        and len(node.args) + len(node.keywords) >= 2
+    ]
+
+
+def test_numerics_builds_two_argument_fractions_only_through_its_constructor():
+    """Every fraction-free output of `numerics` is made by `numerics.fraction`."""
+    tree = ast.parse(pathlib.Path(numerics.__file__).read_text(encoding="utf-8"))
+    assert _two_argument_fractions(tree) == []
+
+
+def test_the_fraction_guard_finds_each_two_argument_call():
+    source = (
+        "from fractions import Fraction\nimport fractions\nFraction(1)\nFraction(1, 2)\n"
+        "fractions.Fraction(3, d)\nFraction(n, denominator=2)\nfraction(1, 2)\nFraction('1/2')\n"
+    )
+    assert _two_argument_fractions(ast.parse(source)) == [4, 5, 6]
