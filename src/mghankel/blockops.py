@@ -112,17 +112,11 @@ class BlockMatrix:
             self.n, [[tuple(zip(*blk)) for blk in col] for col in zip(*self.blocks)]
         )
 
-    def slice(self, rows: range, cols: range) -> "BlockMatrix":
+    def slice(self, rows, cols) -> "BlockMatrix":
         return BlockMatrix._frozen(self.n, [[self.blocks[i][j] for j in cols] for i in rows])
 
     def to_dense(self) -> list:
-        dense = []
-        for i in range(self.nrows):
-            for r in range(self.n):
-                dense.append(
-                    [x for j in range(self.ncols) for x in self.blocks[i][j][r]]
-                )
-        return dense
+        return [[x for blk in row for x in blk[r]] for row in self.blocks for r in range(self.n)]
 
     @classmethod
     def from_dense(cls, n: int, dense) -> "BlockMatrix":

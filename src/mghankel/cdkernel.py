@@ -18,11 +18,11 @@ fraction-free product in exact runs, the terms added in order in float.
 One `PointTable` per run holds the level-free values, and the projections
 of members and monomials read their weights off it.  A level substitutes
 once per side for every grid coordinate on that elimination, and takes each
-pointwise product (the kernel sum, the inverse-minor kernel, both terms of
-the partition form, the associated form and the reproducing sum) once for
-the whole grid when the grid is the product of its x's and y's: one block
-sum of the left factors of every x, stacked by rows, and the right factors
-of every y, stacked by columns.  Every kernel runs in the family's backend.
+pointwise identity (the kernel sum, the inverse-minor kernel, the partition
+form as two pairs, the associated form and the reproducing sum) as one block
+sum for the whole grid when the grid is the product of its x's and y's: the
+left factors of every x stacked by rows, the right factors of every y by
+columns.  Every kernel runs in the family's backend.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class KernelEvaluator:
     the associated families of the run; the Schur factors and associated
     form factors at x and at y; the pair-times-polynomial terms of the
     reproducing sum at y; the associated families; and the pointwise
-    products at (x, y), each one block sum per level for every pair of the
+    identities at (x, y), each one block sum per level for every pair of the
     table's product grid (a pair off it, or any pair of a grid that is no
     product, alone; see `_grid_sum`), and the left side of the difference
     identities at (x, y).  Matrices handed to callers are fresh copies.
@@ -288,10 +288,10 @@ class KernelEvaluator:
 
     @memoized
     def _schur_col(self, y) -> list:
-        """y-side factor C(y) of the partition form."""
+        """y-side factor -C(y) = B R(y) - chi1_tail(y) of the partition form."""
         tail = self.g.nrows - self.level
         bl_w = mat_mul(self._bl, self._right_piece(y), self.fam.backend, self._bl_rows)
-        return mat_sub(self._chi1_col(tail, y, offset=self.level), bl_w)
+        return mat_sub(bl_w, self._chi1_col(tail, y, offset=self.level))
 
     def _kernel(self, x, y) -> list:
         table, levels = self.table, range(self.level)
@@ -329,15 +329,12 @@ class KernelEvaluator:
         return mat_sub(mat_mul(px, k, backend), mat_mul(k, py, backend))
 
     def cd_rhs_schur(self, x, y) -> list:
-        """Partition form of the difference identity, valid at every level."""
+        """Partition form of the difference identity, valid at every level, as one two-pair sum."""
         n = self.fam.size
         if self.level == 0:
             return mat_zeros(n, n, self.fam.backend)
-        a_lam = lambda c: [self._schur_row(c)[0]]
-        w_lam = lambda c: [self._schur_row(c)[1]]
-        term1 = self._grid_sum("schur a", x, y, a_lam, lambda c: [self._right_piece(c)])
-        term2 = self._grid_sum("schur w", x, y, w_lam, lambda c: [self._schur_col(c)])
-        return mat_sub(term1, term2)
+        rights = lambda c: [self._right_piece(c), self._schur_col(c)]
+        return _copy(self._grid_sum("schur", x, y, self._schur_row, rights))
 
     @memoized
     def _associated(self) -> dict:

@@ -8,7 +8,7 @@ Two subcommands:
          [same output flags]
 
 Exit codes: 0 every requested check passed, 1 at least one check failed,
-2 structural error (bad config, singular leading minor).
+2 structural error (bad config, singular leading minor, unwritable --report).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .harness import (
     builtin_config,
     load_config,
     run,
-    write_report,
 )
 from .numerics import BACKENDS, SingularLeadingMinorError
 from .weights import ConfigError
@@ -55,20 +54,31 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return dataclasses.replace(config, **updates)
 
 
-def _emit(report, args) -> None:
+def _write(path: str, payload: str) -> int:
+    """Write a --report payload: exit code 0, or 2 with `error: report: ...`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        sys.stderr.write("error: report: %s\n" % exc)
+        return 2
+    return 0
+
+
+def _emit(report, args) -> int:
     fmt = args.format or ("json" if args.report else "text")
+    payload = report.to_json() if fmt == "json" else report.to_text()
     if args.report:
-        write_report(report, args.report, fmt)
-    else:
-        sys.stdout.write(report.to_json() if fmt == "json" else report.to_text())
+        return _write(args.report, payload) or report.exit_code
+    sys.stdout.write(payload)
+    return report.exit_code
 
 
 def _emit_error(kind: str, message: str, args) -> None:
     sys.stderr.write("error: %s\n" % message)
     if getattr(args, "report", None):
         payload = json.dumps({"status": "error", "error": kind, "message": message}, indent=2)
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write(args.report, payload + "\n")
 
 
 def main(argv=None) -> int:
@@ -98,8 +108,7 @@ def main(argv=None) -> int:
     except SingularLeadingMinorError as exc:
         _emit_error("singular-leading-minor", "%s" % exc, args)
         return 2
-    _emit(report, args)
-    return report.exit_code
+    return _emit(report, args)
 
 
 if __name__ == "__main__":

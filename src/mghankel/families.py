@@ -214,19 +214,13 @@ def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _tile(g: BlockMatrix, dual: bool, k: int, i: int):
-    """Block (k, i) of h^T, h = g^T if `dual` else g."""
-    return g.block(k, i) if dual else tuple(zip(*g.block(i, k)))
-
-
 @memoized
 def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> Elimination:
     """(h^{[order]})^T eliminated once per order and side, kept on g, h = g or g^T."""
     head = range(order)
-    tiles = [[_tile(g, dual, k, t) for t in head] for k in head]
-    dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
+    dense = g.slice(head, head).to_dense()
     message = "leading minor of order %d is singular" % order
-    return eliminate_leading(dense, g.backend, order, message)
+    return eliminate_leading(dense if dual else mat_transpose(dense), g.backend, order, message)
 
 
 def _solution_column(g: BlockMatrix, order: int, dual: bool, i: int) -> list:
@@ -238,13 +232,13 @@ def _solution_column(g: BlockMatrix, order: int, dual: bool, i: int) -> list:
     ((h^{[order]})^T)^{-1}, column order+t the solved combination of block
     row order+t of h.
     """
-    n = g.n
+    n, head = g.n, range(order)
     if i < order:
-        rhs = [[int(k == i and r == c) for c in range(n)] for k in range(order) for r in range(n)]
+        rhs = [[int(k == i and r == c) for c in range(n)] for k in head for r in range(n)]
     else:
-        rhs = [row for k in range(order) for row in _tile(g, dual, k, i)]
+        rhs = (g.slice(head, (i,)) if dual else g.slice((i,), head).transpose()).to_dense()
     column = substitute(_lead_solution(g, order, dual), rhs)
-    blocks = [column[k * n : (k + 1) * n] for k in range(order)]
+    blocks = [column[k * n : (k + 1) * n] for k in head]
     return blocks if dual else [mat_transpose(b) for b in blocks]
 
 

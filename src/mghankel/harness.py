@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -54,6 +54,7 @@ from .weights import (
     WeightFamily,
     _field,
     _integer,
+    _listed,
     _seed_table,
     validate_backend,
     validate_levels,
@@ -136,7 +137,7 @@ class RunConfig:
         shift = self.max_shift()
         levels = range(1, self.truncation - shift) if self.levels is None else self.levels
         with _field("levels"):
-            levels = tuple(map(_integer, levels))
+            levels = tuple(map(_integer, _listed(levels)))
         self.levels = validate_levels(levels, shift, self.truncation)
         self.checks = validate_checks(self.checks)
         if not self.levels and not LEVEL_FREE_CHECKS.issuperset(self.checks):
@@ -147,7 +148,7 @@ class RunConfig:
             pairs = []
             for idx, pair in enumerate(self.grid):
                 with _field("grid[%d]" % idx):
-                    x, y = (parse_rational(v) for v in pair)
+                    x, y = map(parse_rational, _listed(pair))
                     if "corollary" in self.checks and self._on_locus(x, y):
                         raise ValueError(
                             "(%s, %s) lies on the singular locus with corollary enabled" % (x, y)
@@ -195,7 +196,7 @@ class RunConfig:
 def validate_checks(checks) -> tuple:
     """At least one check, each in the registry."""
     with _field("checks"):
-        checks = tuple(checks)
+        checks = tuple(_listed(checks))
         unknown = [c for c in checks if c not in CHECK_REGISTRY]
     if unknown:
         raise ConfigError("checks: unknown check %r" % unknown[0])
@@ -262,7 +263,7 @@ def config_from_dict(data: dict) -> RunConfig:
         backend=data.get("backend", EXACT),
         tolerance=DEFAULT_TOLERANCE if tol is None else tol,
         grid=data.get("grid"),
-        checks=data.get("checks") or CHECK_NAMES,
+        checks=CHECK_NAMES if data.get("checks") in (None, []) else data["checks"],
         name=str(data.get("name", "custom")),
     )
     with _field("N"):
@@ -336,16 +337,6 @@ class CheckEntry:
     elapsed_ms: int
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "residual": self.residual,
-            "worst_point": self.worst_point,
-            "elapsed_ms": self.elapsed_ms,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass
 class CheckReport:
@@ -367,7 +358,7 @@ class CheckReport:
             "backend": self.backend,
             "status": STATUS_PASS if self.all_passed else STATUS_FAIL,
             "config": self.config,
-            "checks": [e.to_dict() for e in self.entries],
+            "checks": [asdict(e) for e in self.entries],
         }
 
     def to_json(self) -> str:

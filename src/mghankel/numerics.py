@@ -120,7 +120,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % value) from None
     raise ValueError("not a rational: %r (use ints or 'p/q' strings)" % (value,))
 
 

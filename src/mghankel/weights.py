@@ -128,7 +128,7 @@ class SeedWeight:
 
     @classmethod
     def of(cls, coeffs, measure: BaseMeasure) -> "SeedWeight":
-        parsed = tuple(parse_rational(c) for c in coeffs)
+        parsed = tuple(parse_rational(c) for c in _listed(coeffs, "coeffs: "))
         if not parsed:
             parsed = (Fraction(0),)
         return cls(parsed, measure)
@@ -172,10 +172,17 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _listed(value, prefix: str = ""):
+    """`value`, unless it is a str, bytes or dict, which would be read item by item."""
+    if isinstance(value, (str, bytes, dict)):
+        raise TypeError(prefix + "must be a list")
+    return value
+
+
 def validate_multi_indices(nvec, mvec) -> tuple:
     """(nvec, mvec) as integer tuples, nonempty, of equal length, with components >= 1."""
     with _field("nvec/mvec"):
-        nvec, mvec = tuple(map(_integer, nvec)), tuple(map(_integer, mvec))
+        nvec, mvec = (tuple(map(_integer, _listed(v))) for v in (nvec, mvec))
     if len(nvec) != len(mvec) or not nvec:
         raise ConfigError("nvec/mvec: must be nonempty and of equal length")
     if any(v < 1 for v in (*nvec, *mvec)):

@@ -260,8 +260,11 @@ class PerPointEvaluator(KernelEvaluator):
         if self.level == 0:
             return mat_zeros(n, n, backend)
         a_lam, w_lam = self._schur_row(x)
-        term1 = mat_mul(a_lam, self._right_piece(y), backend)
-        term2 = mat_mul(w_lam, self._schur_col(y), backend)
+        right = self._right_piece(y)
+        tail = self._chi1_col(self.g.nrows - self.level, y, offset=self.level)
+        schur_col = mat_sub(tail, mat_mul(self._bl, right, backend))  # C(y)
+        term1 = mat_mul(a_lam, right, backend)
+        term2 = mat_mul(w_lam, schur_col, backend)
         return mat_sub(term1, term2)
 
     def _assoc_form(self, x, y) -> list:

@@ -10,13 +10,18 @@ The file reader adds only the rules of its own format: the keys
 with the same messages.
 """
 
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mghankel import cli
 from mghankel.harness import (
@@ -29,7 +34,7 @@ from mghankel.harness import (
     run,
 )
 from mghankel.numerics import Tolerance
-from mghankel.weights import WeightFamily
+from mghankel.weights import BaseMeasure, SeedWeight, WeightFamily
 
 # SHA-256 of each built-in's `to_dict()` (keys sorted, compact separators).
 BUILTIN_CONFIG_DIGESTS = {
@@ -98,21 +103,50 @@ CASES = {
         {"nvec": (1, 1)},
         "nvec/mvec: must be nonempty and of equal length",
     ),
+    "zero-denominator grid": (
+        {"grid": (("1/0", "1/2"),)},
+        "grid[0]: zero denominator in '1/0'",
+    ),
+    "zero-denominator coefficient": (
+        {"coeffs": ("1", "1/0")},
+        "seeds[0][0][0]: zero denominator in '1/0'",
+    ),
+    "zero-denominator interval end": (
+        {"measure": {"a": "-1/0"}},
+        "seeds[0][0][0]: zero denominator in '-1/0'",
+    ),
+    # A str, bytes or dict would be read item by item.
+    "levels as text": ({"levels": "12"}, "levels: must be a list"),
+    "coefficients as text": ({"coeffs": "12"}, "seeds[0][0][0]: coeffs: must be a list"),
+    "grid pair as text": ({"grid": ("12",)}, "grid[0]: must be a list"),
+    "multi-indices as text": ({"nvec": "1", "mvec": "1"}, "nvec/mvec: must be a list"),
+    "checks as text": ({"checks": "abc"}, "checks: must be a list"),
+    "checks as an object": ({"checks": {"abc": 1}}, "checks: must be a list"),
 }
 
 # RunConfig field -> config-file key, where they differ.
 FILE_KEYS = {"truncation": "L"}
 
+# Keys of the legendre seed object (seeds[0][0][0]) in its file form, which
+# only a config file can set; a code route passes SeedWeight objects.
+SEED_KEYS = frozenset({"coeffs", "measure"})
+
 
 def file_form(config: RunConfig, changes: dict) -> dict:
     """The config-file form of `config` with `changes` applied."""
     data = config.to_dict()
+    seed = data["seeds"][0][0][0]
     for key, value in changes.items():
         if key == "grid":
-            value = [[str(x), str(y)] for x, y in value]
+            value = [[str(v) for v in p] if isinstance(p, tuple) else p for p in value]
         elif isinstance(value, tuple):
             value = list(value)
-        data[FILE_KEYS.get(key, key)] = value
+        if key == "measure":
+            seed["measure"].update(value)
+        elif key in SEED_KEYS:
+            seed[key] = value
+        else:
+            data[FILE_KEYS.get(key, key)] = value
     return data
 
 
@@ -121,17 +155,23 @@ def from_file(changes, tmp_path, capsys):
 
 
 def from_cli(changes, tmp_path, capsys):
-    """`verify`: nonempty levels and checks come as overrides, everything
-    else from the file, whose own check is level-free."""
-    in_file = {k: v for k, v in changes.items() if k not in ("levels", "checks") or v == ()}
-    in_file = dict(in_file, checks=("symmetry",))
+    """`verify`: nonempty level lists and check lists come as overrides,
+    everything else from the file, whose own check is level-free unless the
+    file holds the case's checks."""
+    overrides = {
+        k: v
+        for k, v in changes.items()
+        if isinstance(v, tuple) and (k == "checks" or (k == "levels" and v))
+    }
+    in_file = {k: v for k, v in changes.items() if k not in overrides}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(file_form(builtin_config("legendre"), in_file)))
+    file_data = file_form(builtin_config("legendre"), dict({"checks": ("symmetry",)}, **in_file))
+    path.write_text(json.dumps(file_data))
     argv = ["verify", "--config", str(path)]
-    if changes.get("levels"):
-        argv += ["--levels", ",".join(str(l) for l in changes["levels"])]
-    if "checks" in changes:
-        argv += ["--checks", ",".join(changes["checks"]) or ","]
+    if "levels" in overrides:
+        argv += ["--levels", ",".join(str(l) for l in overrides["levels"])]
+    if "checks" in overrides:
+        argv += ["--checks", ",".join(overrides["checks"]) or ","]
     assert cli.main(argv) == 2
     raise ConfigError(capsys.readouterr().err.removeprefix("error: ").removesuffix("\n"))
 
@@ -166,8 +206,11 @@ ROUTES = {
 
 
 def applies(route: str, changes: dict) -> bool:
-    """The family route takes only the cases that change family fields."""
-    return route != "family" or FAMILY_FIELDS.issuperset(changes)
+    """The family route takes only the cases that change family fields, and
+    only the file and CLI routes take changes to the seed object."""
+    if route == "family":
+        return FAMILY_FIELDS.issuperset(changes)
+    return route in ("file", "cli") or SEED_KEYS.isdisjoint(changes)
 
 
 # A config file reads `"checks": []` as every check, so it has no empty check list.
@@ -341,3 +384,83 @@ def test_level_free_checks_run_without_levels(levels):
     report = run(config)
     assert [e.check for e in report.entries] == list(checks)
     assert report.exit_code == 0
+
+
+def test_a_seed_refuses_text_coefficients_and_zero_denominators():
+    """The code route of the seed object's rules: `SeedWeight.of` itself."""
+    unit = BaseMeasure.finite_interval(0, 1)
+    with pytest.raises(TypeError, match="^coeffs: must be a list$"):
+        SeedWeight.of("12", unit)
+    with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+        SeedWeight.of(["1/0"], unit)
+    with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+        BaseMeasure.finite_interval("1/0", 1)
+
+
+# A valid config whose every check runs in milliseconds; one field, or one
+# item of a field, is replaced by junk.
+JUNK_BASE = {
+    "name": "junk",
+    "N": 1,
+    "nvec": [1],
+    "mvec": [1],
+    "seeds": [[[{"coeffs": ["1", "1/2"], "measure": {"kind": "finite_interval", "a": 0, "b": 1}}]]],
+    "L": 5,
+    "levels": [1, 2],
+    "backend": "exact",
+    "tolerance": {"abs": 1e-9, "rel": 1e-9},
+    "grid": [["1/3", "2/3"]],
+    "checks": ["symmetry", "abc", "theorem", "corollary", "classical"],
+}
+SEED = ("seeds", 0, 0, 0)
+JUNK_PATHS = [(key,) for key in JUNK_BASE] + [
+    (*SEED, "coeffs"),
+    (*SEED, "coeffs", 1),
+    (*SEED, "measure"),
+    (*SEED, "measure", "kind"),
+    (*SEED, "measure", "a"),
+    (*SEED, "measure", "b"),
+    ("tolerance", "abs"),
+    ("nvec", 0),
+    ("levels", 0),
+    ("grid", 0),
+    ("grid", 0, 0),
+    ("grid", 0, 1),
+    ("checks", 0),
+]
+# No digits in free text: a numeric string could name a truncation too large to run.
+junk_scalars = (
+    st.text(alphabet="ab x/.-e", max_size=5)
+    | st.integers(-9, 9).map("{}/0".format)
+    | st.floats(-12, 12)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.none()
+)
+junk = st.recursive(
+    junk_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abk", max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(JUNK_PATHS), junk)
+def test_no_config_file_ends_in_a_traceback(tmp_path_factory, path, value):
+    """Junk in any field of a valid config exits 0, 1 or 2, and a 2 writes
+    exactly one `error:` line."""
+    data = copy.deepcopy(JUNK_BASE)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path_factory.mktemp("junk") / "config.json"
+    config.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--config", str(config)])
+    assert code in (0, 1, 2)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code == 2), err.getvalue()

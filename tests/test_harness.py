@@ -312,6 +312,28 @@ def test_cli_singular_error_report_file(tmp_path, capsys):
     assert data["error"] == "singular-leading-minor"
 
 
+UNWRITABLE_REPORT_CASES = {
+    "passing run": (["--case", "legendre", "--checks", "symmetry"], ()),
+    "text report": (["--case", "legendre", "--checks", "symmetry", "--format", "text"], ()),
+    "error payload": (["--case", "singular"], ("singular leading block minor at level 0",)),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_REPORT_CASES)
+def test_cli_unwritable_report_exits_two(tmp_path, capsys, case):
+    """A report file that cannot be written is an input error: exit 2 with
+    `error: report: ...`, after the run's own error line if it had one."""
+    argv, first = UNWRITABLE_REPORT_CASES[case]
+    out = tmp_path / "missing" / "out.json"
+    assert cli_main(["demo", *argv, "--report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = ["error: %s" % line for line in first]
+    lines.append("error: report: [Errno 2] No such file or directory: %r" % str(out))
+    assert captured.err.splitlines() == lines
+    assert not out.parent.exists()
+
+
 def test_cli_levels_override_budget_message(capsys):
     assert cli_main(["demo", "--case", "legendre", "--levels", "2,7", "--checks", "abc"]) == 2
     assert capsys.readouterr().err == (

@@ -25,7 +25,10 @@ identity read off a run's factors larger than the classical problem: its
 float bits are those of the leading blocks.  multigraded-n2 at levels (0, 1, 2), every
 check, exact and float, covers the plus families at level 0 (primal and
 dual), the zero kernels of level 0 and the theorem's notes for levels
-below the shift bound.
+below the shift bound.  multigraded-n2 at levels (2, 4), every check, exact
+and float, over the default lattice without its diagonal (off the singular
+locus, and no product of its coordinates: 20 of 25 pairs) covers the
+pointwise products taken one pair at a time.
 
 A digest changes only when a report changes.  That is a contract change,
 not a refactor: update the digest together with the code that changes the
@@ -38,7 +41,7 @@ import json
 
 import pytest
 
-from mghankel.harness import CHECK_NAMES, RunConfig, builtin_config, run
+from mghankel.harness import CHECK_NAMES, DEFAULT_GRID_COORDS, RunConfig, builtin_config, run
 from mghankel.weights import BaseMeasure, SeedWeight
 
 PINNED = {
@@ -63,6 +66,10 @@ FLOAT_CLASSICAL_L12_DIGEST = "130e69f4a9cb749c7d84865c20270a1de2f7ad50f9de46bd0d
 LOW_LEVELS_MGN2_DIGESTS = {
     "exact": "c55fc963ad4dadf90675eb7c0cae18d5674a06fc0b40d90bef089227eded33e1",
     "float": "689b5aca718c0302aa695f175c7f834a9f348399d096ed275f72f506ecf39650",
+}
+OFF_DIAGONAL_MGN2_DIGESTS = {
+    "exact": "cfe707f61ae2c22179d7f7cf89dcab33c15180d811e6323394b078d0635c8b34",
+    "float": "2c8b1b5437fa098cace10730f21b39e48cdf5d600fbf618929017e8bde157c13",
 }
 
 # Quadratic densities on [0, 1], ascending coefficients, one per (a, b).
@@ -169,3 +176,14 @@ def test_levels_from_zero_report_digest_is_pinned(backend):
     )
     assert len(config.checks) == len(CHECK_NAMES)
     assert report_digest(run(config).to_dict()) == LOW_LEVELS_MGN2_DIGESTS[backend]
+
+
+@pytest.mark.parametrize("backend", sorted(OFF_DIAGONAL_MGN2_DIGESTS))
+def test_grid_that_is_no_product_report_digest_is_pinned(backend):
+    coords = DEFAULT_GRID_COORDS
+    grid = tuple((x, y) for x in coords for y in coords if x != y)
+    config = dataclasses.replace(
+        builtin_config("multigraded-n2"), levels=(2, 4), backend=backend, grid=grid
+    )
+    assert len(config.checks) == len(CHECK_NAMES)
+    assert report_digest(run(config).to_dict()) == OFF_DIAGONAL_MGN2_DIGESTS[backend]

@@ -26,9 +26,24 @@ from mghankel.cdkernel import KernelEvaluator, PointTable
 from mghankel.factorize import lu_factorize
 from mghankel.families import pair_with_moments
 from mghankel.harness import DEFAULT_GRID_COORDS, builtin_config, run
-from mghankel.numerics import ResidualTracker, SingularLeadingMinorError, as_backend
+from mghankel.numerics import (
+    FLOAT,
+    ResidualTracker,
+    SingularLeadingMinorError,
+    as_backend,
+    block_sum,
+    mat_mul,
+    mat_sub,
+)
 
-from conftest import PerCoordinateEvaluator, PerPointEvaluator, drawn_configs, typed
+from conftest import (
+    PerCoordinateEvaluator,
+    PerPointEvaluator,
+    drawn_configs,
+    ieee_floats,
+    matrices,
+    typed,
+)
 
 BACKENDS = ("exact", "float")
 
@@ -161,6 +176,52 @@ def test_grid_products_match_per_point_products(monkeypatch, case, backend):
                 want = pointwise(oracle, name, *off_grid)
                 assert pointwise(ev, name, *off_grid) == want, (level, name)
             assert set(batches) <= {(1, 1)} and bool(batches) == (level > 0), level
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_partition_form_is_one_block_sum(monkeypatch, backend):
+    """One `cd_rhs_schur` call at a lattice point of a fresh evaluator takes
+    one block sum, of two pairs per coordinate, for all 25 pairs; the value
+    returned is a fresh copy."""
+    config = dataclasses.replace(builtin_config("multigraded-n2"), backend=backend)
+    fam, g, factors = problem(config)
+    pairs = []
+
+    def spy(n, lefts, rights, backend, _fn=cdkernel.block_sum):
+        pairs.append(len(lefts))
+        return _fn(n, lefts, rights, backend)
+
+    monkeypatch.setattr(cdkernel, "block_sum", spy)
+    grid = lattice(backend)
+    ev = KernelEvaluator(fam, g, factors, 4, table=PointTable(fam, g, factors, grid))
+    x, y = grid[7]
+    first = ev.cd_rhs_schur(x, y)
+    assert pairs == [2]
+    first[0][0] = None
+    assert None not in ev.cd_rhs_schur(x, y)[0] and pairs == [2]
+
+
+@st.composite
+def partition_operands(draw):
+    """n x p and p x n, n x q and two q x n float blocks."""
+    n, p, q = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    block = lambda rows, cols: draw(matrices(rows, cols, ieee_floats))
+    return block(n, p), block(p, n), block(n, q), block(q, n), block(q, n)
+
+
+@given(partition_operands())
+def test_two_pair_partition_sum_keeps_the_bits_of_the_difference(operands):
+    """A Lambda R - W Lambda (chi - B R), as two products and a difference,
+    equals the one two-pair sum of A Lambda R and W Lambda (B R - chi): every
+    dot starts from int 0, so none is -0.0, and IEEE negation and
+    subtraction are sign-symmetric.  Entries compare by type and repr, so a
+    NaN compares by position."""
+    a_lam, right, w_lam, chi, b_right = operands
+    two_products = mat_sub(
+        mat_mul(a_lam, right, FLOAT), mat_mul(w_lam, mat_sub(chi, b_right), FLOAT)
+    )
+    one_sum = block_sum(len(a_lam), [a_lam, w_lam], [right, mat_sub(b_right, chi)], FLOAT)
+    assert typed(one_sum) == typed(two_products)
 
 
 def test_a_run_substitutes_once_per_level_and_side(monkeypatch):
