@@ -107,7 +107,8 @@ class PointTable:
     with polynomials, all read off one factorization, so none of the
     values below depends on l: the weights rho_j(x), the dual-form values
     at x, the polynomial values at y, the pairings of polynomials with
-    forms and the form moments.  Each is computed on first use and kept
+    forms, the form moments and the gaps x^{n_a} - y^{n_b} of the quotient
+    form.  Each is computed on first use and kept
     for the table's lifetime; every level of a run reads one table.  The
     matrices returned are the memoized values themselves: read only.
     `monomials[d]` is x^d I (int entries); `coords` holds the distinct x
@@ -153,6 +154,12 @@ class PointTable:
     @memoized
     def form_moment(self, k: int, t: int) -> list:
         return form_against_monomial(self.g, t, self.forms[k])
+
+    @memoized
+    def locus_gaps(self, x, y) -> list:
+        """x^{n_a} - y^{n_b} for every entry (a, b), each power taken once per point."""
+        px, py = ([c**k for k in self.fam.nvec] for c in (x, y))
+        return [[p - q for q in py] for p in px]
 
     @memoized
     def moment_col(self, k: int):
@@ -398,12 +405,10 @@ class KernelEvaluator:
 
         Raises SingularLocusError on the locus x^{n_a} == y^{n_b}.
         """
-        nvec = self.fam.nvec
-        denom = x ** nvec[a] - y ** nvec[b]
+        denom = self.table.locus_gaps(x, y)[a][b]
         if denom == 0:
-            raise SingularLocusError(
-                "x^%d == y^%d at (x, y) = (%s, %s)" % (nvec[a], nvec[b], x, y)
-            )
+            na, nb = self.fam.nvec[a], self.fam.nvec[b]
+            raise SingularLocusError("x^%d == y^%d at (x, y) = (%s, %s)" % (na, nb, x, y))
         return self._assoc_form(x, y)[a][b] / denom
 
     # -- projections and the reproducing property ---------------------------

@@ -6,11 +6,11 @@ No pivoting takes place at the block level: a permuted factorization would
 scramble the triangular structure the biorthogonal families are read from.
 A singular pivot block is a reported failure, not a recoverable path.
 
-Exact matrices are factorized fraction-free: one Bareiss elimination of
-[g | I] gives ``upper`` and ``lower``, and one of [g^T | I] gives the two
-inverses, as the factors of g^T are the transposed factors of g (the dual
-family is the primal family of g^T).  Float matrices take block Doolittle
-elimination and invert both factors by block substitution.
+Exact matrices are factorized fraction-free by one Bareiss pass over
+[g | I], which gives ``upper`` and ``lower``, and one over [g^T | I], which
+gives the two inverses (the factors of g^T are the transposed factors of
+g); both stay on g for the associated families.  Float matrices take block
+Doolittle elimination and invert both factors by block substitution.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from operator import sub
 from .blockops import BlockMatrix, _freeze
 from .numerics import (
     EXACT,
+    Elimination,
+    SingularMatrixError,
     _exceeds,
     _fold_dots,
     _integer_vectors,
@@ -106,72 +108,72 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
     )
 
 
-def _reduced_block_rows(dense, n: int):
-    """Bareiss elimination of [A | I] for a dense exact A, n rows at a time.
+@memoized
+def _bareiss_pass(g: BlockMatrix, transposed: bool) -> tuple:
+    """Bareiss elimination of [h | I], h = g^T if `transposed` else g, n rows
+    at a time, once per g and side, by whichever caller comes first.
 
-    Each row of [A | I] starts scaled to integers by the lcm of the
-    denominators of its part in A.  When block i comes up, its rows,
-    divided by the last pivot times their starting lcm, are [S | R]: S is
-    block row i of ``upper`` (the Schur complement of the leading i blocks,
-    from block column i on) and R is block row i of ``lower`` (up to block
-    column i), where ``lower @ A == upper``.  Yields (S, R) as lists of
-    frozen n x n Fraction blocks, then eliminates the columns of block i,
-    pivoting only among its rows; the caller tests the pivot block first.
+    Rows start scaled to integers by the lcm of the denominators of their
+    part in h.  Block i comes up as rows r: r over its divisors (the last
+    pivot times the starting lcms, sign moved to r) is [S | R], S block row
+    i of ``upper`` from block column i on and R block row i of ``lower`` up
+    to it (``lower @ h == upper``).  Its columns are then eliminated,
+    pivoting only among its rows; a singular pivot block ends the pass.
+    Returns (heads, elim): (r, divisors) per block that came up, and the
+    `Elimination` of the blocks completed.
     """
-    size = len(dense)
-    m, lcms = [], []
-    for r, (ints, lcm) in enumerate(_integer_vectors(dense)):
-        unit = [0] * size
-        unit[r] = lcm
-        m.append(ints + unit)
-        lcms.append(lcm)
-    prev = 1
+    dense = mat_transpose(g.to_dense()) if transposed else g.to_dense()
+    n, size = g.n, len(dense)
+    scaled = _integer_vectors(dense)
+    m = [ints + [0] * r + [lcm] + [0] * (size - r - 1) for r, (ints, lcm) in enumerate(scaled)]
+    origin = {id(row): r for r, row in enumerate(m)}  # `bareiss_step` keeps row lists
+    heads, prev, done = [], 1, 0
     for start in range(0, size, n):
-        stop = start + n
-        sign = -1 if prev < 0 else 1
-        rows = [
-            [fraction(sign * v, sign * prev * lcms[r]) for v in m[r][start : size + stop]]
-            for r in range(start, stop)
-        ]
-        blocks = [tuple(tuple(row[c : c + n]) for row in rows) for c in range(0, len(rows[0]), n)]
-        split = (size - start) // n
-        yield blocks[:split], blocks[split:]
-        for col in range(start, stop):
-            prev = bareiss_step(m, col, stop, prev)
+        stop, sign = start + n, (-1 if prev < 0 else 1)
+        rows = [[sign * v for v in row[start : size + stop]] for row in m[start:stop]]
+        heads.append((rows, [sign * prev * lcm for _, lcm in scaled[start:stop]]))
+        try:
+            for col in range(start, stop):
+                prev = bareiss_step(m, col, stop, prev)
+        except SingularMatrixError:
+            break
+        done = stop
+    order = [origin[id(row)] for row in m]
+    return heads, Elimination(EXACT, done, m, order, [lcm for _, lcm in scaled])
 
 
 def _exact_factors(g: BlockMatrix) -> GaussFactors:
-    """The four factors of an exact g from two fraction-free eliminations.
+    """The four factors of an exact g from the two passes of `_bareiss_pass`.
 
     The pass over g gives ``upper`` and ``lower`` block row by block row;
-    `solve_leading` inverts each pivot block U_ii to D_i before its columns
-    are eliminated.  The pass over g^T, whose pivot blocks are the U_ii^T,
-    gives the rows S' and R' of the same factors of g^T, which are the
-    transposed factors of g:
-    ``lower_inv[i][j] = S'(j, i)^T D_j`` and ``upper_inv[k][i] = R'(i, k)^T D_i``.
+    `solve_leading` inverts each pivot block U_ii to D_i, or raises.  The
+    pass over g^T gives the rows S' and R' of the factors of g^T, the
+    transposed factors of g: block column i of ``lower_inv`` and
+    ``upper_inv`` is S'(j, i)^T D_i (j > i) and R'(i, k)^T D_i (k < i), one
+    product of r's integer columns with D_i over r's divisors.
     """
     n, levels = g.n, g.nrows
     eye, zero = _freeze(mat_eye(n)), _freeze(mat_zeros(n, n))
-    dense = g.to_dense()
     upper, lower, pivot_invs = [], [], []
-    for i, (s, r) in enumerate(_reduced_block_rows(dense, n)):
-        pivot_invs.append(solve_leading(s[0], mat_eye(n), EXACT, i))
-        upper.append([zero] * i + s)
-        lower.append(r + [zero] * (levels - i - 1))
-    lower_inv = [[eye if i == j else zero for j in range(levels)] for i in range(levels)]
-    upper_inv = [[zero] * levels for _ in range(levels)]
-    for i, (s, r) in enumerate(_reduced_block_rows(mat_transpose(dense), n)):
-        d = pivot_invs[i]
-        for j in range(i + 1, levels):
-            lower_inv[j][i] = _freeze(mat_mul(mat_transpose(s[j - i]), d, EXACT))
-        for k in range(i):
-            upper_inv[k][i] = _freeze(mat_mul(mat_transpose(r[k]), d, EXACT))
-        upper_inv[i][i] = _freeze(d)
+    for i, (rows, dens) in enumerate(_bareiss_pass(g, False)[0]):
+        sr = [[fraction(v, den) for v in row] for row, den in zip(rows, dens)]
+        blocks = [tuple(tuple(row[c : c + n]) for row in sr) for c in range(0, len(sr[0]), n)]
+        pivot_invs.append(solve_leading(blocks[0], mat_eye(n), EXACT, i))
+        upper.append([zero] * i + blocks[: levels - i])
+        lower.append(blocks[levels - i :] + [zero] * (levels - i - 1))
+    lower_inv, upper_inv = [], []  # by block columns
+    for i, ((rows, dens), d) in enumerate(zip(_bareiss_pass(g, True)[0], pivot_invs)):
+        scaled_d = [[x / den for x in row] for row, den in zip(d, dens)]
+        columns = [(col, 1) for col in zip(*[row[n : levels * n] for row in rows])]
+        product = mat_mul((), scaled_d, EXACT, rows=columns)
+        blocks = [_freeze(product[t : t + n]) for t in range(0, len(product), n)]
+        lower_inv.append([zero] * i + [eye] + blocks[: levels - i - 1])
+        upper_inv.append(blocks[levels - i - 1 :] + [_freeze(d)] + [zero] * (levels - i - 1))
     return GaussFactors(
         lower=BlockMatrix._frozen(n, lower),
-        lower_inv=BlockMatrix._frozen(n, lower_inv),
+        lower_inv=BlockMatrix._frozen(n, zip(*lower_inv)),
         upper=BlockMatrix._frozen(n, upper),
-        upper_inv=BlockMatrix._frozen(n, upper_inv),
+        upper_inv=BlockMatrix._frozen(n, zip(*upper_inv)),
     )
 
 
@@ -231,15 +233,17 @@ def nested_truncation_residual(g: BlockMatrix, factors: GaussFactors):
     the inverse of every leading truncation is the leading part of one
     inverse of the whole factor, and every truncation's residual is the
     leading part of one residual matrix.  Level l adds its L-shaped border:
-    block row l-1 and block column l-1.  When the re-derived inverse equals
-    ``lower_inv`` exactly, that residual matrix is the one of
+    block row l-1 and block column l-1.  Exact factors with
+    ``lower_inv @ lower == I`` skip the re-derivation, in one product of
+    kept forms: the unit block-lower ``lower_inv`` is then the one inverse
+    of ``lower``, so that residual matrix is the one of
     `factorization_residual`, and its product is not formed again.
     """
-    inverse = invert_block_triangular(factors.lower, LOWER)
-    if g.backend == EXACT and inverse == factors.lower_inv:
+    lower, lower_inv = factors.lower, factors.lower_inv
+    if g.backend == EXACT and lower_inv.matmul(lower) == BlockMatrix.identity(g.n, g.nrows):
         product = _reproduced(factors)
     else:
-        product = inverse.matmul(factors.upper)
+        product = invert_block_triangular(lower, LOWER).matmul(factors.upper)
     res = _block_gaps(product, g)
     worst = 0
     worst_level = None

@@ -9,15 +9,15 @@ g^T.  Every dual construction below is the primal one on g^T, blockwise
 transposed, rather than a second copy of it; a combination of forms
 multiplies their stored coefficients on the right.
 
-Associated families are built independently of the factorization, by
-direct linear solves against leading truncations of the moment matrix, so
-the connection formulas below genuinely compare two routes.  Each leading
-minor is eliminated once per side (g or g^T), and each block column of
-its solution is substituted when the one member that reads it is built;
-the eliminations and the members are kept on the moment matrix, so every
-member j at that order, and every check reading one, shares them.  The
-checks compare exact sides by equality first (`numerics.gap_norm`) and
-subtract only where they differ.
+Associated families are built by direct linear solves against leading
+truncations of the moment matrix, not read off the factors, so the
+connection formulas below compare two routes.  Each leading minor is
+eliminated once per side (g or g^T), in exact runs by the factorization's
+pass over that side, and each block column of its solution is solved when
+the one member that reads it is built; the eliminations and the members
+are kept on the moment matrix, so every member j at that order, and every
+check reading one, shares them.  The checks compare exact sides by
+equality first (`numerics.gap_norm`) and subtract only where they differ.
 
 All integrals of polynomial-times-weight products reduce to moment-matrix
 entries; no quadrature appears anywhere.
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blockops import BlockMatrix, _freeze
-from .factorize import GaussFactors
+from .factorize import GaussFactors, _bareiss_pass
 from .numerics import (
     EXACT,
     FLOAT,
@@ -37,6 +37,7 @@ from .numerics import (
     ResidualTracker,
     Elimination,
     Tolerance,
+    _back_substitute,
     block_sum,
     eliminate_leading,
     fraction,
@@ -216,7 +217,13 @@ def pair_poly_form(g: BlockMatrix, p: MatrixPolynomial, f: LinearForm) -> list:
 
 @memoized
 def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> Elimination:
-    """(h^{[order]})^T eliminated once per order and side, kept on g, h = g or g^T."""
+    """(h^{[order]})^T eliminated once per order and side, kept on g, h = g or g^T: if exact,
+    the first order*n rows of the factorization's pass over [h | I] unless a singular pivot
+    block came first (steps past row p leave it alone; row scales leave solutions alone)."""
+    size = order * g.n
+    kept = _bareiss_pass(g, not dual)[1] if g.backend == EXACT else None
+    if kept and size <= kept.n:
+        return Elimination(EXACT, size, kept.rows[:size], kept.order[:size], kept.scales[:size])
     head = range(order)
     dense = g.slice(head, head).to_dense()
     message = "leading minor of order %d is singular" % order
@@ -227,17 +234,21 @@ def _solution_column(g: BlockMatrix, order: int, dual: bool, i: int) -> list:
     """Block column i of X solving (h^{[order]})^T X = [I | h[order+t, 0..order-1]^T for t >= 0],
     as stored coefficients: its blocks k < order, transposed unless `dual`.
 
-    Substituted on the elimination of `_lead_solution` for the one member
-    that reads it, which is kept on g: column i < order of X is that of
+    Solved on the elimination of `_lead_solution` for the one member that
+    reads it, which is kept on g: column i < order of X is that of
     ((h^{[order]})^T)^{-1}, column order+t the solved combination of block
-    row order+t of h.
+    row order+t of h.  A pass has it eliminated in [h | I]: back-substitute.
     """
     n, head = g.n, range(order)
-    if i < order:
-        rhs = [[int(k == i and r == c) for c in range(n)] for k in head for r in range(n)]
+    elim = _lead_solution(g, order, dual)
+    if elim.rows and len(elim.rows[0]) > elim.n:  # rows of a pass: [h | I] eliminated
+        start = (i if i >= order else g.nrows + i) * n
+        column = _back_substitute(elim, [row[start : start + n] for row in elim.rows])
+    elif i < order:
+        column = substitute(elim, [[int(r == i * n + c) for c in range(n)] for r in range(elim.n)])
     else:
-        rhs = (g.slice(head, (i,)) if dual else g.slice((i,), head).transpose()).to_dense()
-    column = substitute(_lead_solution(g, order, dual), rhs)
+        h_col = g.slice(head, (i,)) if dual else g.slice((i,), head).transpose()
+        column = substitute(elim, h_col.to_dense())
     blocks = [column[k * n : (k + 1) * n] for k in head]
     return blocks if dual else [mat_transpose(b) for b in blocks]
 

@@ -30,12 +30,13 @@ right-hand-side block (`substitute`); `solve_dense` and `solve_leading` do
 both at once, and a caller that reads only some blocks of a solution keeps
 the `Elimination` and substitutes those.  Exact A is eliminated on integers
 (Bareiss), and each block of B is replayed through the same steps on
-integers; `bareiss_step` is the one Bareiss row update, which the exact
-block factorization eliminates with too.  Float A takes Gauss-Jordan with
-pivots of the largest magnitude, and each column of B repeats its
-operations in order.  Every singular pivot block or leading block minor is
-reported through `eliminate_leading`, as a `SingularLeadingMinorError`
-naming its level.
+integers, then back-substituted; `bareiss_step` is the one Bareiss row
+update, which the exact block factorization eliminates with too.  Its
+passes eliminate B beside each leading minor, which leaves only
+`_back_substitute`.  Float A takes Gauss-Jordan with pivots of the largest
+magnitude, and each column of B repeats its operations in order.  Every
+singular pivot block or leading block minor is reported through
+`eliminate_leading`, as a `SingularLeadingMinorError` naming its level.
 
 Every gap between two sides of a check is `gap_norm`: exact sides that
 agree entry for entry give 0 by equality, and only others are subtracted;
@@ -92,6 +93,8 @@ class Tolerance:
     def __post_init__(self):
         if not (self.abs_tol >= 0 and self.rel_tol >= 0):
             raise ValueError("tolerances must be nonnegative")
+        if math.inf in (self.abs_tol, self.rel_tol):
+            raise ValueError("tolerances must be finite")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -114,10 +117,10 @@ def approx_zero(x: Scalar, scale: Scalar, tol: Tolerance = DEFAULT_TOLERANCE) ->
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a rational from an int or a 'p/q' / 'p' string."""
+    """Parse a rational from an int (not a bool) or a 'p/q' / 'p' string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -346,7 +349,8 @@ class Elimination(NamedTuple):
     Exact: `rows` are the Bareiss-reduced integer rows of A, each scaled
     first by the lcm of its denominators (`scales`, by original row), in
     pivot order (`order`: the original row at each position).  Below the
-    diagonal a row keeps the entry it was eliminated with at each step.
+    diagonal a row keeps the entry it was eliminated with at each step;
+    rows past column n carry right-hand sides eliminated beside A.
     Float: `steps` holds, per column of A, the row swapped into the pivot
     position, the reciprocal of the pivot and the (row, multiplier) pairs
     the column subtracted, in the order Gauss-Jordan applied them.
@@ -387,8 +391,7 @@ def _substitute_fraction_free(elim: Elimination, b) -> list:
     on integers over one common denominator D, so the scaled system solves
     to D X.  The recorded steps replay on it: below each pivot p, row v
     becomes (p*v - f*w) // prev with the f the row of A kept, exactly as
-    if B had been eliminated beside A.  Back-substitution yields |det| * D * X
-    on integers (exact by Cramer's rule); Fractions are created only there.
+    if B had been eliminated beside A; `_back_substitute` finishes.
     """
     n, rows, scales = elim.n, elim.rows, elim.scales
     vectors = _integer_vectors(b)
@@ -405,7 +408,14 @@ def _substitute_fraction_free(elim: Elimination, b) -> list:
             f = rows[i][k]
             x[i] = [(p * v - f * w) // prev for v, w in zip(x[i], pivot)]
         prev = p
-    det = abs(prev)  # so that den > 0, as `fraction` needs
+    return _back_substitute(elim, x, common)
+
+
+def _back_substitute(elim: Elimination, x, common: int = 1) -> list:
+    """X from x = D * scaled B eliminated beside A (D = `common`): yields |det| * D * X
+    on integers (exact by Cramer's rule); Fractions are created only there."""
+    n, rows = elim.n, elim.rows
+    det = abs(rows[n - 1][n - 1]) if n else 1  # the last pivot; > 0, as `fraction` needs
     scaled = [None] * n  # det * D * X, row by row
     for i in reversed(range(n)):
         row = rows[i]

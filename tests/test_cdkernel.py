@@ -621,3 +621,25 @@ def test_table_pairs_are_the_moment_pairings(case, backend):
     for j, p in enumerate(table.polys):
         for k, f in enumerate(table.forms):
             assert typed(table.pair(j, k)) == typed(pair_poly_form(g, p, f)), (j, k)
+
+
+def test_entry_quotients_take_each_power_once_per_point(monkeypatch, mgn2_bundle, rational_grid):
+    """Every entry (a, b) at one point reads x^{n_a} and y^{n_b} taken once
+    for the point, and its value is that of the quotient written out."""
+    fam, g, factors = mgn2_bundle
+    ev = KernelEvaluator(fam, g, factors, TABLE_LEVEL)
+    x, y, nvec = rational_grid[1], rational_grid[4], fam.nvec
+    assoc = ev.cd_rhs_associated(x, y)
+    powers, real = [], Fraction.__pow__
+
+    def counted(a, b):
+        powers.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Fraction, "__pow__", counted)
+    entries = range(fam.size)
+    quotients = [[ev.cd_entry_quotient(a, b, x, y) for b in entries] for a in entries]
+    assert sorted(powers) == sorted([(x, k) for k in nvec] + [(y, k) for k in nvec])
+    monkeypatch.undo()
+    quotient = lambda a, b: assoc[a][b] / (x ** nvec[a] - y ** nvec[b])
+    assert quotients == [[quotient(a, b) for b in entries] for a in entries]

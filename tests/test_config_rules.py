@@ -103,6 +103,18 @@ CASES = {
         {"nvec": (1, 1)},
         "nvec/mvec: must be nonempty and of equal length",
     ),
+    "bool grid pair": (
+        {"grid": ([True, False],)},
+        "grid[0]: not a rational: True (use ints or 'p/q' strings)",
+    ),
+    "bool coefficient": (
+        {"coeffs": ("1", True)},
+        "seeds[0][0][0]: not a rational: True (use ints or 'p/q' strings)",
+    ),
+    "bool interval end": (
+        {"measure": {"b": True}},
+        "seeds[0][0][0]: not a rational: True (use ints or 'p/q' strings)",
+    ),
     "zero-denominator grid": (
         {"grid": (("1/0", "1/2"),)},
         "grid[0]: zero denominator in '1/0'",
@@ -374,6 +386,19 @@ def test_a_nan_tolerance_is_refused(key, tmp_path, capsys):
         Tolerance(**{key + "_tol": float("nan")})
 
 
+@pytest.mark.parametrize("key", ["abs", "rel"])
+def test_an_infinite_tolerance_is_refused(key, tmp_path, capsys):
+    """JSON reads 1e999 as inf, which would pass every finite float residual."""
+    data = dataclasses.replace(builtin_config("legendre"), backend="float").to_dict()
+    data["tolerance"][key] = "INF"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data).replace('"INF"', "1e999"))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: tolerance: tolerances must be finite\n"
+    with pytest.raises(ValueError, match="^tolerances must be finite$"):
+        Tolerance(**{key + "_tol": math.inf})
+
+
 @pytest.mark.parametrize("levels", [(), None])
 def test_level_free_checks_run_without_levels(levels):
     """With no level selected, the four level-free checks still run; None
@@ -395,6 +420,11 @@ def test_a_seed_refuses_text_coefficients_and_zero_denominators():
         SeedWeight.of(["1/0"], unit)
     with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
         BaseMeasure.finite_interval("1/0", 1)
+    not_rational = "^not a rational: True \\(use ints or 'p/q' strings\\)$"
+    with pytest.raises(ValueError, match=not_rational):
+        SeedWeight.of([1, True], unit)
+    with pytest.raises(ValueError, match=not_rational):
+        BaseMeasure.finite_interval(0, True)
 
 
 # A valid config whose every check runs in milliseconds; one field, or one

@@ -166,19 +166,29 @@ def test_nested_truncation_matches_reinversion_with_perturbed_lower(case, block,
 
 @pytest.mark.parametrize("backend,products", [("exact", 1), ("float", 2)])
 def test_factorization_check_forms_lower_inv_times_upper_once(monkeypatch, backend, products):
-    """Exact factors whose re-derived inverse equals lower_inv share one
-    product between both residuals; float factors keep the second route."""
+    """Exact factors prove lower_inv @ lower == I by one product of kept
+    forms instead of re-inverting lower, and share one product with upper
+    between both residuals; float factors keep the second route."""
     g, factors = case_bundle("multigraded-n2", backend)
-    calls, real = [], BlockMatrix.matmul
+    calls, inversions, real = [], [], BlockMatrix.matmul
 
     def counted(self, other):
-        calls.append(other is factors.upper)
+        calls.append((self is factors.lower_inv, other is factors.upper, other is factors.lower))
         return real(self, other)
 
+    def inverted(t, orientation, _fn=factorize.invert_block_triangular):
+        inversions.append(t is factors.lower)
+        return _fn(t, orientation)
+
     monkeypatch.setattr(BlockMatrix, "matmul", counted)
+    monkeypatch.setattr(factorize, "invert_block_triangular", inverted)
     factorization_residual(g, factors)
     nested_truncation_residual(g, factors)
-    assert calls == [True] * products
+    assert sum(with_upper for _, with_upper, _ in calls) == products
+    if backend == "exact":
+        assert calls == [(True, True, False), (True, False, True)] and inversions == []
+    else:
+        assert calls == [(True, True, False), (False, True, False)] and inversions == [True]
 
 
 def test_nested_truncation_reports_a_nan_border_block():

@@ -1,22 +1,29 @@
-"""The associated families read off one elimination per leading minor and side.
+"""The associated families read off the factorization's eliminations.
 
 Every member of the four associated families at order l is a block of the
-solution of (h^{[l]})^T X = [I | h[l+i, 0..l-1]^T], with h = g or g^T, so
-the builders share one elimination per (order, side), kept on the moment
-matrix, and each block column of X is substituted once, when a builder
-first reads it.  The per-call route, one elimination per builder call,
-survives in `conftest` as the oracle: entries, types and singular verdicts
-must agree with it exactly, in both backends.
+solution of (h^{[l]})^T X = [I | h[l+i, 0..l-1]^T], with h = g or g^T.  An
+exact factorization eliminates [g | I] and [g^T | I] once each, n rows at a
+time, and the leading l*n rows of each pass are the elimination of the
+minor with every block column of that right-hand side already eliminated
+beside it: the builders back-substitute each block column they read once,
+and no minor is eliminated again.  A minor past a singular pivot block, and
+every float minor, keeps its own elimination per (order, side).  The
+per-call route, one elimination per builder call, survives in `conftest` as
+the oracle: entries, types and singular verdicts must agree with it
+exactly, in both backends.
 """
 
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mghankel import families
-from mghankel.blockops import build_moment_matrix
+from mghankel import factorize, families
+from mghankel.blockops import BlockMatrix, build_moment_matrix
+from mghankel.cdkernel import KernelEvaluator, PointTable
+from mghankel.factorize import lu_factorize
 from mghankel.families import (
     associated_minus,
     associated_plus,
@@ -24,9 +31,16 @@ from mghankel.families import (
     dual_associated_plus,
 )
 from mghankel.harness import builtin_config, run
-from mghankel.numerics import SingularLeadingMinorError, SingularMatrixError
+from mghankel.numerics import (
+    SingularLeadingMinorError,
+    SingularMatrixError,
+    eliminate_leading,
+    mat_transpose,
+    substitute,
+)
 
 from conftest import (
+    PerCoordinateEvaluator,
     drawn_configs,
     solved_dual_minus,
     solved_dual_plus,
@@ -149,12 +163,37 @@ def eliminations(monkeypatch):
 
 @pytest.fixture
 def substitutions(monkeypatch):
-    """(order, dual, column) of every substitution, None for one outside
-    `_solution_column`."""
+    """(order, dual, column) of every forward replay and substitution, None
+    for one outside `_solution_column`."""
     return recorded_calls(monkeypatch, "_solution_column", "substitute")
 
 
-def test_two_moment_matrices_never_share_a_memo(eliminations):
+@pytest.fixture
+def back_substitutions(monkeypatch):
+    """(order, dual, column) of every back-substitution on a kept
+    elimination, None for one outside `_solution_column`."""
+    return recorded_calls(monkeypatch, "_solution_column", "_back_substitute")
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Rows of h scaled by each exact factorization pass: one entry per pass."""
+    calls, real = [], factorize._integer_vectors
+
+    def counted(vectors):
+        calls.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(factorize, "_integer_vectors", counted)
+    return calls
+
+
+def kept_sides(g) -> set:
+    """The sides (transposed or not) whose factorization pass is kept on g."""
+    return {args for fn, args in g._memo if fn is factorize._bareiss_pass.__wrapped__}
+
+
+def test_two_moment_matrices_never_share_a_memo(eliminations, passes):
     first, second = moments("multigraded-n2", "exact"), moments("multigraded-n2", "exact")
     assert first == second and first is not second
     for g in (first, second):
@@ -162,27 +201,34 @@ def test_two_moment_matrices_never_share_a_memo(eliminations):
             associated_plus(g, 3, j)
             associated_minus(g, 2, j)
             dual_associated_plus(g, 3, j)
-    assert eliminations == [(3, False), (3, True)] * 2
+    assert kept_sides(first) == kept_sides(second) == {(False,), (True,)}
+    assert passes == [first.nrows * first.n] * 4 and eliminations == []
     assert associated_plus(first, 3, 2) == associated_plus(second, 3, 2)
 
 
-def test_each_order_and_side_is_eliminated_once_per_run(eliminations, substitutions):
-    """One run with every check: the builders of every check and every
-    kernel level share one elimination per (order, side), and one
-    substitution per (order, side, block column)."""
+def test_each_order_and_side_is_eliminated_once_per_run(
+    eliminations, substitutions, back_substitutions, passes
+):
+    """One run with every check: the factorization's two passes are the only
+    eliminations of a leading minor, so the builders of every check and
+    every kernel level eliminate nothing more and replay no member column;
+    each (order, side, block column) is back-substituted once."""
     report = run(builtin_config("multigraded-n2"))
     assert report.exit_code == 0
-    assert eliminations and None not in eliminations
-    assert max(Counter(eliminations).values()) == 1
-    assert {order for order, _ in eliminations} == set(range(1, 9))
-    assert substitutions and None not in substitutions
-    assert max(Counter(substitutions).values()) == 1
+    assert len(passes) == 2
+    assert eliminations == [] and substitutions == []
+    assert back_substitutions and None not in back_substitutions
+    assert max(Counter(back_substitutions).values()) == 1
+    assert {order for order, _, _ in back_substitutions} == set(range(1, 9))
 
 
-def test_a_coefficient_run_substitutes_only_the_columns_it_reads(eliminations, substitutions):
+def test_a_coefficient_run_substitutes_only_the_columns_it_reads(
+    eliminations, substitutions, back_substitutions
+):
     """Shaped like the deep-structural benchmark configs (coefficient checks
-    only, two levels): far fewer block columns are substituted than the
-    whole right-hand side [I | h[order+i, 0..order-1]^T] of every elimination."""
+    only, two levels): far fewer block columns are back-substituted than the
+    whole right-hand side [I | h[order+i, 0..order-1]^T] of every (order,
+    side) read."""
     checks = (
         "factorization",
         "biorthogonality",
@@ -192,5 +238,119 @@ def test_a_coefficient_run_substitutes_only_the_columns_it_reads(eliminations, s
     )
     config = dataclasses.replace(builtin_config("multigraded-n2"), checks=checks, levels=(3, 7))
     assert run(config).exit_code == 0
-    assert max(Counter(substitutions).values()) == 1
-    assert len(substitutions) < config.truncation * len(eliminations)
+    assert eliminations == [] and substitutions == []
+    assert max(Counter(back_substitutions).values()) == 1
+    read = {(order, dual) for order, dual, _ in back_substitutions}
+    assert len(back_substitutions) < config.truncation * len(read)
+
+
+# -- kept eliminations against standalone solves -----------------------------
+
+
+def standalone_column(g, order: int, dual: bool, i: int) -> list:
+    """Oracle: block column i of `_solution_column` from the minor's own
+    `eliminate_leading` and a full `substitute` of its right-hand side."""
+    n, head = g.n, range(order)
+    dense = g.slice(head, head).to_dense()
+    message = "leading minor of order %d is singular" % order
+    elim = eliminate_leading(dense if dual else mat_transpose(dense), g.backend, order, message)
+    if i < order:
+        rhs = [[int(k == i and r == c) for c in range(n)] for k in head for r in range(n)]
+    else:
+        rhs = (g.slice(head, (i,)) if dual else g.slice((i,), head).transpose()).to_dense()
+    column = substitute(elim, rhs)
+    blocks = [column[k * n : (k + 1) * n] for k in head]
+    return blocks if dual else [mat_transpose(b) for b in blocks]
+
+
+def read_off_a_pass(g, order: int, dual: bool) -> bool:
+    """Whether `_lead_solution` is a view of a factorization pass, whose rows
+    run on past the minor."""
+    elim = families._lead_solution(g, order, dual)
+    return len(elim.rows[0]) > elim.n
+
+
+def column_outcome(solve, g, order, dual, i):
+    """Blocks by type and repr, or the singular verdict with its cause."""
+    try:
+        blocks = solve(g, order, dual, i)
+    except SingularLeadingMinorError as exc:
+        return type(exc), exc.level, str(exc), type(exc.__cause__)
+    return [typed(b) for b in blocks]
+
+
+def assert_columns_match_standalone_solves(g):
+    for dual in (False, True):
+        for order in range(1, g.nrows + 1):
+            for i in range(g.nrows):
+                want = column_outcome(standalone_column, g, order, dual, i)
+                got = column_outcome(families._solution_column, g, order, dual, i)
+                assert got == want, (order, dual, i)
+
+
+@pytest.mark.parametrize("case", ["legendre", "multigraded-12", "multigraded-n2"])
+def test_kept_views_solve_as_standalone_eliminations(case):
+    """Every exact built-in: each order and side is a view of the kept pass,
+    and every block column and every kernel level's batched grid solve
+    (`KernelEvaluator._solved`) equals its standalone solve by type and value."""
+    config = builtin_config(case)
+    fam, g = config.family(), moments(case, "exact")
+    every = [(order, dual) for order in range(1, g.nrows + 1) for dual in (False, True)]
+    assert all(read_off_a_pass(g, *side) for side in every)
+    assert_columns_match_standalone_solves(g)
+    factors = lu_factorize(g)
+    coords = [Fraction(k, 7) for k in (1, 3, 6)]
+    table = PointTable(fam, g, factors, [(x, y) for x in coords for y in coords])
+    for level in range(g.nrows - fam.max_shift()):
+        ev = KernelEvaluator(fam, g, factors, level, table=table)
+        oracle = PerCoordinateEvaluator(fam, g, factors, level)
+        for c in coords:
+            assert typed(ev._right_piece(c)) == typed(oracle._right_piece(c)), (level, c)
+            assert typed(ev._left_piece(c)) == typed(oracle._left_piece(c)), (level, c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kept_views_solve_as_standalone_eliminations_on_drawn_families(data):
+    g = data.draw(drawn_families("exact"))
+    assert_columns_match_standalone_solves(g)
+
+
+def pivot_block_one_singular() -> BlockMatrix:
+    """N = 2, L = 3: g^{[1]} and g^{[3]} are nonsingular, g^{[2]} is not."""
+    rows = [
+        [2, 1, 1, 0, 1, 0],
+        [1, 1, 0, 1, 0, 1],
+        [3, 2, 1, 1, Fraction(1, 2), 0],
+        [1, 0, 1, -1, 0, 2],
+        [0, 1, Fraction(1, 3), 0, 1, 1],
+        [1, 0, 0, 2, 1, 0],
+    ]
+    return BlockMatrix.from_dense(2, [[Fraction(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize("factorize_first", [True, False])
+def test_a_singular_pivot_block_leaves_larger_minors_to_their_own_elimination(factorize_first):
+    """Block minor 2 is singular and block minor 3 is not: order 1 is read
+    off the passes, order 2 keeps its singular verdict, and order 3 is
+    eliminated by itself and solves; `lu_factorize` still raises at pivot
+    block 1 with its message and cause, whichever caller runs the passes."""
+    g = pivot_block_one_singular()
+    if not factorize_first:
+        assert_columns_match_standalone_solves(g)
+    with pytest.raises(SingularLeadingMinorError) as info:
+        lu_factorize(g)
+    assert (info.value.level, str(info.value)) == (1, "singular leading block minor at level 1")
+    assert type(info.value.__cause__) is SingularMatrixError
+    for dual in (False, True):
+        assert factorize._bareiss_pass(g, dual)[1].n == g.n  # one block completed
+        assert read_off_a_pass(g, 1, dual) and not read_off_a_pass(g, 3, dual)
+    assert_columns_match_standalone_solves(g)
+    assert column_outcome(families._solution_column, g, 2, True, 0)[:3] == (
+        SingularLeadingMinorError,
+        2,
+        "leading minor of order 2 is singular",
+    )
+    assert isinstance(column_outcome(families._solution_column, g, 3, False, 1), list)
+    for build, oracle in MINUS:
+        assert outcome(build, g, 2, 1) == outcome(oracle, g, 2, 1)

@@ -13,7 +13,6 @@ both backends.
 
 import dataclasses
 import re
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -226,42 +225,42 @@ def test_two_pair_partition_sum_keeps_the_bits_of_the_difference(operands):
 
 def test_a_run_substitutes_once_per_level_and_side(monkeypatch):
     """Exact multigraded-n2, with every check and with `abc` and `proposition`
-    alone, where the evaluators reach each minor first: every evaluator level
-    substitutes once per side, for all five grid coordinates, on the run's
-    elimination of that side, and every leading minor the run eliminates is
-    eliminated by `families._lead_solution`, once per (order, side); the
-    other eliminations are the N x N pivot blocks of the factorization."""
-    lead = families._lead_solution.__wrapped__.__code__
-    eliminations, substitutions = [], []
+    alone: every evaluator level substitutes once per side, for all five grid
+    coordinates, on the run's one elimination of that side
+    (`families._lead_solution`, a view of the factorization's pass), and no
+    leading minor is eliminated by itself: the only eliminations left are
+    the N x N pivot blocks of the factorization."""
+    eliminated, substitutions, leads = [], [], {}
 
     def eliminate(a, backend, _fn=numerics.eliminate):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not lead:
-            frame = frame.f_back
-        key = len(a) if frame is None else (frame.f_locals["order"], frame.f_locals["dual"])
-        eliminations.append((key, _fn(a, backend)))
-        return eliminations[-1][1]
+        eliminated.append(len(a))
+        return _fn(a, backend)
+
+    def lead_solution(g, order, dual, _fn=families._lead_solution):
+        elim = _fn(g, order, dual)
+        leads.setdefault(id(elim), ((order, dual), elim))
+        return elim
 
     def substitute(elim, b, _fn=cdkernel.substitute):
-        substitutions.append((elim, len(b[0])))
+        substitutions.append((leads[id(elim)][0], len(b[0])))
         return _fn(elim, b)
 
     monkeypatch.setattr(numerics, "eliminate", eliminate)
+    monkeypatch.setattr(families, "_lead_solution", lead_solution)
     monkeypatch.setattr(cdkernel, "substitute", substitute)
     base = builtin_config("multigraded-n2")
     assert base.checks == harness.CHECK_NAMES
     n, coords = base.size, len(DEFAULT_GRID_COORDS)
+    per_level = {(level, dual): 1 for level in base.levels for dual in (False, True)}
     for checks in (base.checks, ("abc", "proposition")):
-        del eliminations[:], substitutions[:]
+        del eliminated[:], substitutions[:]
+        leads.clear()
         assert run(dataclasses.replace(base, checks=checks)).exit_code == 0
-        leads = [(key, elim) for key, elim in eliminations if isinstance(key, tuple)]
-        assert {key for key, _ in eliminations if not isinstance(key, tuple)} == {n}
-        assert max(Counter(key for key, _ in leads).values()) == 1
-        solved = Counter(next(k for k, e in leads if e is elim) for elim, _ in substitutions)
-        per_level = {(level, dual): 1 for level in base.levels for dual in (False, True)}
-        assert solved == per_level, checks
+        assert set(eliminated) == {n}, checks
+        keys = [key for key, _ in leads.values()]
+        assert len(keys) == len(set(keys)), checks
+        assert Counter(key for key, _ in substitutions) == per_level, checks
         assert {width for _, width in substitutions} == {coords * n}
-    assert {key for key, _ in leads} == per_level.keys()
 
 
 LEVEL_PREFIX = re.compile(r"l=(\d+)\b")
