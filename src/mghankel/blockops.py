@@ -7,6 +7,7 @@ by design, so storage is dense and operations are written for clarity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .numerics import (
@@ -17,14 +18,17 @@ from .numerics import (
     ResidualTracker,
     Tolerance,
     _fold_dots,
+    fraction,
+    gap_norm,
     has_float,
     integer_col,
     integer_row,
-    mat_mul,
     mat_zeros,
     mat_eye,
     matrix_residual_norm,
     memoized,
+    product_gaps,
+    product_rows,
 )
 from .weights import ConfigError, WeightFamily, validate_family
 
@@ -94,18 +98,47 @@ class BlockMatrix:
         return cls(n, blocks)
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
-        """Block product; exact operands take one fraction-free product of their kept forms.
-        Float entries fold over k from int 0 (`_fold_dots`); `other` is transposed once."""
+        """Block product.  Exact entries are Fractions of `numerics.product_rows`
+        over the kept forms; exact checks settle on integers instead (`gaps`),
+        where only a differing entry becomes a Fraction, its gap.  Float
+        entries fold over k from int 0 (`_fold_dots`); `other` is transposed once."""
         if self.ncols != other.nrows or self.n != other.n:
             raise ValueError("incompatible block shapes")
         if self.backend == other.backend == EXACT:
-            rows = [v for i in range(self.nrows) for v in self.integer_row(i)]
-            cols = [v for j in range(other.ncols) for v in other.integer_col(j)]
-            product = mat_mul((), (), EXACT, rows, cols)
-            return BlockMatrix.from_dense(self.n, product)
+            n, cuts = self.n, range(0, other.ncols * self.n, self.n)
+            cols = [other.integer_col(j) for j in range(other.ncols)]
+            product, dens = product_rows(self._rows(), cols)
+            rows = [[[fraction(x, d * e) for x, e in zip(v, dens)] for v, d in b] for b in product]
+            blocks = [[_freeze(r[c : c + n] for r in b) for c in cuts] for b in rows]
+            return BlockMatrix._frozen(n, blocks)
         transposed = [[list(zip(*blk)) for blk in row] for row in other.blocks]
         cols = [[row[j] for row in transposed] for j in range(other.ncols)]
         return BlockMatrix(self.n, [[_fold_dots(row, col) for col in cols] for row in self.blocks])
+
+    def _rows(self) -> list:
+        return [self.integer_row(i) for i in range(self.nrows)]
+
+    def gaps(self, others, target: "BlockMatrix | None" = None) -> list:
+        """Gap of each block of self @ others[0] @ ... against the same block
+        of `target` (the identity when None): exact operands settle it on
+        integers (`numerics.product_gaps`), floats take `gap_norm` of blocks."""
+        chain = (self, *others)
+        shape = (self.nrows, self.nrows) if target is None else (target.nrows, target.ncols)
+        inner = any(a.ncols != b.nrows or a.n != b.n for a, b in zip(chain, others))
+        if inner or shape != (self.nrows, others[-1].ncols):
+            raise ValueError("incompatible block shapes")
+        exact = all(m.backend == EXACT for m in chain)
+        if exact and (target is None or target.backend == EXACT):
+            n, size = self.n, self.n * self.nrows
+            eye = [([0] * k + [1] + [0] * (size - k - 1), 1) for k in range(size)]
+            goal = [eye[i : i + n] for i in range(0, size, n)] if target is None else target._rows()
+            cols = [[m.integer_col(j) for j in range(m.ncols)] for m in others]
+            return product_gaps(self._rows(), cols, goal, n)
+        product = functools.reduce(BlockMatrix.matmul, others, self)
+        if target is None:
+            target = BlockMatrix.identity(self.n, self.nrows, FLOAT)
+        pairs = zip(product.blocks, target.blocks)
+        return [[gap_norm(p, q, FLOAT) for p, q in zip(*r)] for r in pairs]
 
     def transpose(self) -> "BlockMatrix":
         return BlockMatrix._frozen(

@@ -15,7 +15,7 @@ Doolittle elimination and invert both factors by block substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import sub
 
 from .blockops import BlockMatrix, _freeze
@@ -29,7 +29,6 @@ from .numerics import (
     bareiss_step,
     block_sum,
     fraction,
-    gap_norm,
     mat_eye,
     mat_mul,
     mat_scale,
@@ -72,8 +71,8 @@ class GaussFactors:
 def lu_factorize(g: BlockMatrix) -> GaussFactors:
     """Block Gaussian elimination without block pivoting.
 
-    Exact matrices are eliminated fraction-free (`_exact_factors`), float
-    matrices by block Doolittle elimination.  Raises
+    Exact matrices are eliminated fraction-free (`_exact_factors`, kept on
+    g), float matrices by block Doolittle elimination.  Raises
     SingularLeadingMinorError(level) when the pivot block at an elimination
     step cannot be inverted (exactly singular, or beyond the relative
     threshold in float mode).
@@ -81,7 +80,7 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
     if g.nrows != g.ncols:
         raise ValueError("factorization needs a square block matrix")
     if g.backend == EXACT:
-        return _exact_factors(g)
+        return replace(_exact_factors(g))  # a factorization of its own over the kept factors
     n, levels = g.n, g.nrows
     backend = g.backend
     low = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
@@ -119,8 +118,9 @@ def _bareiss_pass(g: BlockMatrix, transposed: bool) -> tuple:
     i of ``upper`` from block column i on and R block row i of ``lower`` up
     to it (``lower @ h == upper``).  Its columns are then eliminated,
     pivoting only among its rows; a singular pivot block ends the pass.
-    Returns (heads, elim): (r, divisors) per block that came up, and the
-    `Elimination` of the blocks completed.
+    Returns (heads, elim): (r, divisors) per block that came up, which
+    `_exact_factors` empties once it has read them, and the `Elimination`
+    of the blocks completed.
     """
     dense = mat_transpose(g.to_dense()) if transposed else g.to_dense()
     n, size = g.n, len(dense)
@@ -142,6 +142,7 @@ def _bareiss_pass(g: BlockMatrix, transposed: bool) -> tuple:
     return heads, Elimination(EXACT, done, m, order, [lcm for _, lcm in scaled])
 
 
+@memoized
 def _exact_factors(g: BlockMatrix) -> GaussFactors:
     """The four factors of an exact g from the two passes of `_bareiss_pass`.
 
@@ -150,7 +151,8 @@ def _exact_factors(g: BlockMatrix) -> GaussFactors:
     pass over g^T gives the rows S' and R' of the factors of g^T, the
     transposed factors of g: block column i of ``lower_inv`` and
     ``upper_inv`` is S'(j, i)^T D_i (j > i) and R'(i, k)^T D_i (k < i), one
-    product of r's integer columns with D_i over r's divisors.
+    product of r's integer columns with D_i over r's divisors.  Kept on g,
+    it empties the passes' block rows, which nothing else reads.
     """
     n, levels = g.n, g.nrows
     eye, zero = _freeze(mat_eye(n)), _freeze(mat_zeros(n, n))
@@ -169,6 +171,8 @@ def _exact_factors(g: BlockMatrix) -> GaussFactors:
         blocks = [_freeze(product[t : t + n]) for t in range(0, len(product), n)]
         lower_inv.append([zero] * i + [eye] + blocks[: levels - i - 1])
         upper_inv.append(blocks[levels - i - 1 :] + [_freeze(d)] + [zero] * (levels - i - 1))
+    for transposed in (False, True):
+        _bareiss_pass(g, transposed)[0].clear()
     return GaussFactors(
         lower=BlockMatrix._frozen(n, lower),
         lower_inv=BlockMatrix._frozen(n, zip(*lower_inv)),
@@ -203,25 +207,18 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
     return BlockMatrix(n, inv)
 
 
-@memoized
-def _reproduced(factors: GaussFactors) -> BlockMatrix:
-    """lower_inv @ upper, formed once per factorization."""
-    return factors.lower_inv.matmul(factors.upper)
-
-
-def _block_gaps(a: BlockMatrix, g: BlockMatrix) -> list:
-    """`gap_norm` of each block of a against the same block of g, in g's backend."""
-    if (a.nrows, a.ncols, a.n) != (g.nrows, g.ncols, g.n):
-        raise ValueError("incompatible block shapes")
-    return [
-        [gap_norm(p, q, g.backend) for p, q in zip(row_a, row_g)]
-        for row_a, row_g in zip(a.blocks, g.blocks)
-    ]
+def _factor_gaps(g: BlockMatrix, factors: GaussFactors) -> list:
+    """`BlockMatrix.gaps` of lower_inv @ upper against g, kept on g for the
+    last factors checked, so that both residuals read one gaps matrix."""
+    kept = g._memo.get((_factor_gaps, ()))
+    if kept is None or kept[0] is not factors:
+        kept = g._memo[_factor_gaps, ()] = (factors, factors.lower_inv.gaps([factors.upper], g))
+    return kept[1]
 
 
 def factorization_residual(g: BlockMatrix, factors: GaussFactors):
     """Max-norm of lower_inv @ upper - g."""
-    return matrix_residual_norm(_block_gaps(_reproduced(factors), g))
+    return matrix_residual_norm(_factor_gaps(g, factors))
 
 
 def nested_truncation_residual(g: BlockMatrix, factors: GaussFactors):
@@ -233,18 +230,18 @@ def nested_truncation_residual(g: BlockMatrix, factors: GaussFactors):
     the inverse of every leading truncation is the leading part of one
     inverse of the whole factor, and every truncation's residual is the
     leading part of one residual matrix.  Level l adds its L-shaped border:
-    block row l-1 and block column l-1.  Exact factors with
-    ``lower_inv @ lower == I`` skip the re-derivation, in one product of
-    kept forms: the unit block-lower ``lower_inv`` is then the one inverse
-    of ``lower``, so that residual matrix is the one of
-    `factorization_residual`, and its product is not formed again.
+    block row l-1 and block column l-1.  Exact gaps settle on integers
+    (`BlockMatrix.gaps`); only an entry that differs builds its Fraction.
+    Exact factors with ``lower_inv @ lower == I`` skip the re-derivation:
+    the unit block-lower ``lower_inv`` is then the one inverse of
+    ``lower``, so the gaps are those of `factorization_residual`, read
+    again, not settled again.
     """
-    lower, lower_inv = factors.lower, factors.lower_inv
-    if g.backend == EXACT and lower_inv.matmul(lower) == BlockMatrix.identity(g.n, g.nrows):
-        product = _reproduced(factors)
+    lower = factors.lower
+    if g.backend == EXACT and not any(map(any, factors.lower_inv.gaps([lower]))):
+        res = _factor_gaps(g, factors)
     else:
-        product = invert_block_triangular(lower, LOWER).matmul(factors.upper)
-    res = _block_gaps(product, g)
+        res = invert_block_triangular(lower, LOWER).gaps([factors.upper], g)
     worst = 0
     worst_level = None
     for level in range(1, g.nrows + 1):

@@ -39,8 +39,12 @@ singular pivot block or leading block minor is reported through
 `eliminate_leading`, as a `SingularLeadingMinorError` naming its level.
 
 Every gap between two sides of a check is `gap_norm`: exact sides that
-agree entry for entry give 0 by equality, and only others are subtracted;
-float sides are always subtracted, so inf and NaN gaps stay NaN.
+agree entry for entry (Fractions by their numerator and denominator
+slots) give 0 by equality, and only others are subtracted; float sides
+are always subtracted, so inf and NaN gaps stay NaN.  Exact product
+checks settle on integers (`product_gaps`): an entry v / D of the chain
+`product_rows` equals its target t / T iff v T == t D, and only an entry
+that differs becomes a Fraction, its gap |v T - t D| / (D T).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, eq, mul
+from operator import add, attrgetter, eq, mul
 from typing import NamedTuple
 
 EXACT = "exact"
@@ -280,6 +284,60 @@ def block_sum(n: int, lefts, rights, backend: str, rows=None, cols=None) -> list
     if len(lefts) == 1:
         return mat_mul(lefts[0], rights[0], backend)
     return _fold_dots(lefts, [list(zip(*b)) for b in rights])
+
+
+def _span(block) -> tuple:
+    """[lo, hi): where some integer vector of `block` is nonzero; (-1, 0) when
+    none is, and any range met with that slices to nothing."""
+    flags = bytes(map(any, zip(*[ints for ints, _ in block])))
+    return flags.find(1), flags.rfind(1) + 1
+
+
+def product_rows(rows, *forms) -> tuple:
+    """rows @ C_1 @ ... @ C_m on integers: block rows of (integers, den) rows
+    (`integer_row`) times block columns alike (`integer_col`).  Each dot runs
+    only where both its blocks hold a nonzero (`_span`, read from the data).
+    Between factors each row goes over one denominator, its own times the
+    lcm of the columns'.  Returns (block rows of (dots, den), dens): entry k
+    of a row is dots[k] / (den * dens[k])."""
+    dens = []
+    for cols in forms:
+        if dens:
+            lcm = math.lcm(*dens)
+            scales = [lcm // d for d in dens]
+            rows = [[(list(map(mul, v, scales)), d * lcm) for v, d in b] for b in rows]
+        spans = [(*_span(b), [c for c, _ in b]) for b in cols]
+        out = []
+        for block in rows:
+            lo, hi = _span(block)
+            bounds = [(max(lo, c_lo), min(hi, c_hi), cs) for c_lo, c_hi, cs in spans]
+            out.append([
+                ([sum(map(mul, r[a:b], c[a:b])) for a, b, cs in bounds for c in cs], d)
+                for r, d in block
+            ])
+        rows, dens = out, [d for b in cols for _, d in b]
+    return rows, dens
+
+
+def product_gaps(rows, forms, targets, n: int) -> list:
+    """`gap_norm` of each n x n block of `product_rows` against the same block
+    of `targets` (block rows of (integers, den) rows), settled on integers:
+    v / D == t / T iff v T == t D, and only an entry that differs builds a
+    Fraction, its gap |v T - t D| / (D T)."""
+    product, dens = product_rows(rows, *forms)
+    out = []
+    for block, goal in zip(product, targets):
+        gaps = [0] * (len(dens) // n)
+        for (dots, den), (t, t_den) in zip(block, goal):
+            lhs = list(map(mul, dots, repeat(t_den)))
+            rhs = list(map(mul, t, map(mul, dens, repeat(den))))
+            if lhs == rhs:
+                continue
+            for k, (v, w) in enumerate(zip(lhs, rhs)):
+                if v != w:
+                    gaps[k // n] = max(gaps[k // n], fraction(abs(v - w), den * dens[k] * t_den))
+        out.append(gaps)
+    return out
 
 
 def _fold_dots(lefts, cols, start=None, op=add) -> list:
@@ -522,9 +580,18 @@ def gap_norm(a, b, backend: str) -> Scalar:
     subtract: inf == inf, and a list comparison finds one NaN object equal
     to itself, but both gaps are NaN.
     """
-    if backend == EXACT and all(all(map(eq, ra, rb)) for ra, rb in zip(a, b)):
+    if backend == EXACT and all(map(_same, a, b)):
         return 0
     return matrix_residual_norm(mat_sub(a, b))
+
+
+def _same(ra, rb, _pair=attrgetter("_numerator", "_denominator")) -> bool:
+    """Exact rows agree entry for entry: canonical Fractions by their
+    (numerator, denominator) slots, a row holding an int by value."""
+    try:
+        return list(map(_pair, ra)) == list(map(_pair, rb))
+    except AttributeError:
+        return all(map(eq, ra, rb))
 
 
 @dataclass(frozen=True)

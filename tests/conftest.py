@@ -1,5 +1,6 @@
 """Shared fixtures: the recurring families, moment matrices and factors."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,10 @@ from mghankel.families import MatrixPolynomial, eval_form, eval_poly, pair_poly_
 from mghankel.harness import RunConfig, builtin_config
 from mghankel.numerics import (
     EXACT,
+    ResidualTracker,
     block_sum,
+    gap_norm,
+    invert_dense,
     mat_eye,
     mat_mul,
     mat_sub,
@@ -79,6 +83,55 @@ def blockwise_matmul(p: BlockMatrix, q: BlockMatrix, start=0) -> BlockMatrix:
     """Oracle block product, one `blockwise_sum` per output block."""
     cols = [[row[j] for row in q.blocks] for j in range(q.ncols)]
     return BlockMatrix(p.n, [[blockwise_sum(row, col, start) for col in cols] for row in p.blocks])
+
+
+# -- the dense route: the reference for the exact gaps settled on integers ---
+
+
+def dense_product(chain) -> BlockMatrix:
+    """The exact product of the block matrices in `chain`, with Fraction sums."""
+    return functools.reduce(lambda p, q: blockwise_matmul(p, q, Fraction(0)), chain)
+
+
+def dense_gaps(chain, target: BlockMatrix) -> list:
+    """`gap_norm` of each block of `dense_product(chain)` against the same block of `target`."""
+    pairs = zip(dense_product(chain).blocks, target.blocks)
+    return [[gap_norm(p, q, EXACT) for p, q in zip(*row)] for row in pairs]
+
+
+def dense_factorization_residual(g: BlockMatrix, factors: GaussFactors):
+    return matrix_residual_norm(dense_gaps([factors.lower_inv, factors.upper], g))
+
+
+def dense_nested_truncation_residual(g: BlockMatrix, factors: GaussFactors) -> tuple:
+    """(worst residual, first level reaching it) of inv(lower^{[l]}) @ upper^{[l]}
+    against g^{[l]}, each leading truncation of lower inverted densely.  Lower
+    is read as block substitution reads it: its blocks above the diagonal are
+    zero."""
+    n, levels = g.n, g.nrows
+    lower = BlockMatrix(n, [
+        [blk if j <= i else mat_zeros(n, n) for j, blk in enumerate(row)]
+        for i, row in enumerate(factors.lower.blocks)
+    ])
+    worst, worst_level = 0, None
+    for level in range(1, levels + 1):
+        head = range(level)
+        inverse = invert_dense(lower.slice(head, head).to_dense())
+        chain = [BlockMatrix.from_dense(g.n, inverse), factors.upper.slice(head, head)]
+        residual = matrix_residual_norm(dense_gaps(chain, g.slice(head, head)))
+        if residual > worst:
+            worst, worst_level = residual, level
+    return worst, worst_level
+
+
+def dense_biorthogonality(g: BlockMatrix, factors: GaussFactors) -> tuple:
+    """(residual, worst location) of lower @ g @ upper_inv against I, blockwise."""
+    tracker = ResidualTracker()
+    chain = [factors.lower, g, factors.upper_inv]
+    for i, row in enumerate(dense_gaps(chain, BlockMatrix.identity(g.n, g.nrows))):
+        for j, r in enumerate(row):
+            tracker.record(r, 0, "(i=%d, j=%d)" % (i, j))
+    return tracker.residual, tracker.worst
 
 
 def block_doolittle(g: BlockMatrix) -> GaussFactors:

@@ -265,6 +265,15 @@ def block_typed(m: BlockMatrix) -> list:
     return [[typed(blk) for blk in row] for row in m.blocks]
 
 
+def test_gaps_refuse_a_chain_that_does_not_multiply_to_its_target():
+    square, wide = block_zeros(1, 2, 2), block_zeros(1, 2, 3)
+    for others, target in (([wide], None), ([wide], square), ([wide, square], square)):
+        with pytest.raises(ValueError, match="incompatible block shapes"):
+            square.gaps(others, target)
+    assert square.gaps([wide], block_zeros(1, 2, 3)) == [[0, 0, 0], [0, 0, 0]]
+    assert square.gaps([square]) == [[1, 0], [0, 1]]
+
+
 @given(block_products(exact_block))
 def test_exact_block_product_matches_blockwise_oracle(operands):
     p, q = operands

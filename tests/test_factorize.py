@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mghankel import factorize
+from mghankel import factorize, numerics
 from mghankel.blockops import BlockMatrix, build_moment_matrix
 from mghankel.factorize import (
     LOWER,
@@ -16,6 +16,7 @@ from mghankel.factorize import (
     lu_factorize,
     nested_truncation_residual,
 )
+from mghankel.families import check_biorthogonality
 from mghankel.harness import BUILTIN_CASES, builtin_config
 from mghankel.numerics import (
     SingularLeadingMinorError,
@@ -30,6 +31,10 @@ from mghankel.weights import WeightFamily
 from conftest import (
     block_doolittle,
     blockwise_sum,
+    dense_biorthogonality,
+    dense_factorization_residual,
+    dense_nested_truncation_residual,
+    dense_product,
     drawn_configs,
     exact_scalars,
     ieee_floats,
@@ -166,29 +171,88 @@ def test_nested_truncation_matches_reinversion_with_perturbed_lower(case, block,
 
 @pytest.mark.parametrize("backend,products", [("exact", 1), ("float", 2)])
 def test_factorization_check_forms_lower_inv_times_upper_once(monkeypatch, backend, products):
-    """Exact factors prove lower_inv @ lower == I by one product of kept
-    forms instead of re-inverting lower, and share one product with upper
-    between both residuals; float factors keep the second route."""
+    """Exact checks settle lower_inv @ upper against g once, on integers, for
+    both residuals: they never re-invert lower, form no `BlockMatrix.matmul`
+    and, on a passing built-in, build no Fraction.  Float factors form two
+    products with upper and re-invert lower once."""
     g, factors = case_bundle("multigraded-n2", backend)
-    calls, inversions, real = [], [], BlockMatrix.matmul
+    chains, products_formed, inversions, fractions = [], [], [], []
+    real_gaps, real_matmul, real_fraction = BlockMatrix.gaps, BlockMatrix.matmul, numerics.fraction
 
-    def counted(self, other):
-        calls.append((self is factors.lower_inv, other is factors.upper, other is factors.lower))
-        return real(self, other)
+    def gaps(self, others, target=None):
+        chains.append(self is factors.lower_inv and others == [factors.upper])
+        return real_gaps(self, others, target)
+
+    def matmul(self, other):
+        products_formed.append(other is factors.upper)
+        return real_matmul(self, other)
+
+    def fraction(n, d):
+        fractions.append((n, d))
+        return real_fraction(n, d)
 
     def inverted(t, orientation, _fn=factorize.invert_block_triangular):
         inversions.append(t is factors.lower)
         return _fn(t, orientation)
 
-    monkeypatch.setattr(BlockMatrix, "matmul", counted)
+    monkeypatch.setattr(BlockMatrix, "gaps", gaps)
+    monkeypatch.setattr(BlockMatrix, "matmul", matmul)
+    monkeypatch.setattr(numerics, "fraction", fraction)
     monkeypatch.setattr(factorize, "invert_block_triangular", inverted)
-    factorization_residual(g, factors)
-    nested_truncation_residual(g, factors)
-    assert sum(with_upper for _, with_upper, _ in calls) == products
+    residuals = factorization_residual(g, factors), nested_truncation_residual(g, factors)[0]
     if backend == "exact":
-        assert calls == [(True, True, False), (True, False, True)] and inversions == []
+        assert residuals == (0, 0) and check_biorthogonality(g, factors).residual == 0
+        assert sum(chains) == products and products_formed == [] and inversions == []
+        assert fractions == []
     else:
-        assert calls == [(True, True, False), (False, True, False)] and inversions == [True]
+        assert sum(products_formed) == products and inversions == [True]
+
+
+@pytest.mark.parametrize("case", ["legendre", "multigraded-n2"])
+@pytest.mark.parametrize("name", ["g", "lower_inv", "upper", "lower", "upper_inv"])
+@pytest.mark.parametrize("block", [(3, 1), (2, 2), (1, 3)], ids=["below", "on", "above"])
+def test_integer_gaps_equal_the_dense_route(monkeypatch, case, name, block):
+    """One entry of g or of a factor moved, in a block below, on or above the
+    block diagonal, so also in a block that is zero by structure: every
+    residual and location the checks settle on integers equals the dense
+    route's, so the dot ranges come from the data, not from the orientation.
+    Each product entry that differs from its target builds one Fraction."""
+    config = builtin_config(case)
+    g = build_moment_matrix(config.family(), 5)
+    factors = lu_factorize(g)
+    i, j = block
+    matrix = g if name == "g" else getattr(factors, name)
+    blocks = [[[list(row) for row in blk] for blk in row] for row in matrix.blocks]
+    blocks[i][j][-1][0] += Fraction(1, 3)
+    moved = BlockMatrix(g.n, blocks)
+    if name == "g":
+        g = moved
+    else:
+        factors = dataclasses.replace(factors, **{name: moved})
+    fractions, real_fraction = [], numerics.fraction
+
+    def fraction(n, d):
+        fractions.append((n, d))
+        return real_fraction(n, d)
+
+    monkeypatch.setattr(numerics, "fraction", fraction)
+    residual = factorization_residual(g, factors)
+    outcome = check_biorthogonality(g, factors)
+    monkeypatch.undo()
+    nested = nested_truncation_residual(g, factors)
+    assert residual == dense_factorization_residual(g, factors)
+    assert nested == dense_nested_truncation_residual(g, factors)
+    assert (outcome.residual, outcome.worst) == dense_biorthogonality(g, factors)
+    assert residual or nested[0] or outcome.residual
+
+    def differing(chain, target):
+        pairs = zip(dense_product(chain).to_dense(), target.to_dense())
+        return sum(x != y for p, q in pairs for x, y in zip(p, q))
+
+    eye = BlockMatrix.identity(g.n, g.nrows)
+    assert len(fractions) == differing([factors.lower_inv, factors.upper], g) + differing(
+        [factors.lower, g, factors.upper_inv], eye
+    )
 
 
 def test_nested_truncation_reports_a_nan_border_block():
@@ -411,6 +475,19 @@ def test_pivot_rows_swap_inside_each_block():
     assert factors.upper.block(1, 1) == ((0, 1), (1, F(1, 2)))
     assert factorization_residual(g, factors) == 0
     assert outcome(lu_factorize, g) == outcome(block_doolittle, g)
+
+
+def test_exact_factorization_releases_its_block_rows():
+    """The Bareiss passes keep their eliminations on g for the solves, but
+    not the block-row snapshots the factors are read from; a second
+    factorization of g reads the kept factors."""
+    g = build_moment_matrix(builtin_config("multigraded-n2").family(), 6)
+    first = lu_factorize(g)
+    passes = [v for (fn, _), v in g._memo.items() if fn is factorize._bareiss_pass.__wrapped__]
+    assert len(passes) == 2 and [heads for heads, _ in passes] == [[], []]
+    assert all(elim.n == g.n * g.nrows for _, elim in passes)
+    second = lu_factorize(g)
+    assert second == first and second is not first and second.lower is first.lower
 
 
 def test_exact_factorization_inverts_no_triangle(monkeypatch, mgn2_bundle):

@@ -227,6 +227,31 @@ def test_exact_gaps_settle_by_equality(monkeypatch):
     assert subtracted == [1]
 
 
+MIXED = [[Fraction(1, 3), 0], [2, Fraction(-5, 7)]]
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,gap",
+    [
+        (MIXED, [[Fraction(1, 3), Fraction(0)], [Fraction(2), Fraction(-5, 7)]], 0),
+        (MIXED, [[Fraction(1, 3), Fraction(0)], [2, -1]], Fraction(2, 7)),
+        ([[Fraction(2), Fraction(1, 2)]], [[2, Fraction(1, 2)]], 0),
+        ([[Fraction(1, 3), Fraction(2, 3)]], [[Fraction(1, 3), Fraction(2, 5)]], Fraction(4, 15)),
+        ([[0, Fraction(1, 2)], [1, 1]], [[0, Fraction(1, 2)], [1, Fraction(3, 2)]], Fraction(1, 2)),
+        ([[Fraction(3)]], [[3]], 0),
+        ([[Fraction(-3)]], [[3]], 6),
+    ],
+)
+def test_exact_gaps_compare_fractions_and_ints_by_value(lhs, rhs, gap):
+    """Fractions compare by their (numerator, denominator) slots, and a row
+    holding an int by value: the gap is that of a subtraction, and 0 (an
+    int) exactly when the sides agree, either way round."""
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        result = gap_norm(a, b, EXACT)
+        assert result == gap == matrix_residual_norm(mat_sub(a, b))
+        assert (type(result) is int) == (gap == 0)
+
+
 def test_residual_norm_propagates_nan():
     assert math.isnan(matrix_residual_norm([[math.nan, 1.0]]))
     assert math.isnan(matrix_residual_norm([[2.0], [math.nan], [3.0]]))
@@ -602,6 +627,20 @@ def test_only_a_matrix_backend_and_invert_dense_scan_for_floats():
         if outside:
             stray[path.stem] = outside
     assert users == {("blockops", "backend"), ("numerics", "invert_dense")} and stray == {}
+
+
+def test_no_module_keeps_a_fraction_product_of_the_factors():
+    """Exact product checks settle on integers: no module defines, imports or
+    reads `_reproduced`, the `lower_inv @ upper` of Fractions once kept per run."""
+    found = []
+    for path in sorted(pathlib.Path(numerics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [getattr(node, key, None) for key in ("id", "attr", "name")]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            if "_reproduced" in names:
+                found.append((path.stem, node.lineno))
+    assert found == []
 
 
 def test_block_sum_starts_from_a_zero_of_the_backend():
