@@ -17,12 +17,11 @@ form are block sums, each taken by one `numerics.block_sum`: one
 fraction-free product in exact runs, the terms added in order in float.
 One `PointTable` per run holds the level-free values, and the projections
 of members and monomials read their weights off it.  A level substitutes
-once per side for every grid coordinate on that elimination, and takes each
-pointwise identity (the kernel sum, the inverse-minor kernel, the partition
-form as two pairs, the associated form and the reproducing sum) as one block
-sum for the whole grid when the grid is the product of its x's and y's: the
-left factors of every x stacked by rows, the right factors of every y by
-columns.  Every kernel runs in the family's backend.
+once per (side, coordinate) on that elimination.  Only the pointwise
+identities (the kernel sum, the inverse-minor kernel, the partition form as
+two pairs, the associated form and the reproducing sum) are taken over the
+grid, each as one block sum for every pair of a product grid
+(`KernelEvaluator._grid_sum`).  Every kernel runs in the family's backend.
 """
 
 from __future__ import annotations
@@ -108,14 +107,13 @@ class PointTable:
     values below depends on l: the weights rho_j(x), the dual-form values
     at x, the polynomial values at y, the pairings of polynomials with
     forms, the form moments and the gaps x^{n_a} - y^{n_b} of the quotient
-    form.  Each is computed on first use and kept
-    for the table's lifetime; every level of a run reads one table.  The
-    matrices returned are the memoized values themselves: read only.
-    `monomials[d]` is x^d I (int entries); `coords` holds the distinct x
-    and y of `grid`, the run's (x, y) pairs, that each level solves for, and
-    `product` the distinct x's and y's whose every pair is a grid point (both
-    empty unless the grid is that product), that each level's pointwise
-    products are taken over.
+    form.  Each is computed on first use and kept for the table's lifetime;
+    every level of a run reads one table.  The matrices returned are the
+    memoized values themselves: read only.  `monomials[d]` is x^d I (int
+    entries); `product` holds the distinct x's and y's of `grid`, the run's
+    (x, y) pairs, when every pair of them is a grid point (both empty
+    otherwise): each level takes its pointwise products over them, and
+    solves per coordinate.
     """
 
     def __init__(self, fam: WeightFamily, g: BlockMatrix, factors: GaussFactors, grid=()):
@@ -126,8 +124,7 @@ class PointTable:
         eye = [[int(r == c) for c in range(n)] for r in range(n)]
         zero = [[0] * n for _ in range(n)]
         self.monomials = [MatrixPolynomial.of(n, [zero] * d + [eye]) for d in range(g.nrows)]
-        self.coords = {side: tuple(dict.fromkeys(c)) for side, c in zip("xy", zip(*grid))}
-        xs, ys = self.coords.get("x", ()), self.coords.get("y", ())
+        xs, ys = (tuple(dict.fromkeys(p[i] for p in grid)) for i in (0, 1))
         self.product = (xs, ys) if len(set(grid)) == len(xs) * len(ys) else ((), ())
         self._memo = {}
 
@@ -174,16 +171,13 @@ class KernelEvaluator:
     of a run shares; it must be built from these same family, moment
     matrix and factors objects (without one, a private table with no
     grid).  Values that depend on the level are memoized per evaluator:
-    the leading-minor solutions, one substitution per side for every grid
-    coordinate (a coordinate off the grid alone) on the elimination of
-    g^{[l]} or its transpose that `families._lead_solution` keeps on g for
-    the associated families of the run; the Schur factors and associated
-    form factors at x and at y; the pair-times-polynomial terms of the
-    reproducing sum at y; the associated families; and the pointwise
-    identities at (x, y), each one block sum per level for every pair of the
-    table's product grid (a pair off it, or any pair of a grid that is no
-    product, alone; see `_grid_sum`), and the left side of the difference
-    identities at (x, y).  Matrices handed to callers are fresh copies.
+    the leading-minor solutions, one substitution per (side, coordinate) on
+    the elimination of g^{[l]} or its transpose that
+    `families._lead_solution` keeps on g for the run's associated families;
+    the associated families; the factors of each identity at x and at y;
+    and the identities at (x, y), each pointwise one a block sum per level
+    for the whole product grid (`_grid_sum`).  Matrices handed to callers
+    are fresh copies.
     """
 
     def __init__(
@@ -206,9 +200,7 @@ class KernelEvaluator:
         self._bl = g.slice(tail, head).to_dense()
         self._lam_m_t = mat_transpose(_shift_tile(fam.mvec, head, tail))
         self._lam_n = _shift_tile(fam.nvec, head, tail)
-        self._tr_cols, self._lam_m_t_cols, self._lam_n_cols = (
-            integer_col([m], fam.backend) for m in (self._tr, self._lam_m_t, self._lam_n)
-        )
+        self._tr_cols = integer_col([self._tr], fam.backend)
         self._bl_rows = integer_row([self._bl], fam.backend)
 
     # -- per-level tables ----------------------------------------------------
@@ -229,22 +221,6 @@ class KernelEvaluator:
             for r in range(n):
                 rows[r].extend(w[r])
         return rows
-
-    def _solved(self, side: str, coord, rhs) -> list:
-        """M^{-1} rhs(coord), M = g^{[l]} on side y and its transpose on side x,
-        in one substitution with every grid coordinate of the side (alone off
-        the grid) on the run's elimination of M (`families._lead_solution`).
-        Float columns replay the elimination one by one and exact solutions are
-        canonical: each block has the bits of its own solve."""
-        if (side, coord) not in self._memo:
-            n, grid = self.fam.size, self.table.coords.get(side, ())
-            batch = grid if coord in grid else (coord,)
-            columns = [sum(r, []) for r in zip(*map(rhs, batch))]
-            elim = families._lead_solution(self.g, self.level, side == "y")
-            solved = substitute(elim, columns)
-            for i, c in enumerate(batch):
-                self._memo[side, c] = [row[i * n : (i + 1) * n] for row in solved]
-        return self._memo[side, coord]
 
     def _grid_sum(self, name: str, x, y, lefts, rights) -> list:
         """Sum over k of lefts(x)[k] @ rights(y)[k], memoized per (name, x, y).
@@ -274,14 +250,17 @@ class KernelEvaluator:
             block = self._memo[name, x, y]
         return block
 
+    @memoized
     def _right_piece(self, y) -> list:
         """(g^{[l]})^{-1} chi1^{[l]}(y), dense l*n x n."""
-        return self._solved("y", y, lambda c: self._chi1_col(self.level, c))
+        elim = families._lead_solution(self.g, self.level, True)
+        return substitute(elim, self._chi1_col(self.level, y))
 
+    @memoized
     def _left_piece(self, x) -> list:
         """chi2^{[l]}(x)^T (g^{[l]})^{-1}, dense n x l*n."""
-        rhs = lambda c: mat_transpose(self._chi2_row(self.level, c))
-        return mat_transpose(self._solved("x", x, rhs))
+        elim = families._lead_solution(self.g, self.level, False)
+        return mat_transpose(substitute(elim, mat_transpose(self._chi2_row(self.level, x))))
 
     @memoized
     def _schur_row(self, x) -> tuple:
@@ -290,8 +269,8 @@ class KernelEvaluator:
         w_rows, tail = integer_row([w], backend), self.g.nrows - self.level
         w_tr = mat_mul(w, self._tr, backend, w_rows, self._tr_cols)
         a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), w_tr)
-        a_lam = mat_mul(a_row, self._lam_m_t, backend, cols=self._lam_m_t_cols)
-        return a_lam, mat_mul(w, self._lam_n, backend, w_rows, self._lam_n_cols)
+        a_lam = mat_mul(a_row, self._lam_m_t, backend)
+        return a_lam, mat_mul(w, self._lam_n, backend, w_rows)
 
     @memoized
     def _schur_col(self, y) -> list:

@@ -252,7 +252,11 @@ def config_from_dict(data: dict) -> RunConfig:
     tol = data.get("tolerance")
     if tol is not None:
         with _field("tolerance"):
-            tol = Tolerance(float(tol.get("abs", 1e-9)), float(tol.get("rel", 1e-9)))
+            bounds = [tol.get("abs", 1e-9), tol.get("rel", 1e-9)]
+            for value in bounds:
+                if isinstance(value, (bool, str)):  # float() would read them as numbers
+                    raise ValueError("not a number: %r" % (value,))
+            tol = Tolerance(*map(float, bounds))
         _known_keys(data["tolerance"], "tolerance", "tolerance")
     config = RunConfig(
         data["nvec"],

@@ -269,7 +269,7 @@ class PerCoordinateEvaluator(KernelEvaluator):
     """A kernel evaluator that eliminates its own leading minor once per
     coordinate and call and solves that coordinate's column alone,
     memoizing nothing of the solves: the reference for the substitutions
-    batched over the grid on the run's shared elimination."""
+    on the run's shared elimination."""
 
     def _minor(self) -> list:
         return partition(self.g, self.level).tl.to_dense()

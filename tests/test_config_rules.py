@@ -399,6 +399,26 @@ def test_an_infinite_tolerance_is_refused(key, tmp_path, capsys):
         Tolerance(**{key + "_tol": math.inf})
 
 
+@pytest.mark.parametrize("key", ["abs", "rel"])
+@pytest.mark.parametrize("value", [True, False, "1e-3", "0"])
+def test_a_bool_or_text_tolerance_is_refused(key, value, tmp_path, capsys):
+    """`float()` reads true as 1.0, which would pass every float residual
+    under 1, and numeric text as its number; the schema takes numbers only."""
+    data = dataclasses.replace(builtin_config("legendre"), backend="float").to_dict()
+    data["tolerance"][key] = value
+    message = "tolerance: not a number: %r" % (value,)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    if isinstance(value, bool):
+        with pytest.raises(ValueError, match="^tolerances must be numbers, not bools$"):
+            Tolerance(**{key + "_tol": value})
+
+
 @pytest.mark.parametrize("levels", [(), None])
 def test_level_free_checks_run_without_levels(levels):
     """With no level selected, the four level-free checks still run; None

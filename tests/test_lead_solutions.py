@@ -291,8 +291,9 @@ def assert_columns_match_standalone_solves(g):
 @pytest.mark.parametrize("case", ["legendre", "multigraded-12", "multigraded-n2"])
 def test_kept_views_solve_as_standalone_eliminations(case):
     """Every exact built-in: each order and side is a view of the kept pass,
-    and every block column and every kernel level's batched grid solve
-    (`KernelEvaluator._solved`) equals its standalone solve by type and value."""
+    and every block column and every kernel level's solve per coordinate
+    (`KernelEvaluator._right_piece`, `_left_piece`) equals its standalone
+    solve by type and value."""
     config = builtin_config(case)
     fam, g = config.family(), moments(case, "exact")
     every = [(order, dual) for order in range(1, g.nrows + 1) for dual in (False, True)]

@@ -1,14 +1,13 @@
 """Kernel work shared across levels and grid points.
 
-Each level substitutes once per side, for every grid coordinate the run's
-point table names, on the elimination of its leading minor that the
-associated families of the run share, and takes each pointwise product
-once for every pair of a product grid; the per-coordinate solves and the
-per-point products survive in `conftest` as oracles.  Every level reads
-the one point table of its run, and the projections of family members and
-monomials read their weights off it, so a run's residuals must not depend
-on the order its levels come in.  Every comparison is by type and repr, in
-both backends.
+Each level substitutes once per side and coordinate, on the elimination of
+its leading minor that the associated families of the run share, and takes
+each pointwise product once for every pair of a product grid; standalone
+per-coordinate solves and per-point products survive in `conftest` as
+oracles.  Every level reads the one point table of its run, and the
+projections of family members and monomials read their weights off it, so a
+run's residuals must not depend on the order its levels come in.  Every
+comparison is by type and repr, in both backends.
 """
 
 import dataclasses
@@ -225,12 +224,12 @@ def test_two_pair_partition_sum_keeps_the_bits_of_the_difference(operands):
 
 def test_a_run_substitutes_once_per_level_and_side(monkeypatch):
     """Exact multigraded-n2, with every check and with `abc` and `proposition`
-    alone: every evaluator level substitutes once per side, for all five grid
-    coordinates, on the run's one elimination of that side
+    alone: every evaluator level substitutes once per side and grid
+    coordinate, N columns wide, on the run's one elimination of that side
     (`families._lead_solution`, a view of the factorization's pass), and no
     leading minor is eliminated by itself: the only eliminations left are
     the N x N pivot blocks of the factorization."""
-    eliminated, substitutions, leads = [], [], {}
+    eliminated, substitutions, leads, coordinate = [], [], {}, []
 
     def eliminate(a, backend, _fn=numerics.eliminate):
         eliminated.append(len(a))
@@ -242,16 +241,33 @@ def test_a_run_substitutes_once_per_level_and_side(monkeypatch):
         return elim
 
     def substitute(elim, b, _fn=cdkernel.substitute):
-        substitutions.append((leads[id(elim)][0], len(b[0])))
+        substitutions.append((leads[id(elim)][0] + (coordinate[-1],), len(b[0])))
         return _fn(elim, b)
+
+    def naming(piece):
+        def named(self, c):
+            coordinate.append(c)
+            try:
+                return piece(self, c)
+            finally:
+                coordinate.pop()
+
+        return named
 
     monkeypatch.setattr(numerics, "eliminate", eliminate)
     monkeypatch.setattr(families, "_lead_solution", lead_solution)
     monkeypatch.setattr(cdkernel, "substitute", substitute)
+    for name in ("_right_piece", "_left_piece"):
+        monkeypatch.setattr(KernelEvaluator, name, naming(getattr(KernelEvaluator, name)))
     base = builtin_config("multigraded-n2")
     assert base.checks == harness.CHECK_NAMES
-    n, coords = base.size, len(DEFAULT_GRID_COORDS)
-    per_level = {(level, dual): 1 for level in base.levels for dual in (False, True)}
+    n = base.size
+    per_coordinate = {
+        (level, dual, c): 1
+        for level in base.levels
+        for dual in (False, True)
+        for c in DEFAULT_GRID_COORDS
+    }
     for checks in (base.checks, ("abc", "proposition")):
         del eliminated[:], substitutions[:]
         leads.clear()
@@ -259,8 +275,8 @@ def test_a_run_substitutes_once_per_level_and_side(monkeypatch):
         assert set(eliminated) == {n}, checks
         keys = [key for key, _ in leads.values()]
         assert len(keys) == len(set(keys)), checks
-        assert Counter(key for key, _ in substitutions) == per_level, checks
-        assert {width for _, width in substitutions} == {coords * n}
+        assert Counter(key for key, _ in substitutions) == per_coordinate, checks
+        assert {width for _, width in substitutions} == {n}
 
 
 LEVEL_PREFIX = re.compile(r"l=(\d+)\b")
