@@ -95,8 +95,8 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if isinstance(self.abs_tol, bool) or isinstance(self.rel_tol, bool):
-            raise ValueError("tolerances must be numbers, not bools")
+        if isinstance(self.abs_tol, (bool, str)) or isinstance(self.rel_tol, (bool, str)):
+            raise ValueError("tolerances must be numbers, not bools or text")
         if not (self.abs_tol >= 0 and self.rel_tol >= 0):
             raise ValueError("tolerances must be nonnegative")
         if math.inf in (self.abs_tol, self.rel_tol):

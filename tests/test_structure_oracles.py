@@ -82,26 +82,26 @@ outside_points = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)).flat
 )
 
 
-def monic_rows(seed, truncation: int) -> tuple:
-    """The exact scalar factors of `seed`, and the ascending coefficients of its
-    monic orthogonal polynomials: the rows of `lower`."""
-    factors = lu_factorize(build_moment_matrix(hankel_family(seed, "exact"), truncation))
-    return factors, [[c[0][0] for c in p.coeffs] for p in primary_family(factors)]
+def scalar_factors(seed, truncation: int):
+    return lu_factorize(build_moment_matrix(hankel_family(seed, "exact"), truncation))
+
+
+def lower_row(factors, k: int) -> list:
+    """Row k of `lower`: the ascending coefficients of the monic polynomial P_k."""
+    return [factors.lower.block(k, t)[0][0] for t in range(k + 1)]
 
 
 @settings(max_examples=20, deadline=None)
 @given(coeffs=quadratic_seeds, c=outside_points)
 def test_the_monic_kernel_at_an_outside_point_is_the_christoffel_transform(coeffs, c):
     truncation = 8
-    factors, rows = monic_rows(interval_seed(*coeffs), truncation)
-    polys = primary_family(factors)
+    factors = scalar_factors(interval_seed(*coeffs), truncation)
     # sign * (x - c) is positive on [0, 1]: c < 0 keeps the sign, c > 1 flips it.
     sign = 1 if c < 0 else -1
-    shifted = [0, *coeffs]
-    scaled = [*coeffs, 0]
-    perturbed = [sign * (s - c * w) for s, w in zip(shifted, scaled)]
-    _, christoffel_rows = monic_rows(interval_seed(*perturbed), truncation)
+    perturbed = [sign * (s - c * w) for s, w in zip([0, *coeffs], [*coeffs, 0])]
+    christoffel = scalar_factors(interval_seed(*perturbed), truncation)
+    polys, rows = primary_family(factors), [lower_row(factors, j) for j in range(truncation)]
     at_c = [eval_poly(p, c)[0][0] / factors.normalization(j)[0][0] for j, p in enumerate(polys)]
     for k in range(truncation - 1):
         kernel = [sum(rows[j][t] * at_c[j] for j in range(t, k + 1)) for t in range(k + 1)]
-        assert [v / at_c[k] for v in kernel] == christoffel_rows[k], (k, coeffs, c)
+        assert [v / at_c[k] for v in kernel] == lower_row(christoffel, k), (k, coeffs, c)
