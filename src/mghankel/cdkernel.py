@@ -213,6 +213,7 @@ class KernelEvaluator:
                 col.append([y**k if r == c else 0 for c in range(n)])
         return col
 
+    @memoized
     def _chi2_row(self, count: int, x, offset: int = 0) -> list:
         n = self.fam.size
         rows = [[] for _ in range(n)]
@@ -268,7 +269,7 @@ class KernelEvaluator:
         w, backend = self._left_piece(x), self.fam.backend
         w_rows, tail = integer_row([w], backend), self.g.nrows - self.level
         w_tr = mat_mul(w, self._tr, backend, w_rows, self._tr_cols)
-        a_row = mat_sub(self._chi2_row(tail, x, offset=self.level), w_tr)
+        a_row = mat_sub(self._chi2_row(tail, x, self.level), w_tr)
         a_lam = mat_mul(a_row, self._lam_m_t, backend)
         return a_lam, mat_mul(w, self._lam_n, backend, w_rows)
 

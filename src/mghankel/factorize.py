@@ -6,10 +6,10 @@ No pivoting takes place at the block level: a permuted factorization would
 scramble the triangular structure the biorthogonal families are read from.
 A singular pivot block is a reported failure, not a recoverable path.
 
-Exact matrices are factorized fraction-free by one Bareiss pass over
-[g | I], which gives ``upper`` and ``lower``, and one over [g^T | I], which
-gives the two inverses (the factors of g^T are the transposed factors of
-g); both stay on g for the associated families.  Float matrices take block
+Exact matrices are factorized fraction-free by one `numerics.bareiss_pass`
+over [g | I], which gives ``upper`` and ``lower``, and one over [g^T | I],
+which gives the two inverses (the factors of g^T are the transposed factors
+of g); both stay on g for the associated families.  Float matrices take block
 Doolittle elimination and invert both factors by block substitution.
 """
 
@@ -21,18 +21,14 @@ from operator import sub
 from .blockops import BlockMatrix, _freeze
 from .numerics import (
     EXACT,
-    Elimination,
-    SingularMatrixError,
     _exceeds,
     _fold_dots,
-    _integer_vectors,
-    bareiss_step,
+    bareiss_pass,
     block_sum,
     fraction,
     mat_eye,
     mat_mul,
     mat_scale,
-    mat_transpose,
     mat_zeros,
     matrix_residual_norm,
     memoized,
@@ -109,37 +105,13 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
 
 @memoized
 def _bareiss_pass(g: BlockMatrix, transposed: bool) -> tuple:
-    """Bareiss elimination of [h | I], h = g^T if `transposed` else g, n rows
-    at a time, once per g and side, by whichever caller comes first.
-
-    Rows start scaled to integers by the lcm of the denominators of their
-    part in h.  Block i comes up as rows r: r over its divisors (the last
-    pivot times the starting lcms, sign moved to r) is [S | R], S block row
-    i of ``upper`` from block column i on and R block row i of ``lower`` up
-    to it (``lower @ h == upper``).  Its columns are then eliminated,
-    pivoting only among its rows; a singular pivot block ends the pass.
-    Returns (heads, elim): (r, divisors) per block that came up, which
-    `_exact_factors` empties once it has read them, and the `Elimination`
-    of the blocks completed.
-    """
-    dense = mat_transpose(g.to_dense()) if transposed else g.to_dense()
-    n, size = g.n, len(dense)
-    scaled = _integer_vectors(dense)
-    m = [ints + [0] * r + [lcm] + [0] * (size - r - 1) for r, (ints, lcm) in enumerate(scaled)]
-    origin = {id(row): r for r, row in enumerate(m)}  # `bareiss_step` keeps row lists
-    heads, prev, done = [], 1, 0
-    for start in range(0, size, n):
-        stop, sign = start + n, (-1 if prev < 0 else 1)
-        rows = [[sign * v for v in row[start : size + stop]] for row in m[start:stop]]
-        heads.append((rows, [sign * prev * lcm for _, lcm in scaled[start:stop]]))
-        try:
-            for col in range(start, stop):
-                prev = bareiss_step(m, col, stop, prev)
-        except SingularMatrixError:
-            break
-        done = stop
-    order = [origin[id(row)] for row in m]
-    return heads, Elimination(EXACT, done, m, order, [lcm for _, lcm in scaled])
+    """(heads, elim) of `numerics.bareiss_pass` over [h | I], h = g^T if
+    `transposed` else g, n rows at a time on g's kept scaled rows or columns,
+    once per g and side.  Head i is [S | R] over its divisors: S block row i
+    of ``upper`` from block column i on, R block row i of ``lower`` up to it
+    (``lower @ h == upper``); `_exact_factors` empties the heads."""
+    scaled = g.integer_col if transposed else g.integer_row
+    return bareiss_pass([v for i in range(g.nrows) for v in scaled(i)], g.n)[:2]
 
 
 @memoized

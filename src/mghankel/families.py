@@ -223,7 +223,7 @@ def _lead_solution(g: BlockMatrix, order: int, dual: bool) -> Elimination:
     size = order * g.n
     kept = _bareiss_pass(g, not dual)[1] if g.backend == EXACT else None
     if kept and size <= kept.n:
-        return Elimination(EXACT, size, kept.rows[:size], kept.order[:size], kept.scales[:size])
+        return Elimination(EXACT, size, kept.rows[:size])
     head = range(order)
     dense = g.slice(head, head).to_dense()
     message = "leading minor of order %d is singular" % order
@@ -237,16 +237,18 @@ def _solution_column(g: BlockMatrix, order: int, dual: bool, i: int) -> list:
     Solved on the elimination of `_lead_solution` for the one member that
     reads it, which is kept on g: column i < order of X is that of
     ((h^{[order]})^T)^{-1}, column order+t the solved combination of block
-    row order+t of h.  A pass has it eliminated in [h | I]: back-substitute.
+    row order+t of h.  Exact rows have the identity eliminated in their S
+    part, and a pass has h too: back-substitute what they hold.
     """
     n, head = g.n, range(order)
     elim = _lead_solution(g, order, dual)
-    if elim.rows and len(elim.rows[0]) > elim.n:  # rows of a pass: [h | I] eliminated
-        start = (i if i >= order else g.nrows + i) * n
+    half = len(elim.rows[0]) // 2 if elim.rows else 0  # exact rows: [h | S], S from column half
+    if elim.backend == EXACT and (i < order or i * n < half):
+        start = half + i * n if i < order else i * n
         column = _back_substitute(elim, [row[start : start + n] for row in elim.rows])
-    elif i < order:
+    elif i < order:  # floats
         column = substitute(elim, [[int(r == i * n + c) for c in range(n)] for r in range(elim.n)])
-    else:
+    else:  # floats, and a minor eliminated by itself past a singular pivot block
         h_col = g.slice(head, (i,)) if dual else g.slice((i,), head).transpose()
         column = substitute(elim, h_col.to_dense())
     blocks = [column[k * n : (k + 1) * n] for k in head]

@@ -28,15 +28,15 @@ the run: g and the factors (`BlockMatrix`), each family member
 A solve is one elimination of A (`eliminate`) and one substitution per
 right-hand-side block (`substitute`); `solve_dense` and `solve_leading` do
 both at once, and a caller that reads only some blocks of a solution keeps
-the `Elimination` and substitutes those.  Exact A is eliminated on integers
-(Bareiss), and each block of B is replayed through the same steps on
-integers, then back-substituted; `bareiss_step` is the one Bareiss row
-update, which the exact block factorization eliminates with too.  Its
-passes eliminate B beside each leading minor, which leaves only
-`_back_substitute`.  Float A takes Gauss-Jordan with pivots of the largest
-magnitude, and each column of B repeats its operations in order.  Every
-singular pivot block or leading block minor is reported through
-`eliminate_leading`, as a `SingularLeadingMinorError` naming its level.
+the `Elimination` and substitutes those.  One exact elimination serves
+all: `bareiss_pass`, Bareiss on the integer rows of [A | S], S = diag(row
+lcms), a block of rows at a time; `eliminate` is one block, the block
+factorization n rows, and a leading minor reads the first rows of its pass.
+Exact `substitute` is a product with the S part, then `_back_substitute`.
+Float A takes Gauss-Jordan with pivots of the largest magnitude, and each
+column of B repeats its operations in order.  Every singular pivot block or
+leading block minor is reported through `eliminate_leading`, as a
+`SingularLeadingMinorError` naming its level.
 
 Every gap between two sides of a check is `gap_norm`: exact sides that
 agree entry for entry (Fractions by their numerator and denominator
@@ -406,11 +406,11 @@ class Elimination(NamedTuple):
     """A square A eliminated once in `backend`; `substitute` solves A X = B
     from it for any B, one right-hand-side block at a time.
 
-    Exact: `rows` are the Bareiss-reduced integer rows of A, each scaled
-    first by the lcm of its denominators (`scales`, by original row), in
-    pivot order (`order`: the original row at each position).  Below the
-    diagonal a row keeps the entry it was eliminated with at each step;
-    rows past column n carry right-hand sides eliminated beside A.
+    Exact: `rows` are the n rows of a `bareiss_pass` over [A' | S]
+    with A the leading n x n minor of A' (a pass read as the elimination of
+    a leading minor is a view of its rows).  S is as wide as A', so a row's
+    S part starts halfway; read in its first n columns it is E, and E B is
+    B eliminated beside A.
     Float: `steps` holds, per column of A, the row swapped into the pivot
     position, the reciprocal of the pivot and the (row, multiplier) pairs
     the column subtracted, in the order Gauss-Jordan applied them.
@@ -419,60 +419,43 @@ class Elimination(NamedTuple):
     backend: str
     n: int
     rows: Sequence = ()
-    order: Sequence = ()
-    scales: Sequence = ()
     steps: Sequence = ()
 
 
-def _eliminate_fraction_free(a) -> Elimination:
-    """Bareiss elimination of A on integers (Math. Comp. 22, 1968).
+def bareiss_pass(scaled_rows, block: int) -> tuple:
+    """Bareiss elimination of [A | S], `block` rows at a time (Math. Comp.
+    22, 1968), where A is given as its rows scaled to (integers, lcm of
+    denominators), S = diag(the lcms), and `block` divides its size.
 
-    Each row of A is scaled to integers by the lcm of its denominators
-    (`_integer_vectors`), which leaves the solution unchanged.  Every
-    entry stays a nonzero multiple of its Gauss-Jordan counterpart, so the
-    first-nonzero pivot rule picks the same rows and fails in the same
-    column.
+    Every entry stays a nonzero multiple of its Gauss-Jordan counterpart,
+    so the first-nonzero pivots are those Gauss-Jordan would take.  Block
+    k comes up as its rows from column k*block on, through the S columns of
+    blocks 0..k, each over its divisor (the last pivot times its lcm),
+    sign moved onto the row; its columns are then eliminated,
+    pivoting only among its rows, and a singular pivot block ends the pass.
+    Returns (heads, elim, error): (rows, divisors) per block that came up,
+    the `Elimination` of the blocks completed, and the SingularMatrixError
+    that stopped the pass, or None.
     """
-    scaled = _integer_vectors(a)
-    m = [ints for ints, _ in scaled]
-    # `bareiss_step` swaps row lists and rewrites them in place, so each
-    # list keeps its identity: the original row index follows it.
-    origin = {id(row): r for r, row in enumerate(m)}
-    n, prev = len(m), 1
-    for col in range(n):
-        prev = bareiss_step(m, col, n, prev)
-    return Elimination(EXACT, n, m, [origin[id(row)] for row in m], [lcm for _, lcm in scaled])
-
-
-def _substitute_fraction_free(elim: Elimination, b) -> list:
-    """X = A^-1 B on integers from the Bareiss rows of A.
-
-    Row r of B is scaled by the factor of row r of A and the block is put
-    on integers over one common denominator D, so the scaled system solves
-    to D X.  The recorded steps replay on it: below each pivot p, row v
-    becomes (p*v - f*w) // prev with the f the row of A kept, exactly as
-    if B had been eliminated beside A; `_back_substitute` finishes.
-    """
-    n, rows, scales = elim.n, elim.rows, elim.scales
-    vectors = _integer_vectors(b)
-    common = math.lcm(*[den for _, den in vectors])
-    x = []  # D * scaled B, rows in pivot order
-    for r in elim.order:
-        ints, den = vectors[r]
-        scale = scales[r] * (common // den)
-        x.append([v * scale for v in ints])
-    prev = 1
-    for k in range(n):
-        p, pivot = rows[k][k], x[k]
-        for i in range(k + 1, n):
-            f = rows[i][k]
-            x[i] = [(p * v - f * w) // prev for v, w in zip(x[i], pivot)]
-        prev = p
-    return _back_substitute(elim, x, common)
+    size = len(scaled_rows)
+    m = [ints + [0] * r + [lcm] + [0] * (size - r - 1) for r, (ints, lcm) in enumerate(scaled_rows)]
+    heads, prev, done, error = [], 1, 0, None
+    for start in range(0, size, block):
+        stop, sign = start + block, (-1 if prev < 0 else 1)
+        rows = [[sign * v for v in row[start : size + stop]] for row in m[start:stop]]
+        heads.append((rows, [sign * prev * lcm for _, lcm in scaled_rows[start:stop]]))
+        try:
+            for col in range(start, stop):
+                prev = bareiss_step(m, col, stop, prev)
+        except SingularMatrixError as exc:
+            error = exc
+            break
+        done = stop
+    return heads, Elimination(EXACT, done, m[:done]), error
 
 
 def _back_substitute(elim: Elimination, x, common: int = 1) -> list:
-    """X from x = D * scaled B eliminated beside A (D = `common`): yields |det| * D * X
+    """X from x = D * B eliminated beside A (D = `common`): yields |det| * D * X
     on integers (exact by Cramer's rule); Fractions are created only there."""
     n, rows = elim.n, elim.rows
     det = abs(rows[n - 1][n - 1]) if n else 1  # the last pivot; > 0, as `fraction` needs
@@ -492,8 +475,8 @@ def _back_substitute(elim: Elimination, x, common: int = 1) -> list:
 def eliminate(a, backend: str) -> Elimination:
     """Eliminate dense square A once in `backend`, for `substitute`.
 
-    Exact inputs (Fraction or int) are eliminated fraction-free by Bareiss,
-    pivoting on the first nonzero entry.  Float inputs take Gauss-Jordan
+    Exact inputs (Fraction or int) are eliminated fraction-free by a
+    `bareiss_pass` of one block.  Float inputs take Gauss-Jordan
     elimination with partial pivoting on the largest magnitude.  Raises
     SingularMatrixError when no usable pivot remains.
     """
@@ -501,7 +484,10 @@ def eliminate(a, backend: str) -> Elimination:
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     if backend == EXACT:
-        return _eliminate_fraction_free(a)
+        _, elim, error = bareiss_pass(_integer_vectors(a), n or 1)
+        if error:
+            raise error
+        return elim
     m = [[float(v) for v in row] for row in a]
     scale = matrix_residual_norm(m)
     steps = []
@@ -528,7 +514,9 @@ def eliminate(a, backend: str) -> Elimination:
 def substitute(elim: Elimination, b) -> list:
     """X solving A X = B, where `elim` is the elimination of A.
 
-    Exact results are Fractions, created only at the output.  Each float
+    Exact B goes over one common denominator D, the S part E of the rows
+    eliminates it as E (D B), and `_back_substitute` makes the Fractions,
+    created only at the output.  Each float
     column of B, one scalar at a time, repeats the swaps, scalings and
     subtractions Gauss-Jordan made on A, in the same order, so a column's
     result does not depend on the other columns of B.
@@ -536,7 +524,13 @@ def substitute(elim: Elimination, b) -> list:
     if len(b) != elim.n:
         raise ValueError("right-hand side has %d rows, expected %d" % (len(b), elim.n))
     if elim.backend == EXACT:
-        return _substitute_fraction_free(elim, b)
+        vectors = _integer_vectors(b)
+        common = math.lcm(*[den for _, den in vectors])
+        cols = list(zip(*[[v * (common // den) for v in ints] for ints, den in vectors]))
+        n = elim.n
+        half = len(elim.rows[0]) // 2 if n else 0  # where the S part starts
+        x = [[sum(map(mul, row[half : half + n], c)) for c in cols] for row in elim.rows]
+        return _back_substitute(elim, x, common)
     cols = [[float(v) for v in col] for col in zip(*b)]
     for x in cols:
         for col, (pivot_row, inv, multipliers) in enumerate(elim.steps):

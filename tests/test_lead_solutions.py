@@ -177,14 +177,14 @@ def back_substitutions(monkeypatch):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Rows of h scaled by each exact factorization pass: one entry per pass."""
-    calls, real = [], factorize._integer_vectors
+    """Rows of h eliminated by each exact factorization pass: one entry per pass."""
+    calls, real = [], factorize.bareiss_pass
 
-    def counted(vectors):
-        calls.append(len(vectors))
-        return real(vectors)
+    def counted(scaled_rows, block):
+        calls.append(len(scaled_rows))
+        return real(scaled_rows, block)
 
-    monkeypatch.setattr(factorize, "_integer_vectors", counted)
+    monkeypatch.setattr(factorize, "bareiss_pass", counted)
     return calls
 
 
@@ -264,10 +264,10 @@ def standalone_column(g, order: int, dual: bool, i: int) -> list:
 
 
 def read_off_a_pass(g, order: int, dual: bool) -> bool:
-    """Whether `_lead_solution` is a view of a factorization pass, whose rows
-    run on past the minor."""
+    """Whether `_lead_solution` is a view of a factorization pass: its rows
+    are the kept pass's own row objects."""
     elim = families._lead_solution(g, order, dual)
-    return len(elim.rows[0]) > elim.n
+    return elim.rows[0] is factorize._bareiss_pass(g, not dual)[1].rows[0]
 
 
 def column_outcome(solve, g, order, dual, i):

@@ -467,7 +467,7 @@ def test_a_negative_determinant_solves_to_canonical_fractions():
     for a in negative:
         b = [[1, 0, Fraction(-2, 5)], [0, 1, 0]]
         elim = eliminate(a, EXACT)
-        assert elim.rows[-1][-1] < 0
+        assert elim.rows[-1][elim.n - 1] < 0  # the last pivot, left of the S part
         got = substitute(elim, b)
         assert canonical(got) == canonical(gauss_jordan_exact(a, b))
 
@@ -480,6 +480,45 @@ def test_fraction_free_solve_edge_shapes():
     assert all(type(v) is Fraction for row in sol for v in row)
     with pytest.raises(SingularMatrixError, match=r"no pivot in column 1"):
         solve_dense([[1, 2, 3], [2, 4, 5], [0, 0, 1]], [[]] * 3, EXACT)
+
+
+@st.composite
+def blocked_systems(draw):
+    """(A, B, block): A square of 0 to 3 blocks of 1 to 3 rows, its entries
+    often 0 or +-1 so that leading block minors are often singular."""
+    block = draw(st.integers(1, 3))
+    size = block * draw(st.integers(0, 3))
+    entries = st.sampled_from([0, 0, 1, -1]) | small_rationals
+    square = st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
+    rhs = st.lists(st.lists(small_rationals, min_size=2, max_size=2), min_size=size, max_size=size)
+    return draw(square), draw(rhs), block
+
+
+@given(blocked_systems())
+def test_a_blocked_pass_is_the_elimination_of_each_leading_minor(system):
+    """`bareiss_pass` stops exactly at the first singular leading block
+    minor; the rows of each block minor before it, read as a view, solve
+    like `eliminate` of that minor, by type and value; and a pass of one
+    block is `eliminate`, or fails with its error."""
+    a, b, block = system
+    size = len(a)
+    _, elim, error = numerics.bareiss_pass(numerics._integer_vectors(a), block)
+    minor = lambda k: [row[:k] for row in a[:k]]
+    singular = [
+        k
+        for k in range(block, size + 1, block)
+        if isinstance(_outcome(gauss_jordan_exact, minor(k), [[]] * k), tuple)
+    ]
+    assert elim.n == (singular[0] - block if singular else size)
+    assert (error is None) == (not singular)
+    for k in range(0, elim.n + 1, block):
+        view = numerics.Elimination(EXACT, k, elim.rows[:k])
+        want = substitute(eliminate(minor(k), EXACT), b[:k])
+        assert typed(substitute(view, b[:k])) == typed(want)
+    _, whole, error = numerics.bareiss_pass(numerics._integer_vectors(a), size or 1)
+    assert _outcome(lambda a, _: eliminate(a, EXACT), a, b) == (
+        ("singular", str(error)) if error else whole
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,25 @@ def test_a_run_substitutes_once_per_level_and_side(monkeypatch):
         assert {width for _, width in substitutions} == {n}
 
 
+def test_each_chi2_row_is_built_once_per_evaluator(monkeypatch):
+    """Exact multigraded-n2 with every check: the inverse-minor kernel and
+    the solve per coordinate both read a level's chi2 row at x, and the
+    partition form reads its tail, but each (evaluator, count, x, offset)
+    is built once: every read of a key returns the same rows."""
+    reads, real = {}, KernelEvaluator._chi2_row
+
+    def read(self, *args):
+        rows = real(self, *args)
+        count, x, offset = (*args, 0)[:3]
+        reads.setdefault((self, count, x, offset), []).append(rows)
+        return rows
+
+    monkeypatch.setattr(KernelEvaluator, "_chi2_row", read)
+    assert run(builtin_config("multigraded-n2")).exit_code == 0
+    assert max(map(len, reads.values())) > 1  # some key is read again
+    assert all(rows is got[0] for got in reads.values() for rows in got)
+
+
 LEVEL_PREFIX = re.compile(r"l=(\d+)\b")
 
 

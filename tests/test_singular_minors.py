@@ -148,3 +148,23 @@ def test_singular_leading_minor_is_raised_only_by_eliminate_leading():
         if calls:
             outside[path.stem] = [c.lineno for c in calls]
     assert seam and outside == {}
+
+
+def test_one_exact_elimination_runs_every_bareiss_step():
+    """One engine: `bareiss_step` is named only inside `numerics.bareiss_pass`,
+    which exact `eliminate` and the factorization's passes both run, and
+    `factorize` imports neither the step nor the row scaling."""
+
+    def names(node):
+        return {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if any("bareiss_step" in names(n) for n in ast.walk(top) if n is not top):
+                readers.append((path.stem, getattr(top, "name", None)))
+        if path.stem == "factorize":
+            imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+            assert not imported & {"bareiss_step", "_integer_vectors"}
+    assert readers == [("numerics", "bareiss_pass")]
