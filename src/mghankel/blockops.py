@@ -17,8 +17,8 @@ from .numerics import (
     FLOAT,
     ResidualTracker,
     Tolerance,
+    _dots,
     _fold_dots,
-    fraction,
     gap_norm,
     has_float,
     integer_col,
@@ -28,7 +28,6 @@ from .numerics import (
     matrix_residual_norm,
     memoized,
     product_gaps,
-    product_rows,
 )
 from .weights import ConfigError, WeightFamily, validate_family
 
@@ -98,19 +97,16 @@ class BlockMatrix:
         return cls(n, blocks)
 
     def matmul(self, other: "BlockMatrix") -> "BlockMatrix":
-        """Block product.  Exact entries are Fractions of `numerics.product_rows`
-        over the kept forms; exact checks settle on integers instead (`gaps`),
-        where only a differing entry becomes a Fraction, its gap.  Float
-        entries fold over k from int 0 (`_fold_dots`); `other` is transposed once."""
+        """Block product.  Exact entries are one `numerics._dots` over the kept
+        forms; exact checks settle on integers instead (`gaps`), where only a
+        differing entry becomes a Fraction, its gap.  Float entries fold over
+        k from int 0 (`_fold_dots`); `other` is transposed once."""
         if self.ncols != other.nrows or self.n != other.n:
             raise ValueError("incompatible block shapes")
         if self.backend == other.backend == EXACT:
-            n, cuts = self.n, range(0, other.ncols * self.n, self.n)
-            cols = [other.integer_col(j) for j in range(other.ncols)]
-            product, dens = product_rows(self._rows(), cols)
-            rows = [[[fraction(x, d * e) for x, e in zip(v, dens)] for v, d in b] for b in product]
-            blocks = [[_freeze(r[c : c + n] for r in b) for c in cuts] for b in rows]
-            return BlockMatrix._frozen(n, blocks)
+            rows = [r for i in range(self.nrows) for r in self.integer_row(i)]
+            cols = [c for j in range(other.ncols) for c in other.integer_col(j)]
+            return BlockMatrix.from_dense(self.n, _dots(rows, cols))
         transposed = [[list(zip(*blk)) for blk in row] for row in other.blocks]
         cols = [[row[j] for row in transposed] for j in range(other.ncols)]
         return BlockMatrix(self.n, [[_fold_dots(row, col) for col in cols] for row in self.blocks])

@@ -45,7 +45,6 @@ from .numerics import (
     integer_col,
     integer_row,
     mat_eye,
-    mat_mul,
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
@@ -331,33 +330,24 @@ def check_biorthogonality(
 
 def _combine(terms, backend: str, right: bool = False) -> MatrixPolynomial:
     """Sum of (factor, member) terms: factor @ coefficient, or coefficient @
-    factor when `right`.
+    factor when `right`.  One `block_sum` of the factors and each member's
+    coefficients side by side (stacked when `right`), zero-padded to the
+    longest member: a padded float dot from int 0 is +0.0 (NaN against an inf
+    or NaN factor), added to a sum that is never -0.0.
 
     For stored forms the factor multiplies on the right: left-multiplying a
     form by A maps every stored coefficient d to d A^T.
     """
-    terms = list(terms)
-    n = terms[0][1].n
-    top = max(len(p.coeffs) for _, p in terms)
-    if backend == EXACT:
-        # One product of the factors and all members' coefficients, zero-padded to `top`.
-        tops, zero = range(top), ((0,) * n,) * n
-        coeffs = [p.coeffs + (zero,) * (top - len(p.coeffs)) for _, p in terms]
-        if right:
-            rows = [[v for cs in coeffs for v in cs[k][r]] for k in tops for r in range(n)]
-            out = mat_mul(rows, [row for m, _ in terms for row in m], EXACT)
-            return MatrixPolynomial.of(n, [out[k * n : (k + 1) * n] for k in tops])
-        factors = [[v for m, _ in terms for v in m[r]] for r in range(n)]
-        stack = [[v for c in cs for v in c[r]] for cs in coeffs for r in range(n)]
-        out = mat_mul(factors, stack, EXACT)
-        return MatrixPolynomial.of(n, [[row[k * n : (k + 1) * n] for row in out] for k in tops])
-    pair = (lambda m, c: (c, m)) if right else (lambda m, c: (m, c))
-    # Coefficient k sums the terms that have one, in order: one block sum.
-    coeffs = [
-        block_sum(n, *zip(*[pair(m, p.coeffs[k]) for m, p in terms if k < len(p.coeffs)]), backend)
-        for k in range(top)
-    ]
-    return MatrixPolynomial.of(n, coeffs)
+    factors, members = zip(*terms)
+    n, top = members[0].n, max(len(p.coeffs) for p in members)
+    zero, tops = ((0,) * n,) * n, range(top)
+    coeffs = [p.coeffs + (zero,) * (top - len(p.coeffs)) for p in members]
+    if right:
+        out = block_sum(n, [[row for c in cs for row in c] for cs in coeffs], factors, backend)
+        return MatrixPolynomial.of(n, [out[k * n : (k + 1) * n] for k in tops])
+    sides = [[[v for c in cs for v in c[r]] for r in range(n)] for cs in coeffs]
+    out = block_sum(n, factors, sides, backend)
+    return MatrixPolynomial.of(n, [[row[k * n : (k + 1) * n] for row in out] for k in tops])
 
 
 def check_connection_formulas(

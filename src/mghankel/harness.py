@@ -458,6 +458,8 @@ class _Runner:
     # -- individual checks ---------------------------------------------------
 
     def check_symmetry(self, acc: ResidualTracker):
+        if self.config.truncation <= max(min(self.fam.nvec), min(self.fam.mvec)):
+            raise _Skip("the shifted sides never overlap: L <= min n_a or L <= min m_b")
         acc.merge(
             check_multigraded_symmetry(self.g, self.fam.nvec, self.fam.mvec, self.tol), ""
         )
@@ -517,6 +519,8 @@ class _Runner:
 
     def check_theorem(self, acc: ResidualTracker):
         threshold = self.config.max_shift()
+        if max(self.config.levels) < threshold:
+            raise _Skip("no selected level reaches the shift bound %d" % threshold)
         for level in self.config.levels:
             if level < threshold:
                 note = below_shift_bound(level, threshold)
@@ -529,6 +533,8 @@ class _Runner:
 
     def check_corollary(self, acc: ResidualTracker):
         threshold = self.config.max_shift()
+        if max(self.config.levels) < threshold:
+            raise _Skip("no selected level reaches the shift bound %d" % threshold)
         exact = self.config.backend == EXACT  # `approx_zero` ignores an exact scale
         on_locus = len(self.points) - len(self.off_locus_points)
         if on_locus:
@@ -578,6 +584,8 @@ class _Runner:
         )
         if not applicable:
             raise _Skip("classical identity needs a scalar one-seed family with unit shifts")
+        if self.config.truncation < 3:
+            raise _Skip("classical identity needs L >= 3: its degrees run from 1 to min(6, L - 2)")
         seed = fam.seeds[0][0][0]
         rng = random.Random(7)
         points = []

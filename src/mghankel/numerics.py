@@ -42,9 +42,10 @@ Every gap between two sides of a check is `gap_norm`: exact sides that
 agree entry for entry (Fractions by their numerator and denominator
 slots) give 0 by equality, and only others are subtracted; float sides
 are always subtracted, so inf and NaN gaps stay NaN.  Exact product
-checks settle on integers (`product_gaps`): an entry v / D of the chain
-`product_rows` equals its target t / T iff v T == t D, and only an entry
-that differs becomes a Fraction, its gap |v T - t D| / (D T).
+checks settle on integers (`product_gaps`, the one chained product): an
+entry v / D of the chain equals its target t / T iff v T == t D, and only
+an entry that differs becomes a Fraction, its gap |v T - t D| / (D T).
+Every other exact product is one `_dots` call.
 """
 
 from __future__ import annotations
@@ -110,14 +111,9 @@ DEFAULT_TOLERANCE = Tolerance()
 SINGULAR_PIVOT_RTOL = 1e-12
 
 
-def is_exact(x: Scalar) -> bool:
-    """True for scalars of the exact backend (Fraction or int)."""
-    return isinstance(x, (Fraction, int))
-
-
 def approx_zero(x: Scalar, scale: Scalar, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Backend-aware zero test; exact scalars ignore the tolerance."""
-    if is_exact(x):
+    """Backend-aware zero test; exact scalars (Fraction or int) ignore the tolerance."""
+    if isinstance(x, (Fraction, int)):
         return x == 0
     return abs(x) <= tol.abs_tol + tol.rel_tol * scale
 
@@ -149,7 +145,7 @@ def as_backend(x, backend: str) -> Scalar:
 
 def scalar_str(x: Scalar) -> str:
     """Decimal rendering for reports; exact zero renders as '0'."""
-    if is_exact(x):
+    if isinstance(x, (Fraction, int)):
         return "0" if x == 0 else repr(float(x))
     return repr(x)
 
@@ -295,13 +291,15 @@ def _span(block) -> tuple:
     return flags.find(1), flags.rfind(1) + 1
 
 
-def product_rows(rows, *forms) -> tuple:
-    """rows @ C_1 @ ... @ C_m on integers: block rows of (integers, den) rows
-    (`integer_row`) times block columns alike (`integer_col`).  Each dot runs
-    only where both its blocks hold a nonzero (`_span`, read from the data).
-    Between factors each row goes over one denominator, its own times the
-    lcm of the columns'.  Returns (block rows of (dots, den), dens): entry k
-    of a row is dots[k] / (den * dens[k])."""
+def product_gaps(rows, forms, targets, n: int) -> list:
+    """`gap_norm` of each n x n block of rows @ C_1 @ ... @ C_m against the
+    same block of `targets`, settled on integers.  `rows` and `targets` are
+    block rows of (integers, den) rows (`integer_row`), each C block columns
+    alike (`integer_col`).  Each dot runs only where both its blocks hold a
+    nonzero (`_span`, read from the data); between factors each row goes
+    over one denominator, its own times the lcm of the columns'.  An entry
+    v / D equals its target t / T iff v T == t D, and only an entry that
+    differs builds a Fraction, its gap |v T - t D| / (D T)."""
     dens = []
     for cols in forms:
         if dens:
@@ -318,17 +316,8 @@ def product_rows(rows, *forms) -> tuple:
                 for r, d in block
             ])
         rows, dens = out, [d for b in cols for _, d in b]
-    return rows, dens
-
-
-def product_gaps(rows, forms, targets, n: int) -> list:
-    """`gap_norm` of each n x n block of `product_rows` against the same block
-    of `targets` (block rows of (integers, den) rows), settled on integers:
-    v / D == t / T iff v T == t D, and only an entry that differs builds a
-    Fraction, its gap |v T - t D| / (D T)."""
-    product, dens = product_rows(rows, *forms)
     out = []
-    for block, goal in zip(product, targets):
+    for block, goal in zip(rows, targets):
         gaps = [0] * (len(dens) // n)
         for (dots, den), (t, t_den) in zip(block, goal):
             lhs = list(map(mul, dots, repeat(t_den)))

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,8 @@ from mghankel.families import (
 )
 from mghankel.harness import builtin_config, run
 from mghankel.numerics import (
+    EXACT,
+    FLOAT,
     SingularLeadingMinorError,
     as_backend,
     mat_eye,
@@ -43,6 +47,7 @@ from mghankel.numerics import (
 from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
 from conftest import (
+    exact_scalars,
     ieee_floats,
     is_monic,
     level_zero_plus,
@@ -484,3 +489,71 @@ def test_combined_routes_match_the_per_term_loop(monkeypatch, case, backend):
     assert sides == {False, True}
     for got, want in combined:
         assert [typed(c) for c in got.coeffs] == [typed(c) for c in want.coeffs]
+
+
+# Finite floats: thirds and sevenths, three draws in five, whose sums round
+# differently in another order; -0.0; and any other finite 64-bit float.
+_ratios = st.builds(float.__truediv__, st.integers(-999, 999).map(float), st.sampled_from([3.0, 7.0]))
+finite_floats = st.one_of(
+    *[_ratios] * 3, st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def combine_terms(draw):
+    """(backend, terms): one to three (factor, member) terms of one block
+    size, members of one to four coefficients.  Float factors are floats, so
+    every product is a float, and a float member's blocks may be int blocks."""
+    backend, n = draw(st.sampled_from([EXACT, FLOAT])), draw(st.integers(1, 3))
+    if backend == EXACT:
+        factors = blocks = matrices(n, n, exact_scalars)
+    else:
+        factors = matrices(n, n, finite_floats)
+        blocks = factors | matrices(n, n, st.integers(-9, 9))
+    members = st.lists(blocks, min_size=1, max_size=4).map(lambda cs: MatrixPolynomial.of(n, cs))
+    return backend, draw(st.lists(st.tuples(factors, members), min_size=1, max_size=3))
+
+
+@given(case=combine_terms(), right=st.booleans())
+def test_combine_is_the_per_term_loop_on_drawn_terms(case, right):
+    """One zero-padded block sum gives, by type and repr, the sum of the
+    terms each coefficient has: a padded float product adds +0.0 to a sum
+    that is never -0.0."""
+    backend, terms = case
+    got, want = families._combine(terms, backend, right), term_combine(terms, backend, right)
+    assert [typed(c) for c in got.coeffs] == [typed(c) for c in want.coeffs]
+
+
+def _functions(path) -> dict:
+    """name -> FunctionDef node, for every function and method of a module."""
+    tree = ast.parse(pathlib.Path(path).read_text())
+    return {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+
+
+def _called(function) -> set:
+    return {
+        c.func.id for c in ast.walk(function)
+        if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+    }
+
+
+def test_each_backend_has_one_product_path():
+    """`_combine` compares no backend, exact `BlockMatrix.matmul` is one
+    `_dots`, and `numerics.product_gaps` is the only chained product: no
+    `product_rows`, and nothing else calls `_span`."""
+    package = pathlib.Path(families.__file__).parent
+    combine = _functions(families.__file__)["_combine"]
+    compared = {
+        name.id for node in ast.walk(combine) if isinstance(node, ast.Compare)
+        for name in ast.walk(node) if isinstance(name, ast.Name)
+    }
+    assert not compared & {"backend", "EXACT", "FLOAT"}
+    assert "_dots" in _called(_functions(package / "blockops.py")["matmul"])
+    assert "product_rows" not in _functions(numerics.__file__)
+    spans = {
+        name
+        for module in sorted(package.glob("*.py"))
+        for name, function in _functions(module).items()
+        if "_span" in _called(function)
+    }
+    assert spans == {"product_gaps"}

@@ -495,3 +495,34 @@ def test_theorem_builds_no_evaluator_below_the_shift_bound(monkeypatch):
         "the associated-family form is undefined" % (level, level)
         for level in (0, 1)
     ]
+
+
+def statuses(config) -> list:
+    return [(e.check, e.status) for e in run(config).entries]
+
+
+@pytest.mark.parametrize("truncation, status", [(1, "skipped"), (2, "skipped"), (3, "pass")])
+def test_classical_skips_when_it_has_no_degree_to_compare(truncation, status):
+    """Its degrees run from 1 to min(6, L - 2): none at L <= 2."""
+    config = dataclasses.replace(
+        builtin_config("legendre"), truncation=truncation, levels=(), checks=("classical",)
+    )
+    assert statuses(config) == [("classical", status)]
+
+
+@pytest.mark.parametrize("levels, status", [((0, 1), "skipped"), ((1, 2), "pass")])
+def test_theorem_and_corollary_skip_when_no_level_reaches_the_shift_bound(levels, status):
+    config = dataclasses.replace(
+        builtin_config("multigraded-n2"), levels=levels, checks=("theorem", "corollary")
+    )
+    assert statuses(config) == [("theorem", status), ("corollary", status)]
+
+
+@pytest.mark.parametrize("truncation, status", [(1, "skipped"), (2, "skipped"), (3, "pass")])
+def test_symmetry_skips_when_the_shifted_sides_never_overlap(truncation, status):
+    """multigraded-12 has n = (1,) and m = (2,): at L = 1 no row shift fits
+    and at L = 2 no column shift does, so nothing is compared."""
+    config = dataclasses.replace(
+        builtin_config("multigraded-12"), truncation=truncation, levels=(), checks=("symmetry",)
+    )
+    assert statuses(config) == [("symmetry", status)]

@@ -8,6 +8,13 @@ block subdiagonals.  So away from the truncation edge, the last max shift
 block rows and columns, every block of J with j - i outside
 [-max m_b, max n_a] is exactly zero.
 
+In float the out-of-band blocks are not zero.  For monic Hermite and monic
+shifted Legendre, J has a closed form, so each row's true error is known
+and can be set against its band leak, the largest |J| outside the band over
+the largest inside.  Above rounding level the leak tracks the Hermite error
+to within 1.2x, but it understates the Legendre error by up to 8.3e4x: there
+the float error sits in the band.
+
 The Christoffel transform (Szegő, *Orthogonal Polynomials*, Thm. 2.5): for a
 scalar weight w on [0, 1] and c outside it, the kernel
 K_{k+1}(x, c) = sum_{j <= k} P_j(x) P_j(c) / h_j, made monic, is the monic
@@ -16,6 +23,7 @@ second seed with a second moment matrix and factorization, so a wrong
 kernel or a wrong moment fails it.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -64,6 +72,64 @@ def test_the_exact_recurrence_matrix_is_banded_on_drawn_families(config):
     except SingularLeadingMinorError:
         return  # no factors, so no recurrence matrix to test
     assert band_offsets(fam, g, factors) <= set(predicted_band(fam))
+
+
+def hermite_recurrence(k: int, j: int) -> Fraction:
+    """Monic Hermite for exp(-x^2): x p_k = p_{k+1} + (k/2) p_{k-1}."""
+    return Fraction({k + 1: 1, k - 1: Fraction(k, 2)}.get(j, 0))
+
+
+def shifted_legendre_recurrence(k: int, j: int) -> Fraction:
+    """Monic Legendre on [0, 1]: x p_k = p_{k+1} + p_k / 2 + k^2 / (4 (4k^2 - 1)) p_{k-1}."""
+    below = Fraction(k * k, 4 * (4 * k * k - 1))
+    return Fraction({k + 1: 1, k: Fraction(1, 2), k - 1: below}.get(j, 0))
+
+
+def scalar_recurrence(case: str, backend: str, truncation: int) -> list:
+    """The rows of J for a scalar built-in below the edge, as scalars."""
+    fam = dataclasses.replace(builtin_config(case), backend=backend).family()
+    factors = lu_factorize(build_moment_matrix(fam, truncation))
+    j = factors.lower.matmul(shift_power(fam.nvec, truncation)).matmul(factors.lower_inv)
+    return [[j.block(k, c)[0][0] for c in range(truncation)] for k in range(truncation - 1)]
+
+
+def test_the_exact_legendre_recurrence_matrix_is_the_closed_form():
+    rows = scalar_recurrence("legendre", "exact", 12)
+    assert rows == [[shifted_legendre_recurrence(k, c) for c in range(12)] for k in range(11)]
+
+
+# A row is above rounding level when its true relative error is at least
+# ROUNDING_LEVEL, about 450 ulps.  Each factor is the largest ratio between
+# leak and true error over those rows, measured when the test was written
+# (1.17 at Hermite row 10; 8.3e4 at Legendre row 13), rounded up once.
+ROUNDING_LEVEL = 1e-13
+LEAK_FACTORS = {"hermite": 1.2, "legendre": 1e5}
+
+
+@pytest.mark.parametrize(
+    "case, truncation, closed_form, rows",
+    [
+        ("hermite", 30, hermite_recurrence, range(10, 29)),
+        ("legendre", 20, shifted_legendre_recurrence, range(4, 19)),
+    ],
+)
+def test_the_float_band_leak_is_within_its_recorded_factor_of_the_true_error(
+    case, truncation, closed_form, rows
+):
+    """Per row: the leak (largest |J| outside [k-1, k+1] over the largest
+    inside) against the true error (largest |J - closed form| over the
+    largest closed-form entry), in both directions."""
+    factor, asserted = LEAK_FACTORS[case], []
+    for k, row in enumerate(scalar_recurrence(case, "float", truncation)):
+        band = range(max(0, k - 1), k + 2)
+        inside = max(abs(row[c]) for c in band)
+        leak = max([abs(v) for c, v in enumerate(row) if c not in band], default=0.0) / inside
+        exact = [closed_form(k, c) for c in range(truncation)]
+        error = max(abs(v - w) for v, w in zip(row, exact)) / max(map(abs, exact))
+        if error >= ROUNDING_LEVEL:
+            asserted.append(k)
+            assert error / factor <= leak <= error * factor, (k, leak, error)
+    assert asserted == list(rows)
 
 
 def positive_on_unit_interval(coeffs) -> bool:
