@@ -54,7 +54,6 @@ from .numerics import (
     gap_norm,
     integer_col,
     integer_row,
-    mat_mul,
     mat_sub,
     mat_transpose,
     mat_zeros,
@@ -266,18 +265,18 @@ class KernelEvaluator:
     @memoized
     def _schur_row(self, x) -> tuple:
         """x-side factors of the partition form: (A(x) Lambda_m^T, W(x) Lambda_n)."""
-        w, backend = self._left_piece(x), self.fam.backend
+        w, n, backend = self._left_piece(x), self.fam.size, self.fam.backend
         w_rows, tail = integer_row([w], backend), self.g.nrows - self.level
-        w_tr = mat_mul(w, self._tr, backend, w_rows, self._tr_cols)
+        w_tr = block_sum(n, [w], [self._tr], backend, w_rows, self._tr_cols)
         a_row = mat_sub(self._chi2_row(tail, x, self.level), w_tr)
-        a_lam = mat_mul(a_row, self._lam_m_t, backend)
-        return a_lam, mat_mul(w, self._lam_n, backend, w_rows)
+        a_lam = block_sum(n, [a_row], [self._lam_m_t], backend)
+        return a_lam, block_sum(n, [w], [self._lam_n], backend, w_rows)
 
     @memoized
     def _schur_col(self, y) -> list:
         """y-side factor -C(y) = B R(y) - chi1_tail(y) of the partition form."""
-        tail = self.g.nrows - self.level
-        bl_w = mat_mul(self._bl, self._right_piece(y), self.fam.backend, self._bl_rows)
+        n, tail = self.fam.size, self.g.nrows - self.level
+        bl_w = block_sum(n, [self._bl], [self._right_piece(y)], self.fam.backend, self._bl_rows)
         return mat_sub(bl_w, self._chi1_col(tail, y, offset=self.level))
 
     def _kernel(self, x, y) -> list:
@@ -310,10 +309,10 @@ class KernelEvaluator:
     def _cd_lhs(self, x, y) -> list:
         # Exact entry (a, b) is K_ab (x^{n_a} - y^{n_b}); floats keep 0 * inf = NaN.
         k, nvec, backend = self._kernel(x, y), self.fam.nvec, self.fam.backend
-        px, py = diag_power(x, nvec), diag_power(y, nvec)
+        px, py, n = diag_power(x, nvec), diag_power(y, nvec), len(nvec)
         if backend == EXACT:
             return [[v * (px[a][a] - py[b][b]) for b, v in enumerate(r)] for a, r in enumerate(k)]
-        return mat_sub(mat_mul(px, k, backend), mat_mul(k, py, backend))
+        return mat_sub(block_sum(n, [px], [k], backend), block_sum(n, [k], [py], backend))
 
     def cd_rhs_schur(self, x, y) -> list:
         """Partition form of the difference identity, valid at every level, as one two-pair sum."""
@@ -453,7 +452,7 @@ class KernelEvaluator:
         columns = []
         for k in levels:
             stack, rows = self._pair_stack(k)
-            columns.append(mat_mul(stack, self.table.poly_value(k, y), backend, rows))
+            columns.append(block_sum(n, [stack], [self.table.poly_value(k, y)], backend, rows))
         return [columns[k][j * n : (j + 1) * n] for j in levels for k in levels]
 
     @memoized

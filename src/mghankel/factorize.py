@@ -21,18 +21,19 @@ from operator import sub
 from .blockops import BlockMatrix, _freeze
 from .numerics import (
     EXACT,
+    _dots,
     _exceeds,
     _fold_dots,
     bareiss_pass,
     block_sum,
+    eliminate_leading,
     fraction,
+    integer_col,
     mat_eye,
-    mat_mul,
-    mat_scale,
     mat_zeros,
     matrix_residual_norm,
     memoized,
-    solve_leading,
+    substitute,
 )
 
 LOWER = "lower"
@@ -88,11 +89,11 @@ def lu_factorize(g: BlockMatrix) -> GaussFactors:
             cols = [list(zip(*up[k][j])) for k in ks]
             acc = _fold_dots([low[i][k] for k in ks], cols, g.block(i, j), sub)
             if j < i:
-                low[i][j] = mat_mul(acc, pivot_invs[j], backend)
+                low[i][j] = block_sum(n, [acc], [pivot_invs[j]], backend)
             else:
                 up[i][j] = acc
         low[i][i] = mat_eye(n, backend)
-        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), backend, i))
+        pivot_invs.append(substitute(eliminate_leading(up[i][i], backend, i), mat_eye(n, backend)))
     lower_inv = BlockMatrix(n, low)
     upper = BlockMatrix(n, up)
     return GaussFactors(
@@ -119,12 +120,13 @@ def _exact_factors(g: BlockMatrix) -> GaussFactors:
     """The four factors of an exact g from the two passes of `_bareiss_pass`.
 
     The pass over g gives ``upper`` and ``lower`` block row by block row;
-    `solve_leading` inverts each pivot block U_ii to D_i, or raises.  The
-    pass over g^T gives the rows S' and R' of the factors of g^T, the
-    transposed factors of g: block column i of ``lower_inv`` and
-    ``upper_inv`` is S'(j, i)^T D_i (j > i) and R'(i, k)^T D_i (k < i), one
-    product of r's integer columns with D_i over r's divisors.  Kept on g,
-    it empties the passes' block rows, which nothing else reads.
+    each pivot block U_ii is inverted to D_i by `eliminate_leading`, which
+    raises, and `substitute`.  The pass over g^T gives the rows S' and R' of
+    the factors of g^T, the transposed factors of g: block column i of
+    ``lower_inv`` and ``upper_inv`` is S'(j, i)^T D_i (j > i) and R'(i, k)^T
+    D_i (k < i), one `_dots` of r's integer columns with D_i over r's
+    divisors.  Kept on g, it empties the passes' block rows, which nothing
+    else reads.
     """
     n, levels = g.n, g.nrows
     eye, zero = _freeze(mat_eye(n)), _freeze(mat_zeros(n, n))
@@ -132,14 +134,14 @@ def _exact_factors(g: BlockMatrix) -> GaussFactors:
     for i, (rows, dens) in enumerate(_bareiss_pass(g, False)[0]):
         sr = [[fraction(v, den) for v in row] for row, den in zip(rows, dens)]
         blocks = [tuple(tuple(row[c : c + n]) for row in sr) for c in range(0, len(sr[0]), n)]
-        pivot_invs.append(solve_leading(blocks[0], mat_eye(n), EXACT, i))
+        pivot_invs.append(substitute(eliminate_leading(blocks[0], EXACT, i), mat_eye(n)))
         upper.append([zero] * i + blocks[: levels - i])
         lower.append(blocks[levels - i :] + [zero] * (levels - i - 1))
     lower_inv, upper_inv = [], []  # by block columns
     for i, ((rows, dens), d) in enumerate(zip(_bareiss_pass(g, True)[0], pivot_invs)):
         scaled_d = [[x / den for x in row] for row, den in zip(d, dens)]
         columns = [(col, 1) for col in zip(*[row[n : levels * n] for row in rows])]
-        product = mat_mul((), scaled_d, EXACT, rows=columns)
+        product = _dots(columns, integer_col([scaled_d], EXACT))
         blocks = [_freeze(product[t : t + n]) for t in range(0, len(product), n)]
         lower_inv.append([zero] * i + [eye] + blocks[: levels - i - 1])
         upper_inv.append(blocks[levels - i - 1 :] + [_freeze(d)] + [zero] * (levels - i - 1))
@@ -170,12 +172,13 @@ def invert_block_triangular(t: BlockMatrix, orientation: str) -> BlockMatrix:
     inv = [[mat_zeros(n, n, backend) for _ in range(levels)] for _ in range(levels)]
     eye = mat_eye(n, backend)
     for i in range(levels):
-        block = t.block(i, i)
-        inv[i][i] = eye if block == _freeze(eye) else solve_leading(block, eye, backend, i)
+        block, inv[i][i] = t.block(i, i), eye
+        if block != _freeze(eye):
+            inv[i][i] = substitute(eliminate_leading(block, backend, i), eye)
         for j in range(i - 1, -1, -1):
             ks = range(j, i)
             acc = block_sum(n, [t.block(i, k) for k in ks], [inv[k][j] for k in ks], backend)
-            inv[i][j] = mat_mul(mat_scale(-1, inv[i][i]), acc, backend)
+            inv[i][j] = block_sum(n, [[[-x for x in row] for row in inv[i][i]]], [acc], backend)
     return BlockMatrix(n, inv)
 
 

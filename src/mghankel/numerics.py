@@ -5,17 +5,16 @@ exact rationals (`fractions.Fraction`) and 64-bit floats.  Exact values are
 compared bit-exactly; every float comparison goes through `Tolerance`.
 
 Dense matrices are plain nested sequences of scalars.  A run's backend is
-fixed, so the dense kernels (`mat_mul`, `block_sum`, `eliminate`,
-`solve_dense`, `solve_leading`, `gap_norm`) take it as an argument from the
-caller, which holds it already (`WeightFamily.backend`,
-`BlockMatrix.backend`), and never scan their operands for it.  Exact
-products return `Fraction`s and refuse a float at every shape.  `block_sum`
-is the one sum of products; in exact runs it is a single product of a block
-row and a block column.  Float sums of products (`block_sum`,
-`BlockMatrix.matmul`, the Schur update of `lu_factorize`) fold each entry in
-place over its per-pair dots (`_fold_dots`): a dot starts from int 0, so
-none is -0.0, 0 + p_0 is p_0 (so one pair is its plain product), and the
-float operations are those of adding the products blockwise.  Exact
+fixed, so the dense kernels (`block_sum`, `eliminate`, `solve_dense`,
+`gap_norm`) take it as an argument from the caller, which holds it already
+(`WeightFamily.backend`, `BlockMatrix.backend`), and never scan their
+operands for it.  Exact products return `Fraction`s and refuse a float at
+every shape.  `block_sum` is the one sum of products; in exact runs it is a
+single product of a block row and a block column.  Float sums of products
+(`block_sum`, `BlockMatrix.matmul`, the Schur update of `lu_factorize`) fold
+each entry in place over its per-pair dots (`_fold_dots`): a dot starts from
+int 0, so none is -0.0, 0 + p_0 is p_0 (so one pair is its plain product),
+and the float operations are those of adding the products blockwise.  Exact
 products and solves are fraction-free: a product takes integer dot products
 of rows and columns scaled by the lcm of their denominators (`integer_row`,
 `integer_col`), and both create `Fraction`s only for their output entries,
@@ -26,12 +25,12 @@ the run: g and the factors (`BlockMatrix`), each family member
 `cdkernel`.  Products read a kept form in place of scaling again.
 
 A solve is one elimination of A (`eliminate`) and one substitution per
-right-hand-side block (`substitute`); `solve_dense` and `solve_leading` do
-both at once, and a caller that reads only some blocks of a solution keeps
-the `Elimination` and substitutes those.  One exact elimination serves
-all: `bareiss_pass`, Bareiss on the integer rows of [A | S], S = diag(row
-lcms), a block of rows at a time; `eliminate` is one block, the block
-factorization n rows, and a leading minor reads the first rows of its pass.
+right-hand-side block (`substitute`); `solve_dense` does both at once, and
+a caller that reads only some blocks of a solution keeps the `Elimination`
+and substitutes those.  One exact elimination serves all: `bareiss_pass`,
+Bareiss on the integer rows of [A | S], S = diag(row lcms), a block of
+rows at a time; `eliminate` is one block, the block factorization n rows,
+and a leading minor reads the first rows of its pass.
 Exact `substitute` is a product with the S part, then `_back_substitute`.
 Float A takes Gauss-Jordan with pivots of the largest magnitude, and each
 column of B repeats its operations in order.  Every singular pivot block or
@@ -197,10 +196,6 @@ def mat_sub(a, b) -> list:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c: Scalar, a) -> list:
-    return [[c * x for x in row] for row in a]
-
-
 def has_float(*mats) -> bool:
     """True when some entry of the dense matrices is a float."""
     return any(isinstance(v, float) for m in mats for row in m for v in row)
@@ -247,40 +242,26 @@ def _dots(rows, cols) -> list:
     ]
 
 
-def mat_mul(a, b, backend: str, rows=None, cols=None) -> list:
-    """A @ B in `backend`.
-
-    Exact operands multiply fraction-free at every shape: every row of A and
-    column of B is scaled to integers by the lcm of its denominators, so each
-    entry is Fraction(integer dot product, product of the two lcms), which is
-    canonical and so equal to the sum of its Fraction products.  `rows` and
-    `cols` may hold kept forms of A and B, as in `block_sum`.  Floats add
-    their scalar products in order.
-    """
-    if backend == EXACT:
-        return _dots(rows or _integer_vectors(a), cols or _integer_vectors(zip(*b)))
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def block_sum(n: int, lefts, rights, backend: str, rows=None, cols=None) -> list:
-    """Sum of lefts[k] @ rights[k] over k in `backend`.
+    """Sum of lefts[k] @ rights[k] over k in `backend`, at any shape.
 
     With no pairs the sum is the n x n zero of `backend`.  Exact operands
     take one fraction-free product of the block row [lefts[0] lefts[1] ...]
     and the block column [rights[0]; rights[1]; ...], scaled by
     `integer_row` and `integer_col` unless `rows` or `cols` holds a kept
     form.  A kept form may cover more blocks than the pairs if each extra
-    block meets a zero block or nothing on the other side.  Floats fold each
-    entry over the pairs in order from int 0 (`_fold_dots`), ignoring kept forms;
-    one pair is its plain product, as 0 + p_0 is p_0.
+    block meets a zero block or nothing on the other side.  Floats ignore
+    kept forms and fold each entry over the pairs in order from int 0
+    (`_fold_dots`); one pair adds its scalar products in order, the same
+    bits, as 0 + p_0 is p_0.
     """
     if not lefts:
         return mat_zeros(n, n, backend)
     if backend == EXACT:
         return _dots(rows or integer_row(lefts, EXACT), cols or integer_col(rights, EXACT))
     if len(lefts) == 1:
-        return mat_mul(lefts[0], rights[0], backend)
+        cols = list(zip(*rights[0]))
+        return [[sum(map(mul, row, col)) for col in cols] for row in lefts[0]]
     return _fold_dots(lefts, [list(zip(*b)) for b in rights])
 
 
@@ -549,12 +530,6 @@ def eliminate_leading(a, backend: str, level: int, message: str | None = None) -
         return eliminate(a, backend)
     except SingularMatrixError as exc:
         raise SingularLeadingMinorError(level, message) from exc
-
-
-def solve_leading(a, b, backend: str, level: int, message: str | None = None) -> list:
-    """`solve_dense(a, b, backend)`; a singular `a` raises
-    SingularLeadingMinorError(level, message) (`eliminate_leading`)."""
-    return substitute(eliminate_leading(a, backend, level, message), b)
 
 
 def gap_norm(a, b, backend: str) -> Scalar:

@@ -16,15 +16,15 @@ from mghankel.numerics import (
     EXACT,
     ResidualTracker,
     block_sum,
+    eliminate_leading,
     gap_norm,
     invert_dense,
     mat_eye,
-    mat_mul,
     mat_sub,
     mat_transpose,
     mat_zeros,
     matrix_residual_norm,
-    solve_leading,
+    substitute,
 )
 from mghankel.weights import BaseMeasure, SeedWeight, WeightFamily, hankel_family
 
@@ -148,13 +148,13 @@ def block_doolittle(g: BlockMatrix) -> GaussFactors:
         for j in range(levels):
             acc = [list(r) for r in g.block(i, j)]
             for k in range(min(i, j)):
-                acc = mat_sub(acc, mat_mul(low[i][k], up[k][j], backend))
+                acc = mat_sub(acc, sum_of_products(low[i][k], up[k][j]))
             if j < i:
-                low[i][j] = mat_mul(acc, pivot_invs[j], backend)
+                low[i][j] = sum_of_products(acc, pivot_invs[j])
             else:
                 up[i][j] = acc
         low[i][i] = mat_eye(n, backend)
-        pivot_invs.append(solve_leading(up[i][i], mat_eye(n, backend), backend, i))
+        pivot_invs.append(substitute(eliminate_leading(up[i][i], backend, i), mat_eye(n, backend)))
     lower_inv = BlockMatrix(n, low)
     upper = BlockMatrix(n, up)
     return GaussFactors(
@@ -201,7 +201,7 @@ def solve_leading_minor(g: BlockMatrix, level: int, rhs) -> list:
     tiles = [[tuple(zip(*g.block(k, i))) for k in head] for i in head]  # g[k, i]^T
     dense = [[x for tile in row for x in tile[r]] for row in tiles for r in range(g.n)]
     message = "leading minor of order %d is singular" % level
-    return solve_leading(dense, rhs, g.backend, level, message)
+    return substitute(eliminate_leading(dense, g.backend, level, message), rhs)
 
 
 def transposed_lead(g: BlockMatrix, order: int) -> BlockMatrix:
@@ -277,7 +277,7 @@ class PerCoordinateEvaluator(KernelEvaluator):
     def _solve(self, minor, rhs) -> list:
         """One solve; a singular minor raises the shared elimination's message."""
         message = "leading minor of order %d is singular" % self.level
-        return solve_leading(minor, rhs, self.fam.backend, self.level, message)
+        return substitute(eliminate_leading(minor, self.fam.backend, self.level, message), rhs)
 
     def _right_piece(self, y) -> list:
         return self._solve(self._minor(), self._chi1_col(self.level, y))
@@ -306,7 +306,7 @@ class PerPointEvaluator(KernelEvaluator):
         n = self.fam.size
         if self.level == 0:
             return mat_zeros(n, n, self.fam.backend)
-        return mat_mul(self._chi2_row(self.level, x), self._right_piece(y), self.fam.backend)
+        return sum_of_products(self._chi2_row(self.level, x), self._right_piece(y))
 
     def cd_rhs_schur(self, x, y) -> list:
         n, backend = self.fam.size, self.fam.backend
@@ -315,9 +315,9 @@ class PerPointEvaluator(KernelEvaluator):
         a_lam, w_lam = self._schur_row(x)
         right = self._right_piece(y)
         tail = self._chi1_col(self.g.nrows - self.level, y, offset=self.level)
-        schur_col = mat_sub(tail, mat_mul(self._bl, right, backend))  # C(y)
-        term1 = mat_mul(a_lam, right, backend)
-        term2 = mat_mul(w_lam, schur_col, backend)
+        schur_col = mat_sub(tail, sum_of_products(self._bl, right))  # C(y)
+        term1 = sum_of_products(a_lam, right)
+        term2 = sum_of_products(w_lam, schur_col)
         return mat_sub(term1, term2)
 
     def _assoc_form(self, x, y) -> list:
@@ -361,7 +361,7 @@ def term_kernel(fam, forms_x, polys_y) -> list:
     """Sum of forms_x[k] @ polys_y[k] from a zero of the family's backend."""
     acc = mat_zeros(fam.size, fam.size, fam.backend)
     for f, p in zip(forms_x, polys_y):
-        acc = mat_add(acc, mat_mul(f, p, fam.backend))
+        acc = mat_add(acc, sum_of_products(f, p))
     return acc
 
 
@@ -372,8 +372,8 @@ def term_reproducing(fam, forms_x, polys_y, pairs):
     acc = mat_zeros(fam.size, fam.size, fam.backend)
     for j in levels:
         for k in levels:
-            product = mat_mul(pairs[j][k], polys_y[k], fam.backend)
-            acc = mat_add(acc, mat_mul(forms_x[j], product, fam.backend))
+            product = sum_of_products(pairs[j][k], polys_y[k])
+            acc = mat_add(acc, sum_of_products(forms_x[j], product))
     return matrix_residual_norm(mat_sub(acc, term_kernel(fam, forms_x, polys_y)))
 
 
@@ -401,7 +401,7 @@ def term_project_poly(g, polys, forms, level, p) -> MatrixPolynomial:
     for k in range(level):
         weight = pair_poly_form(g, p, forms[k])
         for t, c in enumerate(polys[k].coeffs):
-            coeffs[t] = mat_add(coeffs[t], mat_mul(weight, c, g.backend))
+            coeffs[t] = mat_add(coeffs[t], sum_of_products(weight, c))
     return MatrixPolynomial.of(n, coeffs)
 
 
@@ -412,11 +412,11 @@ def term_project_form(g, polys, forms, level, f) -> MatrixPolynomial:
     for k in range(level):
         weight = pair_poly_form(g, polys[k], f)
         for u, d in enumerate(forms[k].coeffs):
-            coeffs[u] = mat_add(coeffs[u], mat_mul(d, weight, g.backend))
+            coeffs[u] = mat_add(coeffs[u], sum_of_products(d, weight))
     return MatrixPolynomial.of(n, coeffs)
 
 
-def term_combine(terms, backend, right=False) -> MatrixPolynomial:
+def term_combine(terms, right=False) -> MatrixPolynomial:
     """Sum of factor-times-member terms, the factor on the left of each
     coefficient or, when `right`, on its right, each product added to its
     coefficient's exact zero, term by term (`families._combine`)."""
@@ -425,7 +425,7 @@ def term_combine(terms, backend, right=False) -> MatrixPolynomial:
     coeffs = [mat_zeros(n, n) for _ in range(max(len(p.coeffs) for _, p in terms))]
     for m, p in terms:
         for k, c in enumerate(p.coeffs):
-            product = mat_mul(c, m, backend) if right else mat_mul(m, c, backend)
+            product = sum_of_products(c, m) if right else sum_of_products(m, c)
             coeffs[k] = mat_add(coeffs[k], product)
     return MatrixPolynomial.of(n, coeffs)
 

@@ -26,7 +26,6 @@ from mghankel.harness import DEFAULT_GRID_COORDS, builtin_config
 from mghankel.numerics import (
     SingularLocusError,
     as_backend,
-    mat_mul,
     mat_sub,
     matrix_residual_norm,
 )
@@ -35,6 +34,7 @@ from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 from conftest import (
     interval_seed,
     mat_add,
+    sum_of_products,
     term_associated,
     term_kernel,
     term_project_form,
@@ -355,8 +355,8 @@ def test_tables_match_direct_composition(table_case):
             kernel = direct_kernel(fam, polys, forms, TABLE_LEVEL, x, y)
             assoc = term_associated(fam, *associated_values(fam, members, x, y))
             lhs = mat_sub(
-                mat_mul(diag_power(x, nvec), kernel, fam.backend),
-                mat_mul(kernel, diag_power(y, nvec), fam.backend),
+                sum_of_products(diag_power(x, nvec), kernel),
+                sum_of_products(kernel, diag_power(y, nvec)),
             )
             assert ev.kernel_sum(x, y) == kernel
             assert ev.cd_lhs(x, y) == lhs

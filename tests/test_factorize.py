@@ -21,7 +21,6 @@ from mghankel.harness import BUILTIN_CASES, builtin_config
 from mghankel.numerics import (
     SingularLeadingMinorError,
     invert_dense,
-    mat_scale,
     mat_sub,
     mat_zeros,
     matrix_residual_norm,
@@ -281,7 +280,7 @@ def substitution_inverse(t: BlockMatrix) -> BlockMatrix:
         for j in range(i - 1, -1, -1):
             ks = range(j, i)
             acc = blockwise_sum([t.block(i, k) for k in ks], [inv[k][j] for k in ks])
-            inv[i][j] = sum_of_products(mat_scale(-1, diag[i]), acc)
+            inv[i][j] = sum_of_products([[-x for x in row] for row in diag[i]], acc)
     return BlockMatrix(n, inv)
 
 

@@ -3,7 +3,7 @@
 An exact product scales every row of its left operand and every column of
 its right operand to integers.  Operands that a run reads many times keep
 that form on their owner (`integer_row`, `integer_col`) and pass it to
-`mat_mul` and `block_sum`.  These tests pin the products against the plain
+`block_sum`.  These tests pin the products against the plain
 ones, floats bit for bit against the products as they were before kept forms
 existed, and count how often a run scales each owner's operand.
 """
@@ -32,7 +32,6 @@ from mghankel.numerics import (
     block_sum,
     integer_col,
     integer_row,
-    mat_mul,
     mat_zeros,
 )
 
@@ -89,11 +88,10 @@ def test_kept_forms_give_the_plain_exact_sum(pairs, lead):
     ):
         assert typed(block_sum(n, lefts, rights, EXACT, r, c)) == typed(expected)
     a, b = lefts[0], rights[0]
-    product = mat_mul(a, b, EXACT)
+    product = sum_of_products(a, b, Fraction(0))
     kept_a, kept_b = integer_row([a], EXACT), integer_col([b, extra_right], EXACT)
     assert typed(block_sum(n, [a], [b], EXACT, kept_a, kept_b)) == typed(product)
-    assert typed(mat_mul(a, b, EXACT, kept_a, kept_b)) == typed(product)
-    assert typed(mat_mul(a, b, EXACT, cols=kept_b)) == typed(product)
+    assert typed(block_sum(n, [a], [b], EXACT, cols=kept_b)) == typed(product)
 
 
 @given(block_pairs(ieee_floats))
@@ -104,7 +102,7 @@ def test_floats_ignore_kept_forms_and_keep_their_bits(pairs):
     expected = blockwise_sum(lefts, rights)
     assert bits(block_sum(n, lefts, rights, FLOAT, rows, cols)) == bits(expected)
     a, b = lefts[0], rights[0]
-    assert bits(mat_mul(a, b, FLOAT, rows, cols)) == bits(sum_of_products(a, b))
+    assert bits(block_sum(n, [a], [b], FLOAT, rows, cols)) == bits(sum_of_products(a, b))
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[matrices(n, n, ieee_floats)] * 2)))
@@ -134,7 +132,7 @@ def test_a_float_in_an_exact_product_with_kept_forms_raises_type_error():
         integer_col([a], EXACT)
     kept_b = integer_col([b], EXACT)
     with pytest.raises(TypeError, match="float"):
-        mat_mul(a, b, EXACT, cols=kept_b)
+        block_sum(1, [a], [b], EXACT, cols=kept_b)
     with pytest.raises(TypeError, match="float"):
         block_sum(1, [[[0.5]]], [[[Fraction(1, 2)]]], EXACT, cols=integer_col([[[1]]], EXACT))
 

@@ -18,19 +18,18 @@ from mghankel.numerics import (
     approx_zero,
     block_sum,
     eliminate,
+    eliminate_leading,
     fraction,
     gap_norm,
     has_float,
     invert_dense,
     mat_eye,
-    mat_mul,
     mat_sub,
     matrix_residual_norm,
     memoized,
     parse_rational,
     scalar_str,
     solve_dense,
-    solve_leading,
     substitute,
 )
 from mghankel.families import MatrixPolynomial, poly_residual
@@ -112,7 +111,7 @@ def test_scalar_str_exact_zero():
 def test_solve_dense_exact_hilbert():
     hilbert = [[Fraction(1, i + j + 1) for j in range(4)] for i in range(4)]
     inv = invert_dense(hilbert)
-    assert mat_mul(hilbert, inv, EXACT) == mat_eye(4)
+    assert sum_of_products(hilbert, inv) == mat_eye(4)
 
 
 def test_solve_dense_requires_pivot():
@@ -538,12 +537,14 @@ def products(draw, scalars=small_rationals, inner=shapes):
 
 @given(products())
 def test_fraction_free_product_matches_sum_of_products(operands):
-    assert typed(mat_mul(*operands, EXACT)) == typed(sum_of_products(*operands, Fraction(0)))
+    a, b = operands
+    assert typed(block_sum(0, [a], [b], EXACT)) == typed(sum_of_products(a, b, Fraction(0)))
 
 
 @given(products(small_rationals | st.floats(-100, 100)))
 def test_product_with_a_float_anywhere_is_the_plain_sum(operands):
-    assert typed(mat_mul(*operands, FLOAT)) == typed(sum_of_products(*operands))
+    a, b = operands
+    assert typed(block_sum(0, [a], [b], FLOAT)) == typed(sum_of_products(a, b))
 
 
 @st.composite
@@ -570,7 +571,7 @@ def test_block_sum_with_a_float_anywhere_keeps_the_blockwise_order(operands):
 def test_exact_products_of_ints_are_fractions(product, pairs):
     """One rule at every inner dimension: an exact product is Fractions."""
     for got, oracle in (
-        (mat_mul(*product, EXACT), sum_of_products(*product)),
+        (block_sum(0, [product[0]], [product[1]], EXACT), sum_of_products(*product)),
         (block_sum(0, *pairs, EXACT), blockwise_sum(*pairs)),
     ):
         assert got == oracle
@@ -580,16 +581,16 @@ def test_exact_products_of_ints_are_fractions(product, pairs):
 def test_product_edge_shapes():
     two = [[Fraction(1, 2), 1], [3, Fraction(-1, 3)]]
     for backend in (EXACT, FLOAT):
-        assert mat_mul([], two, backend) == []
-        assert mat_mul(two, [], backend) == [[], []]
-        assert mat_mul(two, [[], []], backend) == [[], []]
-        assert mat_mul([[], []], [], backend) == [[], []]
+        assert block_sum(2, [[]], [two], backend) == []
+        assert block_sum(2, [two], [[]], backend) == [[], []]
+        assert block_sum(2, [two], [[[], []]], backend) == [[], []]
+        assert block_sum(2, [[[], []]], [[]], backend) == [[], []]
 
 
 def test_fraction_block_with_a_late_float_takes_the_float_path():
     a = [[Fraction(1, 3), Fraction(2, 7)], [Fraction(1), 0.25]]
     b = [[Fraction(5, 2), 1], [Fraction(-1, 9), Fraction(3)]]
-    assert typed(mat_mul(a, b, FLOAT)) == typed(sum_of_products(a, b))
+    assert typed(block_sum(2, [a], [b], FLOAT)) == typed(sum_of_products(a, b))
     assert typed(block_sum(2, [a, b], [b, a], FLOAT)) == typed(blockwise_sum([a, b], [b, a]))
 
 
@@ -599,9 +600,9 @@ def test_a_float_in_an_exact_kernel_raises_type_error():
     a = [[Fraction(1, 3), Fraction(2, 7)], [Fraction(1), 0.25]]
     b = [[Fraction(5, 2), 1], [Fraction(-1, 9), Fraction(3)]]
     with pytest.raises(TypeError, match="float"):
-        mat_mul(a, b, EXACT)
+        block_sum(2, [a], [b], EXACT)
     with pytest.raises(TypeError, match="float"):
-        mat_mul(b, a, EXACT)
+        block_sum(2, [b], [a], EXACT)
     with pytest.raises(TypeError, match="float"):
         block_sum(2, [b, a], [b, b], EXACT)
     with pytest.raises(TypeError, match="float"):
@@ -613,9 +614,9 @@ def test_a_float_in_an_exact_kernel_raises_type_error():
 def test_a_float_in_a_one_column_exact_product_raises_type_error():
     """Inner dimension 1 takes the fraction-free path too."""
     with pytest.raises(TypeError, match="float"):
-        mat_mul([[Fraction(1, 2)]], [[0.5]], EXACT)
+        block_sum(1, [[[Fraction(1, 2)]]], [[[0.5]]], EXACT)
     with pytest.raises(TypeError, match="float"):
-        mat_mul([[0.5], [Fraction(1, 3)]], [[Fraction(2), 3]], EXACT)
+        block_sum(2, [[[0.5], [Fraction(1, 3)]]], [[[Fraction(2), 3]]], EXACT)
     with pytest.raises(TypeError, match="float"):
         block_sum(2, [[[Fraction(1, 2)], [1]]], [[[Fraction(1, 3), 0.25]]], EXACT)
 
@@ -635,9 +636,9 @@ def test_dense_kernels_never_scan_their_operands(monkeypatch):
         rs = [[[cast(v) for v in row] for row in m] for m in rights]
         a = [[cast(v) for v in row] for row in square]
         assert block_sum(1, ls, rs, backend) == blockwise_sum(ls, rs)
-        assert mat_mul(ls[0], rs[0], backend) == sum_of_products(ls[0], rs[0])
+        assert block_sum(1, ls[:1], rs[:1], backend) == sum_of_products(ls[0], rs[0])
         solved = solve_dense(a, mat_eye(2, backend), backend)
-        assert solve_leading(a, mat_eye(2, backend), backend, 0) == solved
+        assert substitute(eliminate_leading(a, backend, 0), mat_eye(2, backend)) == solved
 
 
 def test_only_a_matrix_backend_and_invert_dense_scan_for_floats():
@@ -679,6 +680,24 @@ def test_no_module_keeps_a_fraction_product_of_the_factors():
                 names += [alias.name for alias in node.names]
             if "_reproduced" in names:
                 found.append((path.stem, node.lineno))
+    assert found == []
+
+
+def test_no_module_defines_or_imports_a_retired_dense_entry():
+    """One entry per dense operation: a product of one pair is `block_sum`, a
+    pivot-block inverse is `substitute(eliminate_leading(...))`, and a
+    negation is written inline, so no module defines, assigns or imports
+    `mat_mul`, `mat_scale` or `solve_leading`."""
+    retired, found = {"mat_mul", "mat_scale", "solve_leading"}, []
+    for path in sorted(pathlib.Path(numerics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                names = [getattr(node, "name", None)]
+            found += [(path.stem, node.lineno, name) for name in retired.intersection(names)]
     assert found == []
 
 

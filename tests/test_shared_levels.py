@@ -12,6 +12,7 @@ comparison is by type and repr, in both backends.
 
 import dataclasses
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from mghankel.numerics import (
     SingularLeadingMinorError,
     as_backend,
     block_sum,
-    mat_mul,
     mat_sub,
 )
 
@@ -40,6 +40,7 @@ from conftest import (
     drawn_configs,
     ieee_floats,
     matrices,
+    sum_of_products,
     typed,
 )
 
@@ -51,6 +52,19 @@ def problem(config):
     fam = config.family()
     g = build_moment_matrix(fam, config.truncation)
     return fam, g, lu_factorize(g)
+
+
+def spy_grid_sums(monkeypatch, record) -> None:
+    """Call `record(n, lefts, rights)` on each `cdkernel.block_sum` that
+    `KernelEvaluator._grid_sum` takes; the one-pair products that build its
+    factors (`_schur_row`, `_schur_col`, `_paired_polys`) are not recorded."""
+
+    def spy(n, lefts, rights, backend, *kept, _fn=cdkernel.block_sum):
+        if sys._getframe(1).f_code is KernelEvaluator._grid_sum.__code__:
+            record(n, lefts, rights)
+        return _fn(n, lefts, rights, backend, *kept)
+
+    monkeypatch.setattr(cdkernel, "block_sum", spy)
 
 
 def lattice(backend, coords=DEFAULT_GRID_COORDS) -> list:
@@ -150,12 +164,11 @@ def test_grid_products_match_per_point_products(monkeypatch, case, backend):
     fam, g, factors = problem(config)
     batches = []
 
-    def spy(n, lefts, rights, backend, _fn=cdkernel.block_sum):
+    def record(n, lefts, rights):
         if lefts:
             batches.append((len(lefts[0]) // n, len(rights[0][0]) // n))
-        return _fn(n, lefts, rights, backend)
 
-    monkeypatch.setattr(cdkernel, "block_sum", spy)
+    spy_grid_sums(monkeypatch, record)
     scattered = [tuple(as_backend(c, backend) for c in pair) for pair in SCATTERED]
     off_grid = tuple(as_backend(c, backend) for c in OFF_GRID)
     for grid, batch in ((lattice(backend), (5, 5)), (scattered, (1, 1))):
@@ -184,12 +197,7 @@ def test_the_partition_form_is_one_block_sum(monkeypatch, backend):
     config = dataclasses.replace(builtin_config("multigraded-n2"), backend=backend)
     fam, g, factors = problem(config)
     pairs = []
-
-    def spy(n, lefts, rights, backend, _fn=cdkernel.block_sum):
-        pairs.append(len(lefts))
-        return _fn(n, lefts, rights, backend)
-
-    monkeypatch.setattr(cdkernel, "block_sum", spy)
+    spy_grid_sums(monkeypatch, lambda n, lefts, rights: pairs.append(len(lefts)))
     grid = lattice(backend)
     ev = KernelEvaluator(fam, g, factors, 4, table=PointTable(fam, g, factors, grid))
     x, y = grid[7]
@@ -216,7 +224,7 @@ def test_two_pair_partition_sum_keeps_the_bits_of_the_difference(operands):
     NaN compares by position."""
     a_lam, right, w_lam, chi, b_right = operands
     two_products = mat_sub(
-        mat_mul(a_lam, right, FLOAT), mat_mul(w_lam, mat_sub(chi, b_right), FLOAT)
+        sum_of_products(a_lam, right), sum_of_products(w_lam, mat_sub(chi, b_right))
     )
     one_sum = block_sum(len(a_lam), [a_lam, w_lam], [right, mat_sub(b_right, chi)], FLOAT)
     assert typed(one_sum) == typed(two_products)

@@ -27,14 +27,14 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, reject, settings, strategies as st
 
 from mghankel.blockops import build_moment_matrix, shift_power
 from mghankel.factorize import lu_factorize
 from mghankel.families import eval_poly, primary_family
-from mghankel.harness import builtin_config
+from mghankel.harness import RunConfig, builtin_config, run
 from mghankel.numerics import SingularLeadingMinorError
-from mghankel.weights import hankel_family
+from mghankel.weights import BaseMeasure, SeedWeight, hankel_family
 
 from conftest import drawn_configs, interval_seed
 
@@ -72,6 +72,75 @@ def test_the_exact_recurrence_matrix_is_banded_on_drawn_families(config):
     except SingularLeadingMinorError:
         return  # no factors, so no recurrence matrix to test
     assert band_offsets(fam, g, factors) <= set(predicted_band(fam))
+
+
+# Adler-van Moerbeke shapes: seed r of every entry on [r/8, r/8 + 1], so
+# seeds that share an entry do not share an interval and cannot degenerate
+# into one another exactly.  The common support is [1/4, 1]; the grid lies
+# inside it and off the locus x^{n_a} == y^{n_b}, since every y^b keeps a
+# factor 5 in its denominator and no x^a has one.
+STAGGERED_GRID = tuple(
+    (Fraction(3, 4) + Fraction(i, 24), Fraction(3, 4) + Fraction(j, 25))
+    for i in range(1, 6)
+    for j in range(1, 6)
+)
+
+
+def staggered_config(nvec, mvec, weights) -> RunConfig:
+    """Seed r of entry (a, b) is weights[a][b][r] = (c0, c1), the density
+    c0 + c1 x on [r/8, r/8 + 1]; L = 2 max shift + 2, every level, every
+    check on `STAGGERED_GRID`."""
+    seeds = [
+        [
+            [SeedWeight.of(c, BaseMeasure.finite_interval(Fraction(r, 8), Fraction(r, 8) + 1))
+             for r, c in enumerate(entry)]
+            for entry in row
+        ]
+        for row in weights
+    ]
+    shift = max(*nvec, *mvec)
+    return RunConfig(nvec, mvec, seeds, 2 * shift + 2, None, grid=STAGGERED_GRID)
+
+
+shifts = st.integers(1, 3)
+positive_weights = st.tuples(
+    st.fractions(Fraction(1, 4), 4, max_denominator=4), st.fractions(0, 4, max_denominator=4)
+)
+
+
+@st.composite
+def staggered_configs(draw):
+    size = draw(st.integers(1, 3))
+    nvec = tuple(draw(shifts) for _ in range(size))
+    mvec = tuple(draw(shifts) for _ in range(size))
+    weights = [[[draw(positive_weights) for _ in range(m)] for m in mvec] for _ in nvec]
+    return staggered_config(nvec, mvec, weights)
+
+
+def unit_weights(nvec, mvec) -> list:
+    """(1 + [a = b]) + x for every seed."""
+    return [[[(1 + (a == b), 1)] * m for b, m in enumerate(mvec)] for a in range(len(nvec))]
+
+
+@settings(max_examples=20, deadline=None)
+@example(config=staggered_config((1,), (3,), unit_weights((1,), (3,))))
+@example(config=staggered_config((2,), (3,), unit_weights((2,), (3,))))
+@given(config=staggered_configs())
+def test_staggered_shapes_pass_every_check_and_keep_the_band(config):
+    """Every drawn shape (n; m), n_a and m_b up to 3 and N up to 3: each
+    check passes exactly, or is skipped with its note, and J is zero
+    outside its predicted band.  A moment matrix that does not factorize
+    is rejected and counted; a failing check is never redrawn."""
+    fam = config.family()
+    g = build_moment_matrix(fam, config.truncation)
+    try:
+        factors = lu_factorize(g)
+    except SingularLeadingMinorError:
+        event("moment matrix does not factorize")
+        reject()
+    assert band_offsets(fam, g, factors) <= set(predicted_band(fam))
+    for entry in run(config).entries:
+        assert entry.status == "pass" or (entry.status == "skipped" and entry.notes), entry
 
 
 def hermite_recurrence(k: int, j: int) -> Fraction:

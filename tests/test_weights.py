@@ -78,9 +78,28 @@ def test_validate_wellformed(two_seed_family):
 
 def test_validate_probes_only_the_seeds_a_truncation_reads():
     """At L=1 the moment matrix reads seed 0 alone; seeds 1 and 2 would be
-    probed at a negative order."""
-    fam = WeightFamily((1,), (3,), [[[interval_seed(1)] * 3]])
+    probed at a negative order, whose interval moment divides by zero."""
+    fam = WeightFamily((1,), (3,), [[[interval_seed(1)] * 3]], backend=FLOAT)
     assert validate_family(fam, 1).ok
+
+
+def test_validating_an_exact_family_evaluates_no_moment(monkeypatch):
+    """A rational moment cannot overflow, so an exact family is checked by
+    its seed counts and measures alone; a float family probes each seed."""
+    calls = []
+
+    def counted(measure, k, backend, _fn=BaseMeasure.moment):
+        calls.append((k, backend))
+        return _fn(measure, k, backend)
+
+    monkeypatch.setattr(BaseMeasure, "moment", counted)
+    seeds = [[[interval_seed(1), interval_seed(0, 1)]]]
+    laguerre = [[[SeedWeight.of([1], BaseMeasure.laguerre())] * 2]]
+    for family_seeds in (seeds, laguerre):
+        assert validate_family(WeightFamily((1,), (2,), family_seeds), 8).ok
+    assert calls == []
+    assert validate_family(WeightFamily((1,), (2,), seeds, backend=FLOAT), 8).ok
+    assert calls
 
 
 def test_validate_seed_count():
