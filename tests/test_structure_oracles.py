@@ -90,14 +90,12 @@ def staggered_config(nvec, mvec, weights) -> RunConfig:
     """Seed r of entry (a, b) is weights[a][b][r] = (c0, c1), the density
     c0 + c1 x on [r/8, r/8 + 1]; L = 2 max shift + 2, every level, every
     check on `STAGGERED_GRID`."""
-    seeds = [
-        [
-            [SeedWeight.of(c, BaseMeasure.finite_interval(Fraction(r, 8), Fraction(r, 8) + 1))
-             for r, c in enumerate(entry)]
-            for entry in row
-        ]
-        for row in weights
-    ]
+
+    def seed(r, coeffs):
+        low = Fraction(r, 8)
+        return SeedWeight.of(coeffs, BaseMeasure.finite_interval(low, low + 1))
+
+    seeds = [[[seed(r, c) for r, c in enumerate(entry)] for entry in row] for row in weights]
     shift = max(*nvec, *mvec)
     return RunConfig(nvec, mvec, seeds, 2 * shift + 2, None, grid=STAGGERED_GRID)
 
